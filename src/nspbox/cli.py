@@ -3,14 +3,12 @@
     nsp run|linear|refine|perturb|check-lemmas [--config PATH] [--assert] [--out DIR]
 
 Exit codes: 0 ok, 1 assertion failure, 2 configuration error, 3 numerical
-abort.  The environment variable NSP_THREADS caps internal parallelism;
-the drivers are sequential and deterministic, so any cap >= 1 is honored.
+abort.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .config import ConfigError, config_help, parse_config
@@ -37,19 +35,6 @@ _DRIVERS = {
 }
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("NSP_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"NSP_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ConfigError(f"NSP_THREADS must be >= 1, got {cap}")
-    return cap
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nsp",
@@ -72,7 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        threads = _thread_cap()
         if args.config is not None:
             try:
                 with open(args.config, "r", encoding="utf-8") as fh:
@@ -87,7 +71,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
 
     out_dir = args.out if args.out is not None else cfg.output_dir
-    print(f"nsp {args.command}: grid {cfg.grid.dim}D M={cfg.grid.size}, threads<={threads}, out={out_dir}")
+    print(f"nsp {args.command}: grid {cfg.grid.dim}D M={cfg.grid.size}, out={out_dir}")
 
     driver = _DRIVERS[args.command]
     try:

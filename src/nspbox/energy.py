@@ -261,8 +261,7 @@ def linear_decay_rate_bound(grid: Grid, consts: EstimateConstants, params: Fluid
         m = min(2.0 ** (2 * k), 1.0)
         P, _ = _form_matrices(lams, k, consts, params)
         for i in range(lams.size):
-            q = lams[i] ** 2
-            A = np.array([[0.0, -params.rho_bar], [q + 1.0, -params.nu_c * q]])
+            A = params.pair_matrix(lams[i] ** 2)
             Pi = P[:, :, i]
             lyap = A.T @ Pi + Pi @ A
             # rate = -sup_x (x' lyap x) / (2 m x' P x)
@@ -347,44 +346,46 @@ class EnergyMonitor:
     def __call__(self, s: NspState, flags=None) -> EnergyReport:
         n2 = 0.5 * s.grid.dim
         reg = self.reg_index if self.reg_index is not None else n2
-        u = s.velocity()
+        # one shell spectrum per field; every norm below is a weighting of it
+        spec_h = lp.dyadic_spectrum(s.h)
+        spec_u = lp.dyadic_spectrum(s.velocity())
+        spec_c = lp.dyadic_spectrum(s.c)
+        spec_I = lp.dyadic_spectrum(s.I)
+        spec_theta = lp.dyadic_spectrum(s.theta())
+        spec_phi = lp.dyadic_spectrum(sp.SpectralField(s.grid, _neg_inv_lam(s.grid) * s.h.coef))
 
-        hybrid_h = lp.hybrid_norm(s.h, (n2 - 1.5, n2 + 1.0))
-        hybrid_u = lp.hybrid_norm(u, (n2 - 1.5, n2 - 1.0))
-        hybrid_c = lp.hybrid_norm(s.c, (n2 - 1.5, n2 - 1.0))
-        hybrid_I = lp.hybrid_norm(s.I, (n2 - 1.5, n2 - 1.0))
-        int_h_now = lp.hybrid_norm(s.h, (n2 + 0.5, n2 + 1.0))
-        int_u_now = lp.hybrid_norm(u, (n2 + 0.5, n2 + 1.0))
-        besov_u_high = lp.besov_norm(u, n2 + 1.0)
+        hybrid_h = spec_h.hybrid((n2 - 1.5, n2 + 1.0))
+        hybrid_u = spec_u.hybrid((n2 - 1.5, n2 - 1.0))
+        hybrid_c = spec_c.hybrid((n2 - 1.5, n2 - 1.0))
+        hybrid_I = spec_I.hybrid((n2 - 1.5, n2 - 1.0))
+        int_h_now = spec_h.hybrid((n2 + 0.5, n2 + 1.0))
+        int_u_now = spec_u.hybrid((n2 + 0.5, n2 + 1.0))
+        besov_u_high = spec_u.hybrid((n2 + 1.0, n2 + 1.0))
 
         shells = all_shell_energies(s, self.consts, self.params)
         smooth_now = sum(
             2.0 ** (sh.k * (reg + 1.5)) * sh.norm_c for sh in shells if sh.k > 0
         )
 
-        theta = s.theta()
-        phi = sp.SpectralField(s.grid, _neg_inv_lam(s.grid) * s.h.coef)
         prim_sup_now = np.array(
             [
-                lp.hybrid_norm(theta, (n2 - 2.5, n2)),
+                spec_theta.hybrid((n2 - 2.5, n2)),
                 hybrid_u,
-                lp.hybrid_norm(phi, (n2 - 0.5, n2 + 2.0)),
+                spec_phi.hybrid((n2 - 0.5, n2 + 2.0)),
             ]
         )
         prim_int_now = np.array(
             [
-                lp.hybrid_norm(theta, (n2 - 0.5, n2)),
+                spec_theta.hybrid((n2 - 0.5, n2)),
                 int_u_now,
-                lp.hybrid_norm(phi, (n2 + 1.5, n2 + 2.0)),
+                spec_phi.hybrid((n2 + 1.5, n2 + 2.0)),
             ]
         )
 
         if self._prev is None:
             self.e0 = hybrid_h + hybrid_u
             self.prim_e0 = self.e0
-            self.smoothing_initial = lp.hybrid_norm(s.h, (reg, reg + 1.5)) + lp.hybrid_norm(
-                s.c, (reg - 1.0, reg - 0.5)
-            )
+            self.smoothing_initial = spec_h.hybrid((reg, reg + 1.5)) + spec_c.hybrid((reg - 1.0, reg - 0.5))
         else:
             dt = s.t - self._prev["t"]
             if dt < 0:

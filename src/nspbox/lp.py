@@ -7,6 +7,11 @@ is the dyadic difference phi(r) = psi(r/2) - psi(r), supported in
 difference, summing the annular cutoffs over the grid's shell range
 telescopes and the partition of unity holds to round-off on every nonzero
 lattice point.
+
+A hybrid norm weights low shells (k <= 0) by 2^{ks} and high shells by
+2^{kt}, so every index (s, t) reads off one DyadicSpectrum of block norms:
+compute the spectrum of a field once and call its `hybrid` method for each
+index.
 """
 
 from __future__ import annotations
@@ -126,6 +131,15 @@ class DyadicSpectrum:
     def ks(self) -> np.ndarray:
         return np.arange(self.k_min, self.k_max + 1)
 
+    def hybrid(self, idx) -> float:
+        """Low shells weighted by 2^{ks}, high shells by 2^{kt}, split at k = 0."""
+        hidx = _as_index(idx)
+        total = 0.0
+        for k, bn in zip(self.ks, self.block_norms):
+            w = 2.0 ** (k * hidx.s) if k <= 0 else 2.0 ** (k * hidx.t)
+            total += w * bn
+        return total
+
 
 def shell_range(grid: Grid) -> tuple[int, int]:
     """All k whose annulus [2^k * 3/4, 2^k * 8/3] meets the nonzero lattice."""
@@ -155,44 +169,34 @@ class ShellFilters:
 
 
 @lru_cache(maxsize=8)
-def shell_filters(grid: Grid, profile: CutoffProfile = DEFAULT_PROFILE) -> ShellFilters:
+def shell_filters(grid: Grid) -> ShellFilters:
     k_min, k_max = shell_range(grid)
-    masks = np.stack([profile.phi(grid.lam * 2.0 ** (-k)) for k in range(k_min, k_max + 1)])
+    masks = np.stack([DEFAULT_PROFILE.phi(grid.lam * 2.0 ** (-k)) for k in range(k_min, k_max + 1)])
     return ShellFilters(grid=grid, k_min=k_min, k_max=k_max, masks=masks)
 
 
-def dyadic_block(f: SpectralField, k: int, profile: CutoffProfile = DEFAULT_PROFILE) -> SpectralField:
+def dyadic_block(f: SpectralField, k: int) -> SpectralField:
     """Frequency-localized piece of f on the k-th dyadic annulus."""
-    filters = shell_filters(f.grid, profile)
-    return SpectralField(f.grid, f.coef * filters.mask(k))
+    return SpectralField(f.grid, f.coef * shell_filters(f.grid).mask(k))
 
 
-def dyadic_spectrum(f: SpectralField, profile: CutoffProfile = DEFAULT_PROFILE) -> DyadicSpectrum:
-    filters = shell_filters(f.grid, profile)
+def dyadic_spectrum(f: SpectralField) -> DyadicSpectrum:
+    filters = shell_filters(f.grid)
     power = np.sum(np.abs(f.coef) ** 2, axis=0)
     norms_sq = np.tensordot(filters.masks**2, power, axes=f.grid.dim)
     return DyadicSpectrum(filters.k_min, filters.k_max, np.sqrt(norms_sq))
-
-
-def _weighted_shell_sum(spec: DyadicSpectrum, s: float, t: float) -> float:
-    total = 0.0
-    for k, bn in zip(spec.ks, spec.block_norms):
-        w = 2.0 ** (k * s) if k <= 0 else 2.0 ** (k * t)
-        total += w * bn
-    return total
 
 
 def besov_norm(f: SpectralField, s: float) -> float:
     """Shell-weighted norm sum_k 2^{ks} ||block_k f||_L2 over the grid's shells."""
     if not np.isfinite(s):
         raise ValueError(f"non-finite exponent {s}")
-    return _weighted_shell_sum(dyadic_spectrum(f), s, s)
+    return dyadic_spectrum(f).hybrid((s, s))
 
 
 def hybrid_norm(f: SpectralField, idx) -> float:
     """Low shells weighted by 2^{ks}, high shells by 2^{kt}, split at k = 0."""
-    hidx = _as_index(idx)
-    return _weighted_shell_sum(dyadic_spectrum(f), hidx.s, hidx.t)
+    return dyadic_spectrum(f).hybrid(idx)
 
 
 def bernstein_ratio(f: SpectralField, k: int) -> float:

@@ -72,6 +72,10 @@ class FluidParams:
         """Diffusivity of the solenoidal part."""
         return self.mu / self.rho_bar
 
+    def pair_matrix(self, lam_sq) -> np.ndarray:
+        """Per-mode linear generator of (h, c): [[0, -rho_bar], [|xi|^2 + 1, -nu_c |xi|^2]]."""
+        return np.array([[0.0, -self.rho_bar], [lam_sq + 1.0, -self.nu_c * lam_sq]])
+
 
 @dataclass
 class NspState:
@@ -266,18 +270,17 @@ def _viscous_quotient(
     return theta_phys / (params.rho_bar * den)
 
 
-def nonlinear_J(s: NspState, params: FluidParams, guarded: bool = True, dealias: bool = True) -> SpectralField:
-    """J = u.grad u + quotient(theta) * (mu lap u + (mu+lambda) grad div u)."""
-    grid = s.grid
-    mask = _dealias_mask(s, dealias)
-    u = s.velocity()
-    u_phys = _masked_phys(u, mask)
+def _momentum_flux(
+    u: SpectralField,
+    u_phys: np.ndarray,
+    divu: SpectralField,
+    quot: np.ndarray,
+    mask: np.ndarray | None,
+    params: FluidParams,
+) -> SpectralField:
+    """J = u.grad u + quot * (mu lap u + (mu+lambda) grad div u), one component at a time."""
+    grid = u.grid
     xi = grid.wavenumbers
-
-    theta_phys = s.theta().to_physical()[0]
-    quot = _viscous_quotient(theta_phys, params, guarded)
-
-    divu = sp.divergence(u)
     out = np.zeros((grid.dim,) + grid.shape, dtype=np.complex128)
     for i in range(grid.dim):
         adv = np.zeros(grid.shape)
@@ -291,6 +294,14 @@ def nonlinear_J(s: NspState, params: FluidParams, guarded: bool = True, dealias:
         ).to_physical()[0]
         out[i] = (_spectralize(grid, adv, mask) + _spectralize(grid, quot * visc, mask)).coef[0]
     return SpectralField(grid, out)
+
+
+def nonlinear_J(s: NspState, params: FluidParams, guarded: bool = True, dealias: bool = True) -> SpectralField:
+    """J = u.grad u + quotient(theta) * (mu lap u + (mu+lambda) grad div u)."""
+    mask = _dealias_mask(s, dealias)
+    u = s.velocity()
+    quot = _viscous_quotient(s.theta().to_physical()[0], params, guarded)
+    return _momentum_flux(u, _masked_phys(u, mask), sp.divergence(u), quot, mask, params)
 
 
 def nonlinear_G(s: NspState, params: FluidParams, guarded: bool = True, dealias: bool = True) -> SpectralField:
@@ -346,7 +357,8 @@ def explicit_rhs(
     theta = s.theta()
     theta_phys_raw = theta.to_physical()[0]
     theta_phys = _masked_phys(theta, mask)[0]
-    divu_phys = _masked_phys(sp.divergence(u), mask)[0]
+    divu = sp.divergence(u)
+    divu_phys = _masked_phys(divu, mask)[0]
 
     diag = RhsDiagnostics(
         min_density=float(np.min(theta_phys_raw)) + params.rho_bar,
@@ -362,19 +374,7 @@ def explicit_rhs(
 
     # J = u.grad u + quotient * viscous stress, guarded quotient throughout
     quot = _viscous_quotient(theta_phys_raw, params, guarded=True)
-    divu_coef = sp.divergence(u).coef[0]
-    J = np.zeros((grid.dim,) + grid.shape, dtype=np.complex128)
-    for i in range(grid.dim):
-        adv = np.zeros(grid.shape)
-        for j in range(grid.dim):
-            du_ij = _masked_phys(SpectralField(grid, 1j * xi[j] * u.coef[i : i + 1]), mask)[0]
-            adv += u_phys[j] * du_ij
-        visc = SpectralField(
-            grid,
-            (-params.mu * grid.lam_sq * u.coef[i] + (params.mu + params.lam) * 1j * xi[i] * divu_coef)[None],
-        ).to_physical()[0]
-        J[i] = (_spectralize(grid, adv, mask) + _spectralize(grid, quot * visc, mask)).coef[0]
-    J_field = SpectralField(grid, J)
+    J_field = _momentum_flux(u, u_phys, divu, quot, mask, params)
 
     tend_c = -1.0 * sp.apply_lambda(sp.divergence(J_field), -1.0)
     tend_I = -1.0 * sp.apply_lambda(sp.curl(J_field), -1.0)

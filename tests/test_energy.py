@@ -20,7 +20,7 @@ from nspbox.energy import (
     shell_energy,
     smoothing_integral,
 )
-from nspbox.lp import DEFAULT_PROFILE, hybrid_norm, shell_filters
+from nspbox.lp import DEFAULT_PROFILE, besov_norm, dyadic_block, dyadic_spectrum, hybrid_norm, shell_filters
 from nspbox.model import FluidParams, NspState
 from nspbox.spectral import SpectralField, random_field
 from nspbox.stepper import FriedrichsStepper, StepperConfig, linear_reference_run
@@ -290,6 +290,26 @@ class TestMonitor:
         report = monitor(s0)
         assert monitor.e0 == pytest.approx(initial_energy(s0), rel=1e-14)
         assert report.e_value == pytest.approx(monitor.e0, rel=1e-14)
+
+    def test_reported_norms_equal_standalone_norms_exactly(self, grid3):
+        s0 = small_state(grid3, seed=73, amp=1e-3)
+        report = EnergyMonitor(PARAMS)(s0)
+        n2 = 0.5 * grid3.dim
+        u = s0.velocity()
+        assert report.hybrid_h == hybrid_norm(s0.h, (n2 - 1.5, n2 + 1.0))
+        assert report.hybrid_c == hybrid_norm(s0.c, (n2 - 1.5, n2 - 1.0))
+        assert report.hybrid_I == hybrid_norm(s0.I, (n2 - 1.5, n2 - 1.0))
+        assert report.hybrid_u == hybrid_norm(u, (n2 - 1.5, n2 - 1.0))
+        assert report.besov_u_high == besov_norm(u, n2 + 1.0)
+
+    def test_one_shell_filter_build_per_grid(self, grid3):
+        s0 = small_state(grid3, seed=74, amp=1e-3)
+        shell_filters.cache_clear()
+        dyadic_spectrum(s0.h)
+        dyadic_block(s0.h, 0)
+        all_shell_energies(s0, compute_constants(PARAMS), PARAMS)
+        EnergyMonitor(PARAMS)(s0)
+        assert shell_filters.cache_info().misses == 1
 
     def test_decreasing_time_rejected(self, grid3):
         consts = compute_constants(PARAMS)

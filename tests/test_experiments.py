@@ -195,9 +195,3 @@ class TestCli:
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("grid.M = 16\n")
         assert main(["check-lemmas", "--config", str(cfg), "--assert", "--out", str(tmp_path / "o")]) == 0
-
-    def test_bad_thread_cap_rejected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NSP_THREADS", "0")
-        assert main(["check-lemmas", "--out", str(tmp_path)]) == 2
-        monkeypatch.setenv("NSP_THREADS", "two")
-        assert main(["check-lemmas", "--out", str(tmp_path)]) == 2

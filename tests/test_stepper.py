@@ -15,10 +15,9 @@ from nspbox.stepper import (
     StepperConfig,
     linear_reference_run,
     load_checkpoint,
-    run,
     save_checkpoint,
-    step,
 )
+from nspbox import model
 
 from conftest import wave
 from test_model import small_state
@@ -70,7 +69,7 @@ class TestLinearBlock:
         blocks = LinearBlock(grid3, PARAMS, dt)
         rng = np.random.default_rng(42)
         for q in (1.0, 2.0, 5.0, 48.0, 147.0):
-            A = blocks.pair_matrix(q)
+            A = PARAMS.pair_matrix(q)
             z0 = rng.standard_normal(2)
             sol = solve_ivp(
                 lambda t, z: A @ z, (0.0, dt), z0, method="DOP853", rtol=1e-12, atol=1e-14
@@ -101,7 +100,7 @@ class TestLinearBlock:
 class TestStep:
     def test_equilibrium_is_fixed(self, grid3):
         cfg = StepperConfig(dt=1e-2, n=16.0, t_end=0.1)
-        out = step(NspState.zeros(grid3), cfg, PARAMS)
+        out = FriedrichsStepper(grid3, PARAMS, cfg).step(NspState.zeros(grid3))
         assert l2_norm(out.h) == 0.0 and l2_norm(out.c) == 0.0 and l2_norm(out.I) == 0.0
 
     def test_linear_pair_matches_exponential_oracle(self, grid3):
@@ -162,7 +161,7 @@ class TestStep:
 
         def one_run():
             s0 = small_state(grid3, seed=46, amp=1e-2)
-            return run(s0, cfg, PARAMS, monitor=lambda s, flags: l2_norm(s.h), stride=5)
+            return FriedrichsStepper(grid3, PARAMS, cfg).run(s0, monitor=lambda s, flags: l2_norm(s.h), stride=5)
 
         t1, t2 = one_run(), one_run()
         assert t1.records == t2.records
@@ -174,7 +173,7 @@ class TestStep:
         s = small_state(grid3, seed=47, amp=1e-2)
         s.h.coef[0, 1, 0, 0] = np.nan
         with pytest.raises(NumericalAbort, match="non-finite"):
-            step(s, cfg, PARAMS)
+            FriedrichsStepper(grid3, PARAMS, cfg).step(s)
 
     def test_initial_cfl_violation_rejected(self, grid3):
         cfg = StepperConfig(dt=1.0, n=8.0, t_end=1.0)
@@ -186,17 +185,47 @@ class TestStep:
     def test_run_zero_time(self, grid3):
         cfg = StepperConfig(dt=1e-3, n=8.0, t_end=0.0)
         s0 = small_state(grid3, seed=49, amp=1e-3)
-        traj = run(s0, cfg, PARAMS, stride=3)
+        traj = FriedrichsStepper(grid3, PARAMS, cfg).run(s0, stride=3)
         assert traj.times == [0.0]
         projected = FriedrichsProjector(grid3, cfg.n)(s0.h)
         assert np.array_equal(traj.final_state.h.coef, projected.coef)
 
     def test_times_strictly_increasing_and_stride_respected(self, grid3):
         cfg = StepperConfig(dt=1e-3, n=8.0, t_end=0.01)
-        traj = run(small_state(grid3, seed=50, amp=1e-3), cfg, PARAMS, stride=4)
+        traj = FriedrichsStepper(grid3, PARAMS, cfg).run(small_state(grid3, seed=50, amp=1e-3), stride=4)
         diffs = np.diff(traj.times)
         assert np.all(diffs > 0)
         assert len(traj.times) == 1 + 2 + 1  # t0, two stride hits, final step
+
+    def test_iterate_matches_run_bitwise(self, grid3):
+        cfg = StepperConfig(dt=2e-3, n=8.0, t_end=0.03)
+        s0 = small_state(grid3, seed=52, amp=1e-2)
+        traj = FriedrichsStepper(grid3, PARAMS, cfg).run(s0, stride=4)
+        states = list(FriedrichsStepper(grid3, PARAMS, cfg).iterate(s0, stride=4))
+        assert [s.t for s in states] == traj.times
+        assert len(states) == 1 + 3 + 1  # t0, three stride hits, final step 15
+        for name in ("h", "c", "I"):
+            assert np.array_equal(getattr(states[-1], name).coef, getattr(traj.final_state, name).coef)
+
+    def test_cfl_checked_on_every_step(self, grid3, monkeypatch):
+        # the speed crosses the margin during step 5 only; the run stops there
+        cfg = StepperConfig(dt=1e-3, n=8.0, t_end=0.03)
+        stepper = FriedrichsStepper(grid3, PARAMS, cfg)
+        too_fast = 2.0 * cfg.cfl_margin * grid3.spacing / cfg.dt
+        plain_rhs = model.explicit_rhs
+        calls = []
+
+        def rhs(*args, **kwargs):
+            th, tc, ti, diag = plain_rhs(*args, **kwargs)
+            calls.append(1)
+            if len(calls) in (9, 10):  # both ETDRK2 stages of step 5
+                diag.max_speed = too_fast
+            return th, tc, ti, diag
+
+        monkeypatch.setattr(model, "explicit_rhs", rhs)
+        with pytest.raises(NumericalAbort, match=f"at t = {5 * cfg.dt:.6g}"):
+            stepper.run(small_state(grid3, seed=53, amp=1e-3))
+        assert len(calls) == 10
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -210,7 +239,7 @@ class TestStep:
 def advance(grid, scheme, dt, t_end, seed=51, amp=0.05):
     cfg = StepperConfig(dt=dt, n=float(grid.size), t_end=t_end, scheme=scheme)
     s0 = small_state(grid, seed=seed, amp=amp)
-    return run(s0, cfg, PARAMS, stride=10**9).final_state
+    return FriedrichsStepper(grid, PARAMS, cfg).run(s0, stride=10**9).final_state
 
 
 class TestSchemes:

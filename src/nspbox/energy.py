@@ -197,7 +197,7 @@ def all_shell_energies(s: NspState, consts: EstimateConstants, params: FluidPara
     filters = lp.shell_filters(s.grid)
     Ph, Pc, X, powers = _shell_reductions(s)
     return [
-        _one_shell(k, filters.masks[k - filters.k_min] ** 2, Ph, Pc, X, powers, consts, params)
+        _one_shell(k, filters.masks_sq[k - filters.k_min], Ph, Pc, X, powers, consts, params)
         for k in filters.ks
     ]
 

@@ -17,7 +17,7 @@ index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -163,6 +163,11 @@ class ShellFilters:
             return self.masks[k - self.k_min]
         return np.zeros(self.grid.shape)
 
+    @cached_property
+    def masks_sq(self) -> np.ndarray:
+        """Squared masks, the weights of every shell energy and block norm."""
+        return self.masks**2
+
     @property
     def ks(self) -> range:
         return range(self.k_min, self.k_max + 1)
@@ -170,8 +175,11 @@ class ShellFilters:
 
 @lru_cache(maxsize=8)
 def shell_filters(grid: Grid) -> ShellFilters:
+    """Annular masks of every shell; the profile runs once per distinct |xi|, then is gathered."""
     k_min, k_max = shell_range(grid)
-    masks = np.stack([DEFAULT_PROFILE.phi(grid.lam * 2.0 ** (-k)) for k in range(k_min, k_max + 1)])
+    radii, where = np.unique(grid.lam, return_inverse=True)
+    where = where.reshape(grid.shape)
+    masks = np.stack([DEFAULT_PROFILE.phi(radii * 2.0 ** (-k))[where] for k in range(k_min, k_max + 1)])
     return ShellFilters(grid=grid, k_min=k_min, k_max=k_max, masks=masks)
 
 
@@ -183,7 +191,7 @@ def dyadic_block(f: SpectralField, k: int) -> SpectralField:
 def dyadic_spectrum(f: SpectralField) -> DyadicSpectrum:
     filters = shell_filters(f.grid)
     power = np.sum(np.abs(f.coef) ** 2, axis=0)
-    norms_sq = np.tensordot(filters.masks**2, power, axes=f.grid.dim)
+    norms_sq = np.tensordot(filters.masks_sq, power, axes=f.grid.dim)
     return DyadicSpectrum(filters.k_min, filters.k_max, np.sqrt(norms_sq))
 
 

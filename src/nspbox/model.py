@@ -11,6 +11,7 @@ viscous quotient J, and their div/curl projections F, G, H.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -270,17 +271,15 @@ def _viscous_quotient(
     return theta_phys / (params.rho_bar * den)
 
 
-def _momentum_flux(
-    u: SpectralField,
-    u_phys: np.ndarray,
-    divu: SpectralField,
-    quot: np.ndarray,
-    mask: np.ndarray | None,
-    params: FluidParams,
-) -> SpectralField:
-    """J = u.grad u + quot * (mu lap u + (mu+lambda) grad div u), one component at a time."""
-    grid = u.grid
+def nonlinear_J(s: NspState, params: FluidParams, guarded: bool = True, dealias: bool = True) -> SpectralField:
+    """J = u.grad u + quotient(theta) * (mu lap u + (mu+lambda) grad div u), one component at a time."""
+    grid = s.grid
     xi = grid.wavenumbers
+    mask = _dealias_mask(s, dealias)
+    u = s.velocity()
+    u_phys = _masked_phys(u, mask)
+    divu = sp.divergence(u)
+    quot = _viscous_quotient(s.theta().to_physical()[0], params, guarded)
     out = np.zeros((grid.dim,) + grid.shape, dtype=np.complex128)
     for i in range(grid.dim):
         adv = np.zeros(grid.shape)
@@ -294,14 +293,6 @@ def _momentum_flux(
         ).to_physical()[0]
         out[i] = (_spectralize(grid, adv, mask) + _spectralize(grid, quot * visc, mask)).coef[0]
     return SpectralField(grid, out)
-
-
-def nonlinear_J(s: NspState, params: FluidParams, guarded: bool = True, dealias: bool = True) -> SpectralField:
-    """J = u.grad u + quotient(theta) * (mu lap u + (mu+lambda) grad div u)."""
-    mask = _dealias_mask(s, dealias)
-    u = s.velocity()
-    quot = _viscous_quotient(s.theta().to_physical()[0], params, guarded)
-    return _momentum_flux(u, _masked_phys(u, mask), sp.divergence(u), quot, mask, params)
 
 
 def nonlinear_G(s: NspState, params: FluidParams, guarded: bool = True, dealias: bool = True) -> SpectralField:
@@ -335,47 +326,97 @@ class RhsDiagnostics:
     max_speed: float
 
 
+@dataclass(frozen=True)
+class _RhsMultipliers:
+    """Fourier multipliers of `explicit_rhs` for one (grid, dealias, params)."""
+
+    mask: np.ndarray  # dealiasing mask; the Nyquist-free keep mask without dealiasing
+    ixi: np.ndarray  # 1j * xi_j, one row per axis
+    visc_lap: np.ndarray  # -mu |xi|^2
+    visc_grad: np.ndarray  # (mu + lambda) 1j * xi_i, one row per axis
+
+
+@lru_cache(maxsize=4)
+def _rhs_multipliers(grid: Grid, dealias: bool, params: FluidParams) -> _RhsMultipliers:
+    xi = np.stack(grid.wavenumbers)
+    return _RhsMultipliers(
+        mask=grid.dealias_mask if dealias else grid.keep_mask,
+        ixi=1j * xi,
+        visc_lap=-params.mu * grid.lam_sq,
+        visc_grad=(params.mu + params.lam) * 1j * xi,
+    )
+
+
+def _rhs_sizes(dim: int) -> tuple[int, ...]:
+    """Component counts of the quantities `explicit_rhs` transforms in one batch.
+
+    In order: dealiased u; raw theta; dealiased theta; dealiased div u; grad
+    theta; grad u as rows (i, j) -> d_j u_i; the viscous stress.
+    """
+    return (dim, 1, 1, 1, dim, dim * dim, dim)
+
+
+def _rhs_parts(stack: np.ndarray, dim: int) -> list[np.ndarray]:
+    """Views of the batched quantities in a stack of `sum(_rhs_sizes(dim))` components."""
+    parts = np.split(stack, np.cumsum(_rhs_sizes(dim))[:-1])
+    parts[5] = parts[5].reshape((dim, dim) + stack.shape[1:])
+    return parts
+
+
 def explicit_rhs(
     s: NspState,
     params: FluidParams,
     dealias: bool = True,
     project_mask: np.ndarray | None = None,
 ) -> tuple[SpectralField, SpectralField, SpectralField, RhsDiagnostics]:
-    """Convection plus forcing tendencies for (h, c, I), sharing intermediates.
+    """Convection plus forcing tendencies for (h, c, I) in two batched transforms.
 
     The advection of c cancels exactly between the left-hand convection term
     and the forcing G, so the net c tendency is just -Lambda^-1 div J; the h
     tendency keeps both its convection and F.  The linear terms are handled
-    by the propagator, not here.
+    by the propagator, not here.  Every spectral quantity the products need
+    goes through one inverse transform, and the h term with the J components
+    through one forward transform; `nonlinear_F/J/H` compute the same terms
+    one component at a time.
     """
     grid = s.grid
-    mask = _dealias_mask(s, dealias)
-    xi = grid.wavenumbers
+    dim = grid.dim
+    mult = _rhs_multipliers(grid, dealias, params)
+    m, ixi = mult.mask, mult.ixi
 
-    u = s.velocity()
-    u_phys = _masked_phys(u, mask)
-    theta = s.theta()
-    theta_phys_raw = theta.to_physical()[0]
-    theta_phys = _masked_phys(theta, mask)[0]
-    divu = sp.divergence(u)
-    divu_phys = _masked_phys(divu, mask)[0]
+    u = s.velocity().coef
+    theta = s.theta().coef
+    divu = np.sum(ixi * u, axis=0, keepdims=True)
+    spec = np.empty((sum(_rhs_sizes(dim)),) + grid.shape, dtype=np.complex128)
+    u_m, theta_raw, theta_m, divu_m, grad_theta, grad_u, visc = _rhs_parts(spec, dim)
+    np.multiply(u, m, out=u_m)
+    theta_raw[...] = theta
+    np.multiply(theta, m, out=theta_m)
+    np.multiply(divu, m, out=divu_m)
+    np.multiply(ixi, theta_m, out=grad_theta)
+    np.multiply(ixi[None], u_m[:, None], out=grad_u)
+    # viscous stress: mu lap u + (mu + lambda) grad div u
+    np.multiply(mult.visc_lap, u, out=visc)
+    visc += mult.visc_grad * divu
+
+    phys = sp.transform_to_physical(SpectralField(grid, spec))
+    u_p, theta_raw_p, theta_p, divu_p, grad_theta_p, grad_u_p, visc_p = _rhs_parts(phys, dim)
+    theta_raw_p = theta_raw_p[0]
 
     diag = RhsDiagnostics(
-        min_density=float(np.min(theta_phys_raw)) + params.rho_bar,
-        max_speed=float(np.max(np.sqrt(np.sum(u_phys**2, axis=0)))),
+        min_density=float(np.min(theta_raw_p)) + params.rho_bar,
+        max_speed=float(np.max(np.sqrt(np.sum(u_p**2, axis=0)))),
     )
 
     # h: -Lambda^-1(u . grad Lambda h) - Lambda^-1(Lambda h div u)
-    conv_h = np.zeros(grid.shape)
-    for j in range(grid.dim):
-        dtheta_j = _masked_phys(SpectralField(grid, 1j * xi[j] * theta.coef), mask)[0]
-        conv_h += u_phys[j] * dtheta_j
-    tend_h = -1.0 * sp.apply_lambda(_spectralize(grid, conv_h + theta_phys * divu_phys, mask), -1.0)
-
+    h_term = np.sum(u_p * grad_theta_p, axis=0) + theta_p[0] * divu_p[0]
     # J = u.grad u + quotient * viscous stress, guarded quotient throughout
-    quot = _viscous_quotient(theta_phys_raw, params, guarded=True)
-    J_field = _momentum_flux(u, u_phys, divu, quot, mask, params)
+    quot = _viscous_quotient(theta_raw_p, params, guarded=True)
+    flux = np.sum(u_p * grad_u_p, axis=1) + quot * visc_p
+    out = sp.transform_to_spectral(grid, np.concatenate([h_term[None], flux])).coef * m
 
+    tend_h = -1.0 * sp.apply_lambda(SpectralField(grid, out[:1]), -1.0)
+    J_field = SpectralField(grid, out[1:])
     tend_c = -1.0 * sp.apply_lambda(sp.divergence(J_field), -1.0)
     tend_I = -1.0 * sp.apply_lambda(sp.curl(J_field), -1.0)
 

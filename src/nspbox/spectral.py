@@ -6,6 +6,12 @@ scaled by 2*pi/L.  Coefficients use the Fourier-series normalization
 coefficient a/2 at each conjugate lattice point and the L2 norm below is the
 volume-normalized one: ``l2_norm(f)**2 == mean(|f|^2)`` by Parseval.
 
+Every field is the spectrum of a real field, so the transforms are
+real-to-complex (scipy.fft ``rfftn``/``irfftn``).  Fields keep the full
+lattice: the forward transform fills the other half by Hermitian mirror, and
+the inverse reads only the half lattice of the last axis, so its input must
+be Hermitian.
+
 Zero-mode convention: fractional powers of the Laplacian and every inverse
 operator (Poisson solve, Lambda^-1 gradients/divergences) annihilate the
 zero mode.  Nyquist rows are zeroed on construction so that every field has
@@ -18,6 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.fft
 
 __all__ = [
     "Grid",
@@ -231,22 +238,42 @@ class HelmholtzPair:
 # transforms and norms
 
 
+def _spatial_axes(grid: Grid) -> tuple[int, ...]:
+    return tuple(range(1, grid.dim + 1))
+
+
 def transform_to_spectral(grid: Grid, values: np.ndarray) -> SpectralField:
-    """Forward transform of one or more real component arrays."""
+    """Forward real-to-complex transform of one or more real component arrays.
+
+    The half lattice comes from ``rfftn``; the other half of the last axis is
+    its Hermitian mirror and the last-axis zero plane is symmetrized, so the
+    result is exactly Hermitian.
+    """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim == grid.dim:
         values = values[None]
     if values.shape[1:] != grid.shape:
         raise ValueError(f"physical shape {values.shape} does not match grid {grid.shape}")
-    coef = np.fft.fftn(values, axes=range(1, grid.dim + 1)) / grid.size**grid.dim
+    half = scipy.fft.rfftn(values, axes=_spatial_axes(grid), norm="forward")
+    m = grid.size // 2
+    lead = tuple(range(1, grid.dim))
+    coef = np.empty(values.shape, dtype=np.complex128)
+    coef[..., : m + 1] = half
+    coef[..., m + 1 :] = np.conj(np.flip(_negate_indices(half[..., 1:m], lead), axis=-1))
+    plane = half[..., 0]
+    coef[..., 0] = 0.5 * (plane + np.conj(_negate_indices(plane, lead)))
     return SpectralField(grid, coef)
 
 
 def transform_to_physical(f: SpectralField) -> np.ndarray:
-    """Inverse transform; returns real arrays of shape (ncomp, *grid.shape)."""
+    """Inverse real-to-complex transform; returns real arrays of shape (ncomp, *grid.shape).
+
+    Reads only the half lattice ``coef[..., :size//2 + 1]``, so ``coef`` must
+    be the Hermitian spectrum of a real field.
+    """
     grid = f.grid
-    out = np.fft.ifftn(f.coef * grid.size**grid.dim, axes=range(1, grid.dim + 1)).real
-    return out
+    half = f.coef[..., : grid.size // 2 + 1]
+    return scipy.fft.irfftn(half, s=grid.shape, axes=_spatial_axes(grid), norm="forward")
 
 
 def l2_norm(f: SpectralField) -> float:
@@ -263,15 +290,14 @@ def linf_norm(f: SpectralField) -> float:
     return float(np.max(np.abs(f.to_physical())))
 
 
-def _negate_indices(arr: np.ndarray, dim: int) -> np.ndarray:
-    """Map the lattice value at k to -k mod size along every spatial axis."""
-    spatial = tuple(range(arr.ndim - dim, arr.ndim))
-    return np.roll(np.flip(arr, axis=spatial), shift=1, axis=spatial)
+def _negate_indices(arr: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """Map the lattice value at k to -k mod size along each of `axes`."""
+    return np.roll(np.flip(arr, axis=axes), shift=1, axis=axes)
 
 
 def hermitian_defect(f: SpectralField) -> float:
     """Relative departure from coef(-xi) == conj(coef(xi))."""
-    mirror = np.conj(_negate_indices(f.coef, f.grid.dim))
+    mirror = np.conj(_negate_indices(f.coef, _spatial_axes(f.grid)))
     scale = np.max(np.abs(f.coef))
     if scale == 0.0:
         return 0.0
@@ -279,7 +305,7 @@ def hermitian_defect(f: SpectralField) -> float:
 
 
 def hermitian_symmetrize(f: SpectralField) -> SpectralField:
-    coef = 0.5 * (f.coef + np.conj(_negate_indices(f.coef, f.grid.dim)))
+    coef = 0.5 * (f.coef + np.conj(_negate_indices(f.coef, _spatial_axes(f.grid))))
     return SpectralField(f.grid, coef)
 
 

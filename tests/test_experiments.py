@@ -143,6 +143,16 @@ class TestDrivers:
         report = json.loads((tmp_path / "lemmas.json").read_text())
         assert report["partition_defect"] <= 1e-12
         assert report["product_ratio_max"] > 0.0
+        assert report["hybrid_vs_besov"] <= 1e-12
+
+    def test_check_lemmas_catches_a_wrong_besov_norm(self, tmp_path, monkeypatch):
+        from nspbox import lp
+
+        plain = lp.besov_norm
+        monkeypatch.setattr(lp, "besov_norm", lambda f, s: plain(f, s) * (1.0 + 1e-9))
+        result = experiment_check_lemmas(parse_config("grid.M = 16"), tmp_path, do_assert=True)
+        assert result.exit_code == 1
+        assert result.summary["assertions"]["hybrid_equals_besov"] is False
 
 
 class TestCli:

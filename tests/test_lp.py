@@ -92,6 +92,14 @@ class TestBlocks:
         masks = shell_filters(request.getfixturevalue(grid_name)).masks
         assert np.all((0.0 <= masks) & (masks <= 1.0))
 
+    @pytest.mark.parametrize("grid_name", ["grid2", "grid3", "grid32"])
+    def test_gathered_masks_equal_profile_on_lattice(self, grid_name, request):
+        grid = request.getfixturevalue(grid_name)
+        filters = shell_filters(grid)
+        for k in filters.ks:
+            assert np.array_equal(filters.mask(k), DEFAULT_PROFILE.phi(grid.lam * 2.0**-k))
+        assert np.array_equal(filters.masks_sq, filters.masks**2)
+
     def test_single_mode_block_value(self, grid3):
         f = wave(grid3, (1, 0, 0))
         out = dyadic_block(f, 0)

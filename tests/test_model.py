@@ -299,31 +299,53 @@ class TestNonlinearGH:
 
 
 class TestExplicitRhs:
-    def test_matches_public_operations(self, grid3):
-        s = small_state(grid3, seed=36)
-        th, tc, ti, diag = explicit_rhs(s, PARAMS3)
-
+    @pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
+    @pytest.mark.parametrize("dealias", [True, False], ids=["dealiased", "aliased"])
+    @pytest.mark.parametrize("projected", [False, True], ids=["unprojected", "projected"])
+    def test_matches_public_operations(self, grid_name, dealias, projected, request):
         from nspbox.spectral import apply_lambda
+        from nspbox.stepper import FriedrichsProjector
 
+        grid = request.getfixturevalue(grid_name)
+        params = FluidParams(mu=1.0, lam=0.25, rho_bar=1.0, dim=grid.dim)
+        project_mask = FriedrichsProjector(grid, 4.0).mask if projected else None
+        s = small_state(grid, seed=36)
+        th, tc, ti, diag = explicit_rhs(s, params, dealias=dealias, project_mask=project_mask)
+
+        mask = grid.dealias_mask if dealias else grid.keep_mask
         u = s.velocity()
         theta = s.theta()
-        mask = grid3.dealias_mask
-        u_phys = SpectralField(grid3, u.coef * mask).to_physical()
-        conv = np.zeros(grid3.shape)
-        for j in range(3):
-            d = SpectralField(grid3, 1j * grid3.wavenumbers[j] * theta.coef * mask).to_physical()[0]
+        u_phys = SpectralField(grid, u.coef * mask).to_physical()
+        conv = np.zeros(grid.shape)
+        for j in range(grid.dim):
+            d = SpectralField(grid, 1j * grid.wavenumbers[j] * theta.coef * mask).to_physical()[0]
             conv += u_phys[j] * d
-        conv_spec = SpectralField(grid3, transform_to_spectral(grid3, conv).coef * mask)
-        expected_h = -1.0 * apply_lambda(conv_spec, -1.0) + nonlinear_F(s)
-        scale = np.max(np.abs(expected_h.coef))
-        assert np.max(np.abs(th.coef - expected_h.coef)) < 1e-13 * scale
+        conv_spec = SpectralField(grid, transform_to_spectral(grid, conv).coef * mask)
+        J = nonlinear_J(s, params, dealias=dealias)
+        expected = [
+            -1.0 * apply_lambda(conv_spec, -1.0) + nonlinear_F(s, dealias=dealias),
+            -1.0 * apply_lambda(divergence(J), -1.0),
+            nonlinear_H(s, params, dealias=dealias),
+        ]
+        for got, want in zip((th, tc, ti), expected):
+            want = want.coef if project_mask is None else want.coef * project_mask
+            assert np.max(np.abs(got.coef - want)) < 1e-13 * np.max(np.abs(want))
 
-        J = nonlinear_J(s, PARAMS3)
-        expected_c = -1.0 * apply_lambda(divergence(J), -1.0)
-        assert np.max(np.abs(tc.coef - expected_c.coef)) < 1e-13 * np.max(np.abs(expected_c.coef))
+    def test_one_batched_transform_each_way(self, grid3, monkeypatch):
+        from nspbox import spectral
 
-        expected_i = nonlinear_H(s, PARAMS3)
-        assert np.max(np.abs(ti.coef - expected_i.coef)) < 1e-13 * np.max(np.abs(expected_i.coef))
+        s = small_state(grid3, seed=36)
+        calls = {"transform_to_physical": 0, "transform_to_spectral": 0}
+        for name in calls:
+            plain = getattr(spectral, name)
+
+            def counted(*args, _plain=plain, _name=name):
+                calls[_name] += 1
+                return _plain(*args)
+
+            monkeypatch.setattr(spectral, name, counted)
+        explicit_rhs(s, PARAMS3)
+        assert calls == {"transform_to_physical": 1, "transform_to_spectral": 1}
 
     def test_diagnostics(self, grid3):
         s = state_with(grid3, h=wave(grid3, (1, 0, 0), amp=0.25))

@@ -83,6 +83,25 @@ class TestTransforms:
         with pytest.raises(ValueError):
             transform_to_spectral(grid3, np.zeros((8, 8, 8)))
 
+    @pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
+    def test_inverse_matches_complex_transform(self, grid_name, request):
+        grid = request.getfixturevalue(grid_name)
+        f = random_field(grid, 3, np.random.default_rng(4))
+        axes = tuple(range(1, grid.dim + 1))
+        expected = np.fft.ifftn(f.coef * grid.size**grid.dim, axes=axes).real
+        out = transform_to_physical(f)
+        assert np.max(np.abs(out - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
+    def test_forward_matches_complex_transform_and_is_hermitian(self, grid_name, request):
+        grid = request.getfixturevalue(grid_name)
+        values = np.random.default_rng(5).standard_normal((3,) + grid.shape)
+        axes = tuple(range(1, grid.dim + 1))
+        expected = np.fft.fftn(values, axes=axes) / grid.size**grid.dim * grid.keep_mask
+        f = transform_to_spectral(grid, values)
+        assert np.max(np.abs(f.coef - expected)) <= 1e-14 * np.max(np.abs(expected))
+        assert hermitian_defect(f) == 0.0
+
 
 class TestApplyLambda:
     def test_unit_mode_any_power_unchanged(self, grid3):

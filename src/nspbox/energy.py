@@ -189,7 +189,7 @@ def _one_shell(k, w, Ph, Pc, X, powers, consts, params) -> ShellEnergy:
 def shell_energy(s: NspState, k: int, consts: EstimateConstants, params: FluidParams) -> ShellEnergy:
     filters = lp.shell_filters(s.grid)
     Ph, Pc, X, powers = _shell_reductions(s)
-    w = filters.mask(k) ** 2
+    w = filters.mask(k) ** 2 * s.grid.hermitian_weight
     return _one_shell(k, w, Ph, Pc, X, powers, consts, params)
 
 

@@ -47,7 +47,7 @@ def _consts(cfg: RunConfig) -> energy.EstimateConstants:
 def _finish(name: str, out_dir, summary: dict, assertions: list[tuple[str, bool, str]], do_assert: bool) -> ExperimentResult:
     summary["assertions"] = {label: bool(ok) for label, ok, _ in assertions}
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
+    with rec.atomic_open(os.path.join(out_dir, "summary.json")) as fh:
         json.dump({"experiment": name, **summary}, fh, indent=2, default=float)
         fh.write("\n")
     failures = [(label, detail) for label, ok, detail in assertions if not ok]
@@ -193,7 +193,7 @@ def experiment_refine(cfg: RunConfig, out_dir, do_assert: bool = False) -> Exper
         )
 
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "distance.ndjson"), "w", encoding="utf-8") as fh:
+    with rec.atomic_open(os.path.join(out_dir, "distance.ndjson")) as fh:
         for row in rows:
             fh.write(json.dumps(row) + "\n")
 
@@ -235,7 +235,7 @@ def experiment_perturb(cfg: RunConfig, out_dir, do_assert: bool = False) -> Expe
         )
 
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "difference.ndjson"), "w", encoding="utf-8") as fh:
+    with rec.atomic_open(os.path.join(out_dir, "difference.ndjson")) as fh:
         for row in rows:
             fh.write(json.dumps(row) + "\n")
 
@@ -328,7 +328,7 @@ def experiment_check_lemmas(cfg: RunConfig, out_dir, do_assert: bool = False) ->
         "composition_ratio_max": composition_max,
     }
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "lemmas.json"), "w", encoding="utf-8") as fh:
+    with rec.atomic_open(os.path.join(out_dir, "lemmas.json")) as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
 

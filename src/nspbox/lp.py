@@ -12,6 +12,11 @@ A hybrid norm weights low shells (k <= 0) by 2^{ks} and high shells by
 2^{kt}, so every index (s, t) reads off one DyadicSpectrum of block norms:
 compute the spectrum of a field once and call its `hybrid` method for each
 index.
+
+Masks live on the half lattice of `spectral`.  Block norms are weighted
+sums over it, so `ShellFilters.masks_sq` carries the Hermitian multiplicity
+`Grid.hermitian_weight`; `ShellFilters.mask` and `dyadic_block` stay plain
+multipliers.
 """
 
 from __future__ import annotations
@@ -161,12 +166,12 @@ class ShellFilters:
     def mask(self, k: int) -> np.ndarray:
         if self.k_min <= k <= self.k_max:
             return self.masks[k - self.k_min]
-        return np.zeros(self.grid.shape)
+        return np.zeros(self.grid.spectral_shape)
 
     @cached_property
     def masks_sq(self) -> np.ndarray:
-        """Squared masks, the weights of every shell energy and block norm."""
-        return self.masks**2
+        """Squared masks times `Grid.hermitian_weight`: the weights of every block norm and shell energy."""
+        return self.masks**2 * self.grid.hermitian_weight
 
     @property
     def ks(self) -> range:
@@ -178,7 +183,7 @@ def shell_filters(grid: Grid) -> ShellFilters:
     """Annular masks of every shell; the profile runs once per distinct |xi|, then is gathered."""
     k_min, k_max = shell_range(grid)
     radii, where = np.unique(grid.lam, return_inverse=True)
-    where = where.reshape(grid.shape)
+    where = where.reshape(grid.spectral_shape)
     masks = np.stack([DEFAULT_PROFILE.phi(radii * 2.0 ** (-k))[where] for k in range(k_min, k_max + 1)])
     return ShellFilters(grid=grid, k_min=k_min, k_max=k_max, masks=masks)
 

@@ -280,7 +280,7 @@ def nonlinear_J(s: NspState, params: FluidParams, guarded: bool = True, dealias:
     u_phys = _masked_phys(u, mask)
     divu = sp.divergence(u)
     quot = _viscous_quotient(s.theta().to_physical()[0], params, guarded)
-    out = np.zeros((grid.dim,) + grid.shape, dtype=np.complex128)
+    out = np.zeros((grid.dim,) + grid.spectral_shape, dtype=np.complex128)
     for i in range(grid.dim):
         adv = np.zeros(grid.shape)
         for j in range(grid.dim):
@@ -326,25 +326,46 @@ class RhsDiagnostics:
     max_speed: float
 
 
-@dataclass(frozen=True)
 class _RhsMultipliers:
-    """Fourier multipliers of `explicit_rhs` for one (grid, dealias, params)."""
+    """Fourier multipliers of `explicit_rhs` for one (grid, dealias, params).
 
-    mask: np.ndarray  # dealiasing mask; the Nyquist-free keep mask without dealiasing
-    ixi: np.ndarray  # 1j * xi_j, one row per axis
-    visc_lap: np.ndarray  # -mu |xi|^2
-    visc_grad: np.ndarray  # (mu + lambda) 1j * xi_i, one row per axis
+    Each is the product of the operators it stands for, so every quantity is
+    one multiply of h, c, I or the forward transform away.  The stored
+    fields are Nyquist-free, hence so is every product.
+    """
+
+    def __init__(self, grid: Grid, dealias: bool, params: FluidParams):
+        lam = grid.lam
+        inv_lam = np.zeros_like(lam)
+        np.divide(1.0, lam, out=inv_lam, where=lam > 0)
+        mask = grid.dealias_mask if dealias else grid.keep_mask
+        self.mask = mask  # dealiasing mask; the Nyquist-free keep mask without dealiasing
+        self.ixi = 1j * np.stack(grid.wavenumbers)  # 1j * xi_j, one row per axis
+        self.lam = lam  # theta = Lambda h, and div u = Lambda c
+        self.lam_m = lam * mask
+        self.grad_lam_m = self.ixi * self.lam_m  # grad of the dealiased theta, from h
+        self.visc_lap = -params.mu * grid.lam_sq  # mu lap u
+        self.visc_grad = (params.mu + params.lam) * self.ixi * lam  # (mu + lambda) grad div u, from c
+        self.tend_h = -inv_lam * mask  # -Lambda^-1 of the dealiased h term
+        self.tend_j = -grid.riesz * mask  # rows of -Lambda^-1 div and -Lambda^-1 curl of the dealiased J
+        self._projected: tuple | None = None
+
+    def tendency(self, project_mask: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+        """`tend_h` and `tend_j`, times `project_mask` when one is given.
+
+        The products for the last mask are kept, keyed by the identity of the
+        mask array, which a stepper passes unchanged on every call.
+        """
+        if project_mask is None:
+            return self.tend_h, self.tend_j
+        if self._projected is None or self._projected[0] is not project_mask:
+            self._projected = (project_mask, self.tend_h * project_mask, self.tend_j * project_mask)
+        return self._projected[1], self._projected[2]
 
 
 @lru_cache(maxsize=4)
 def _rhs_multipliers(grid: Grid, dealias: bool, params: FluidParams) -> _RhsMultipliers:
-    xi = np.stack(grid.wavenumbers)
-    return _RhsMultipliers(
-        mask=grid.dealias_mask if dealias else grid.keep_mask,
-        ixi=1j * xi,
-        visc_lap=-params.mu * grid.lam_sq,
-        visc_grad=(params.mu + params.lam) * 1j * xi,
-    )
+    return _RhsMultipliers(grid, dealias, params)
 
 
 def _rhs_sizes(dim: int) -> tuple[int, ...]:
@@ -375,29 +396,28 @@ def explicit_rhs(
     and the forcing G, so the net c tendency is just -Lambda^-1 div J; the h
     tendency keeps both its convection and F.  The linear terms are handled
     by the propagator, not here.  Every spectral quantity the products need
-    goes through one inverse transform, and the h term with the J components
-    through one forward transform; `nonlinear_F/J/H` compute the same terms
-    one component at a time.
+    is one cached multiplier away from h, c or u and goes through one
+    inverse transform; the h term with the J components goes through one
+    forward transform.  `nonlinear_F/J/H` compute the same terms one
+    component at a time through the public operators.
     """
     grid = s.grid
     dim = grid.dim
     mult = _rhs_multipliers(grid, dealias, params)
-    m, ixi = mult.mask, mult.ixi
-
+    h, c = s.h.coef[0], s.c.coef[0]
     u = s.velocity().coef
-    theta = s.theta().coef
-    divu = np.sum(ixi * u, axis=0, keepdims=True)
-    spec = np.empty((sum(_rhs_sizes(dim)),) + grid.shape, dtype=np.complex128)
+
+    spec = np.empty((sum(_rhs_sizes(dim)),) + grid.spectral_shape, dtype=np.complex128)
     u_m, theta_raw, theta_m, divu_m, grad_theta, grad_u, visc = _rhs_parts(spec, dim)
-    np.multiply(u, m, out=u_m)
-    theta_raw[...] = theta
-    np.multiply(theta, m, out=theta_m)
-    np.multiply(divu, m, out=divu_m)
-    np.multiply(ixi, theta_m, out=grad_theta)
-    np.multiply(ixi[None], u_m[:, None], out=grad_u)
+    np.multiply(u, mult.mask, out=u_m)
+    np.multiply(mult.lam, h, out=theta_raw[0])
+    np.multiply(mult.lam_m, h, out=theta_m[0])
+    np.multiply(mult.lam_m, c, out=divu_m[0])
+    np.multiply(mult.grad_lam_m, h, out=grad_theta)
+    np.multiply(mult.ixi[None], u_m[:, None], out=grad_u)
     # viscous stress: mu lap u + (mu + lambda) grad div u
     np.multiply(mult.visc_lap, u, out=visc)
-    visc += mult.visc_grad * divu
+    visc += mult.visc_grad * c
 
     phys = sp.transform_to_physical(SpectralField(grid, spec))
     u_p, theta_raw_p, theta_p, divu_p, grad_theta_p, grad_u_p, visc_p = _rhs_parts(phys, dim)
@@ -413,15 +433,16 @@ def explicit_rhs(
     # J = u.grad u + quotient * viscous stress, guarded quotient throughout
     quot = _viscous_quotient(theta_raw_p, params, guarded=True)
     flux = np.sum(u_p * grad_u_p, axis=1) + quot * visc_p
-    out = sp.transform_to_spectral(grid, np.concatenate([h_term[None], flux])).coef * m
+    out = sp.transform_to_spectral(grid, np.concatenate([h_term[None], flux])).coef
 
-    tend_h = -1.0 * sp.apply_lambda(SpectralField(grid, out[:1]), -1.0)
-    J_field = SpectralField(grid, out[1:])
-    tend_c = -1.0 * sp.apply_lambda(sp.divergence(J_field), -1.0)
-    tend_I = -1.0 * sp.apply_lambda(sp.curl(J_field), -1.0)
-
-    if project_mask is not None:
-        tend_h = SpectralField(grid, tend_h.coef * project_mask)
-        tend_c = SpectralField(grid, tend_c.coef * project_mask)
-        tend_I = SpectralField(grid, tend_I.coef * project_mask)
-    return tend_h, tend_c, tend_I, diag
+    # tendencies: -Lambda^-1 h term, -Lambda^-1 div J and -Lambda^-1 curl J, all masked
+    tend_h_mult, tend_j = mult.tendency(project_mask)
+    J = out[1:]
+    tend_c = np.sum(tend_j * J, axis=0, keepdims=True)
+    tend_I = np.stack([tend_j[j] * J[i] - tend_j[i] * J[j] for i, j in sp.antisym_pairs(dim)])
+    return (
+        SpectralField(grid, tend_h_mult * out[:1]),
+        SpectralField(grid, tend_c),
+        SpectralField(grid, tend_I),
+        diag,
+    )

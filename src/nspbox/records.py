@@ -4,11 +4,17 @@ One NDJSON object per monitored instant, keys in a fixed documented order;
 floats are emitted with shortest round-trip representation so read-back is
 exact.  The CSV companion carries the scalar columns only, with one fixed
 schema across all configurations.
+
+Every artifact is written atomically (`atomic_open`): to a temp file in the
+target directory, then moved into place, so a failed write leaves the
+previous file as it was.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .energy import EnergyReport
@@ -78,6 +84,21 @@ def _as_dict(rec: NormRecord) -> dict:
     }
 
 
+@contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Open a temp file beside `path`; move it onto `path` on success, remove it on failure."""
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def write_records(records: list[NormRecord], path, csv_path=None) -> None:
     """Write NDJSON (one record per line) plus a CSV companion."""
     last_t = None
@@ -86,12 +107,12 @@ def write_records(records: list[NormRecord], path, csv_path=None) -> None:
             raise ValueError("records must be strictly increasing in time")
         last_t = rec.t
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             for rec in records:
                 fh.write(json.dumps(_as_dict(rec)) + "\n")
         if csv_path is None:
             csv_path = str(path) + ".csv"
-        with open(csv_path, "w", encoding="utf-8") as fh:
+        with atomic_open(csv_path) as fh:
             fh.write(",".join(CSV_COLUMNS) + "\n")
             for rec in records:
                 row = _as_dict(rec)

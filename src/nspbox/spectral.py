@@ -6,16 +6,23 @@ scaled by 2*pi/L.  Coefficients use the Fourier-series normalization
 coefficient a/2 at each conjugate lattice point and the L2 norm below is the
 volume-normalized one: ``l2_norm(f)**2 == mean(|f|^2)`` by Parseval.
 
-Every field is the spectrum of a real field, so the transforms are
-real-to-complex (scipy.fft ``rfftn``/``irfftn``).  Fields keep the full
-lattice: the forward transform fills the other half by Hermitian mirror, and
-the inverse reads only the half lattice of the last axis, so its input must
-be Hermitian.
+Half-lattice storage: every field is the spectrum of a real field, so only
+the ``rfftn`` half of the lattice is stored, shape
+``Grid.spectral_shape == (M,)*(dim-1) + (M//2+1,)``: the last axis keeps the
+wavenumbers 0..M/2 and every other xi is the conjugate mirror of a stored
+one.  The transforms are ``rfftn``/``irfftn`` on that layout.  Hermitian
+symmetry coef(-xi) == conj(coef(xi)) then holds by construction except on
+the last-axis zero plane, the one stored plane that holds both xi and -xi;
+the forward transform symmetrizes it.  Sums over the full lattice become
+weighted sums over the half: ``Grid.hermitian_weight`` counts each stored
+mode once on the last-axis zero (and Nyquist) plane and twice on the
+interior planes, which carry their unstored mirrors.  `l2_norm`, `inner` and
+the shell spectra of `lp` use it; pointwise multipliers need no weight.
 
 Zero-mode convention: fractional powers of the Laplacian and every inverse
 operator (Poisson solve, Lambda^-1 gradients/divergences) annihilate the
-zero mode.  Nyquist rows are zeroed on construction so that every field has
-an exactly Hermitian-symmetric lattice.
+zero mode.  Nyquist planes are zeroed on construction, so every multiplier
+acts on the data-carrying, exactly Hermitian lattice only.
 """
 
 from __future__ import annotations
@@ -81,7 +88,13 @@ class Grid:
 
     @property
     def shape(self) -> tuple[int, ...]:
+        """Physical grid shape."""
         return (self.size,) * self.dim
+
+    @property
+    def spectral_shape(self) -> tuple[int, ...]:
+        """Half-lattice shape of the stored coefficients: the last axis keeps 0..size/2."""
+        return (self.size,) * (self.dim - 1) + (self.size // 2 + 1,)
 
     @property
     def spacing(self) -> float:
@@ -92,10 +105,15 @@ class Grid:
         # integer FFT frequencies scaled to physical wavenumbers
         return 2.0 * np.pi / self.length * np.fft.fftfreq(self.size, d=1.0 / self.size)
 
+    def _mesh(self, per_axis: np.ndarray) -> list[np.ndarray]:
+        """A full-lattice 1-D axis array meshed over the half lattice, one array per axis."""
+        axes = [per_axis] * (self.dim - 1) + [per_axis[: self.size // 2 + 1]]
+        return np.meshgrid(*axes, indexing="ij")
+
     @cached_property
     def wavenumbers(self) -> tuple[np.ndarray, ...]:
-        """Meshed wavenumber arrays xi_i, one per axis, each of shape `shape`."""
-        return tuple(np.meshgrid(*([self._freq1d] * self.dim), indexing="ij"))
+        """Meshed wavenumber arrays xi_i, one per axis, each of shape `spectral_shape`."""
+        return tuple(self._mesh(self._freq1d))
 
     @cached_property
     def lam_sq(self) -> np.ndarray:
@@ -103,36 +121,49 @@ class Grid:
 
     @cached_property
     def lam(self) -> np.ndarray:
-        """|xi| on the lattice."""
+        """|xi| on the half lattice."""
         return np.sqrt(self.lam_sq)
 
     @cached_property
     def nyquist_mask(self) -> np.ndarray:
-        """True where any axis sits on the (zeroed-by-convention) Nyquist row."""
-        idx = np.arange(self.size) == self.size // 2
-        mask = np.zeros(self.shape, dtype=bool)
-        for axis in range(self.dim):
-            shape = [1] * self.dim
-            shape[axis] = self.size
-            mask |= idx.reshape(shape)
-        return mask
+        """True where any axis sits on the (zeroed-by-convention) Nyquist plane."""
+        return np.logical_or.reduce(self._mesh(np.arange(self.size) == self.size // 2))
+
+    @cached_property
+    def _nyquist_planes(self) -> tuple[tuple, ...]:
+        """Index of each axis's Nyquist plane in a (ncomp, *spectral_shape) array."""
+        return tuple((slice(None),) * (1 + axis) + (self.size // 2,) for axis in range(self.dim))
 
     @cached_property
     def keep_mask(self) -> np.ndarray:
-        """Float mask that keeps everything except Nyquist rows."""
+        """Float mask that keeps everything except Nyquist planes."""
         return np.where(self.nyquist_mask, 0.0, 1.0)
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         """Two-thirds-rule mask (integer modes with |k| <= size/3), Nyquist-free."""
         ints = np.rint(self._freq1d * self.length / (2.0 * np.pi))
-        keep1d = np.abs(ints) <= self.size / 3.0
-        mask = np.ones(self.shape, dtype=bool)
-        for axis in range(self.dim):
-            shape = [1] * self.dim
-            shape[axis] = self.size
-            mask &= keep1d.reshape(shape)
-        return np.where(mask & ~self.nyquist_mask, 1.0, 0.0)
+        keep = np.logical_and.reduce(self._mesh(np.abs(ints) <= self.size / 3.0))
+        return np.where(keep & ~self.nyquist_mask, 1.0, 0.0)
+
+    @cached_property
+    def riesz(self) -> np.ndarray:
+        """Symbols 1j xi_j / |xi| of Lambda^-1 d_j, one row per axis; zero at the zero mode."""
+        inv_lam = np.zeros_like(self.lam)
+        np.divide(1.0, self.lam, out=inv_lam, where=self.lam > 0)
+        return 1j * np.stack(self.wavenumbers) * inv_lam
+
+    @cached_property
+    def hermitian_weight(self) -> np.ndarray:
+        """Full-lattice multiplicity of each stored mode, along the last axis.
+
+        1 on the zero and Nyquist planes, which are their own mirror images,
+        and 2 on the interior planes, which also stand for their unstored
+        conjugates.  Broadcasts against any (..., size//2 + 1) array.
+        """
+        weight = np.full(self.size // 2 + 1, 2.0)
+        weight[0] = weight[-1] = 1.0
+        return weight
 
     @cached_property
     def xi_max(self) -> float:
@@ -156,11 +187,13 @@ def antisym_pairs(dim: int) -> tuple[tuple[int, int], ...]:
 
 @dataclass
 class SpectralField:
-    """Complex Fourier coefficients of a real field, shape (ncomp, *grid.shape).
+    """Half-lattice Fourier coefficients of a real field, shape (ncomp, *grid.spectral_shape).
 
     Scalars have ncomp == 1; velocity fields ncomp == dim; antisymmetric
     matrix fields ncomp == dim*(dim-1)/2 in `antisym_pairs` order.
-    Instances are treated as immutable: operators return fresh fields.
+    Instances are treated as immutable: operators return fresh fields.  A
+    field may share `coef` with the array it was built from; it is copied
+    only when its Nyquist planes need zeroing.
     """
 
     grid: Grid
@@ -170,9 +203,16 @@ class SpectralField:
         coef = np.asarray(self.coef, dtype=np.complex128)
         if coef.ndim == self.grid.dim:
             coef = coef[None]
-        if coef.shape[1:] != self.grid.shape:
-            raise ValueError(f"coefficient shape {coef.shape} does not match grid {self.grid.shape}")
-        self.coef = coef * self.grid.keep_mask
+        if coef.shape[1:] != self.grid.spectral_shape:
+            raise ValueError(
+                f"coefficient shape {coef.shape} does not match half lattice {self.grid.spectral_shape}"
+            )
+        planes = self.grid._nyquist_planes
+        if any(coef[plane].any() for plane in planes):
+            coef = coef.copy()
+            for plane in planes:
+                coef[plane] = 0.0
+        self.coef = coef
 
     @property
     def ncomp(self) -> int:
@@ -184,7 +224,7 @@ class SpectralField:
 
     @classmethod
     def zeros(cls, grid: Grid, ncomp: int = 1) -> "SpectralField":
-        return cls(grid, np.zeros((ncomp,) + grid.shape, dtype=np.complex128))
+        return cls(grid, np.zeros((ncomp,) + grid.spectral_shape, dtype=np.complex128))
 
     @classmethod
     def from_physical(cls, grid: Grid, values: np.ndarray) -> "SpectralField":
@@ -242,48 +282,42 @@ def _spatial_axes(grid: Grid) -> tuple[int, ...]:
     return tuple(range(1, grid.dim + 1))
 
 
+def _lead_axes(grid: Grid) -> tuple[int, ...]:
+    """Spatial axes of the last-axis zero plane ``coef[..., 0]``."""
+    return tuple(range(1, grid.dim))
+
+
 def transform_to_spectral(grid: Grid, values: np.ndarray) -> SpectralField:
     """Forward real-to-complex transform of one or more real component arrays.
 
-    The half lattice comes from ``rfftn``; the other half of the last axis is
-    its Hermitian mirror and the last-axis zero plane is symmetrized, so the
-    result is exactly Hermitian.
+    ``rfftn`` gives the half lattice; its last-axis zero plane is
+    symmetrized, so the result is exactly Hermitian.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim == grid.dim:
         values = values[None]
     if values.shape[1:] != grid.shape:
         raise ValueError(f"physical shape {values.shape} does not match grid {grid.shape}")
-    half = scipy.fft.rfftn(values, axes=_spatial_axes(grid), norm="forward")
-    m = grid.size // 2
-    lead = tuple(range(1, grid.dim))
-    coef = np.empty(values.shape, dtype=np.complex128)
-    coef[..., : m + 1] = half
-    coef[..., m + 1 :] = np.conj(np.flip(_negate_indices(half[..., 1:m], lead), axis=-1))
-    plane = half[..., 0]
-    coef[..., 0] = 0.5 * (plane + np.conj(_negate_indices(plane, lead)))
+    coef = _symmetrize_zero_plane(grid, scipy.fft.rfftn(values, axes=_spatial_axes(grid), norm="forward"))
+    for nyquist in grid._nyquist_planes:  # zeroed here, the field need not copy
+        coef[nyquist] = 0.0
     return SpectralField(grid, coef)
 
 
 def transform_to_physical(f: SpectralField) -> np.ndarray:
-    """Inverse real-to-complex transform; returns real arrays of shape (ncomp, *grid.shape).
-
-    Reads only the half lattice ``coef[..., :size//2 + 1]``, so ``coef`` must
-    be the Hermitian spectrum of a real field.
-    """
+    """Inverse real-to-complex transform; returns real arrays of shape (ncomp, *grid.shape)."""
     grid = f.grid
-    half = f.coef[..., : grid.size // 2 + 1]
-    return scipy.fft.irfftn(half, s=grid.shape, axes=_spatial_axes(grid), norm="forward")
+    return scipy.fft.irfftn(f.coef, s=grid.shape, axes=_spatial_axes(grid), norm="forward")
 
 
 def l2_norm(f: SpectralField) -> float:
     """Volume-normalized L2 norm, sqrt(mean |f|^2) over all components."""
-    return float(np.sqrt(np.sum(np.abs(f.coef) ** 2)))
+    return float(np.sqrt(np.sum(f.grid.hermitian_weight * np.abs(f.coef) ** 2)))
 
 
 def inner(f: SpectralField, g: SpectralField) -> float:
     """Volume-normalized L2 inner product of real fields."""
-    return float(np.sum(f.coef * np.conj(g.coef)).real)
+    return float(np.sum(f.grid.hermitian_weight * (f.coef * np.conj(g.coef)).real))
 
 
 def linf_norm(f: SpectralField) -> float:
@@ -296,17 +330,29 @@ def _negate_indices(arr: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
 
 
 def hermitian_defect(f: SpectralField) -> float:
-    """Relative departure from coef(-xi) == conj(coef(xi))."""
-    mirror = np.conj(_negate_indices(f.coef, _spatial_axes(f.grid)))
+    """Relative departure from coef(-xi) == conj(coef(xi)) on the last-axis zero plane.
+
+    That plane is the only stored one holding both xi and -xi, so elsewhere
+    the symmetry holds by construction.
+    """
+    plane = f.coef[..., 0]
+    mirror = np.conj(_negate_indices(plane, _lead_axes(f.grid)))
     scale = np.max(np.abs(f.coef))
     if scale == 0.0:
         return 0.0
-    return float(np.max(np.abs(f.coef - mirror)) / scale)
+    return float(np.max(np.abs(plane - mirror)) / scale)
+
+
+def _symmetrize_zero_plane(grid: Grid, coef: np.ndarray) -> np.ndarray:
+    """Average the last-axis zero plane of `coef` with its conjugate mirror, in place."""
+    plane = coef[..., 0]
+    coef[..., 0] = 0.5 * (plane + np.conj(_negate_indices(plane, _lead_axes(grid))))
+    return coef
 
 
 def hermitian_symmetrize(f: SpectralField) -> SpectralField:
-    coef = 0.5 * (f.coef + np.conj(_negate_indices(f.coef, _spatial_axes(f.grid))))
-    return SpectralField(f.grid, coef)
+    """Average the last-axis zero plane with its conjugate mirror."""
+    return SpectralField(f.grid, _symmetrize_zero_plane(f.grid, f.coef.copy()))
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +415,7 @@ def antisym_divergence(I: SpectralField) -> SpectralField:
     if I.ncomp != len(pairs):
         raise ValueError("antisymmetric field has wrong component count")
     xi = grid.wavenumbers
-    out = np.zeros((grid.dim,) + grid.shape, dtype=np.complex128)
+    out = np.zeros((grid.dim,) + grid.spectral_shape, dtype=np.complex128)
     for comp, (i, j) in enumerate(pairs):
         out[i] += 1j * xi[j] * I.coef[comp]
         out[j] -= 1j * xi[i] * I.coef[comp]
@@ -406,10 +452,14 @@ def helmholtz_decompose(u: SpectralField) -> HelmholtzPair:
 
 
 def helmholtz_recompose(p: HelmholtzPair) -> SpectralField:
-    """u = -Lambda^-1 grad c - Lambda^-1 div I."""
-    grad_part = apply_lambda(gradient(p.c), -1.0)
-    div_part = apply_lambda(antisym_divergence(p.I), -1.0)
-    return SpectralField(p.c.grid, -(grad_part.coef + div_part.coef))
+    """u = -Lambda^-1 grad c - Lambda^-1 div I, each term one `Grid.riesz` multiply."""
+    grid = p.c.grid
+    riesz, I = grid.riesz, p.I.coef
+    u = riesz * p.c.coef[0]
+    for comp, (i, j) in enumerate(antisym_pairs(grid.dim)):
+        u[i] += riesz[j] * I[comp]
+        u[j] -= riesz[i] * I[comp]
+    return SpectralField(grid, np.negative(u, out=u))
 
 
 # ---------------------------------------------------------------------------
@@ -427,12 +477,17 @@ def random_field(
     """Seeded Hermitian random field supported on xi_lo < |xi| <= xi_hi.
 
     `spectrum`, if given, is a callable of |xi| multiplying the flat random
-    coefficients.  The zero mode is always empty.
+    coefficients.  The zero mode is always empty.  The draws cover the full
+    lattice and are then folded onto the half lattice, so a seed gives the
+    same field as with full-lattice storage.
     """
     if xi_hi is None:
         xi_hi = grid.xi_max
-    band = (grid.lam > xi_lo) & (grid.lam <= xi_hi)
-    band &= ~grid.nyquist_mask
+    full = np.meshgrid(*([grid._freq1d] * grid.dim), indexing="ij")
+    lam = np.sqrt(sum(x * x for x in full))
+    band = (lam > xi_lo) & (lam <= xi_hi)
+    for x in full:  # no Nyquist plane
+        band &= x != grid._freq1d[grid.size // 2]
     band[(0,) * grid.dim] = False
     if not band.any():
         raise ValueError(f"band ({xi_lo}, {xi_hi}] is empty on this grid")
@@ -440,5 +495,7 @@ def random_field(
     coef = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     coef *= band
     if spectrum is not None:
-        coef *= spectrum(grid.lam)
-    return hermitian_symmetrize(SpectralField(grid, coef))
+        coef *= spectrum(lam)
+    # the Hermitian part of the full draw, then its stored half
+    coef = 0.5 * (coef + np.conj(_negate_indices(coef, _spatial_axes(grid))))
+    return SpectralField(grid, coef[..., : grid.size // 2 + 1])

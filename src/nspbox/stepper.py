@@ -19,7 +19,8 @@ from scipy.linalg import expm
 
 from . import model
 from .model import FluidParams, NspState
-from .spectral import Grid, SpectralField
+from .records import atomic_open
+from .spectral import Grid, SpectralField, antisym_pairs
 
 __all__ = [
     "FriedrichsProjector",
@@ -120,13 +121,13 @@ class LinearBlock:
             raise NumericalAbort(f"linear pair block is not dissipative: max Re eig = {worst:.3e}")
         self.spectral_abscissa = worst
 
-        zero_idx = inverse.reshape(grid.shape)[(0,) * grid.dim]
+        zero_idx = inverse.reshape(grid.spectral_shape)[(0,) * grid.dim]
         E[zero_idx] = eye  # zero mode carries no state; keep it inert
         P1[zero_idx] = dt * eye
         P2[zero_idx] = 0.5 * dt * eye
 
         def scatter(M):
-            return M[inverse].reshape(grid.shape)
+            return M[inverse].reshape(grid.spectral_shape)
 
         self.e00, self.e01 = scatter(E[:, 0, 0]), scatter(E[:, 0, 1])
         self.e10, self.e11 = scatter(E[:, 1, 0]), scatter(E[:, 1, 1])
@@ -260,6 +261,10 @@ class FriedrichsStepper:
 
     def _step_etdrk2(self, s: NspState) -> NspState:
         blocks = self.blocks
+        if self.linear_only and self.cfg.scheme == "etdrk2":
+            # zero tendencies: every phi-term vanishes and only the exact propagators remain
+            h_new, c_new = blocks.apply_exp(s.h.coef[0], s.c.coef[0])
+            return self._wrap(h_new, c_new, blocks.heat_e * s.I.coef, s.t + self.cfg.dt)
         n0 = self._tendencies(s)
 
         eh, ec = blocks.apply_exp(s.h.coef[0], s.c.coef[0])
@@ -368,11 +373,13 @@ def linear_reference_run(
 # ---------------------------------------------------------------------------
 # checkpoints
 
-CHECKPOINT_MAGIC = b"NSPCHK1"
+CHECKPOINT_MAGIC = b"NSPCHK2"
+_FULL_LATTICE_MAGIC = b"NSPCHK1"  # the earlier layout: full-lattice payload
 _HEADER = struct.Struct("<7sqqdddddd")  # magic, N, M, L, n, t, mu, lambda, rho_bar
 
 
 def save_checkpoint(path, s: NspState, params: FluidParams, n: float) -> None:
+    """Header, then the half-lattice coefficients of h, c and I as little-endian complex128."""
     grid = s.grid
     header = _HEADER.pack(
         CHECKPOINT_MAGIC,
@@ -385,7 +392,7 @@ def save_checkpoint(path, s: NspState, params: FluidParams, n: float) -> None:
         params.lam,
         params.rho_bar,
     )
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(header)
         for field_ in (s.h, s.c, s.I):
             fh.write(np.ascontiguousarray(field_.coef, dtype="<c16").tobytes())
@@ -393,27 +400,35 @@ def save_checkpoint(path, s: NspState, params: FluidParams, n: float) -> None:
 
 def load_checkpoint(path) -> tuple[NspState, FluidParams, float]:
     with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        if len(raw) < _HEADER.size:
-            raise ValueError(f"truncated checkpoint header in {path}")
-        magic, dim, size, length, n, t, mu, lam, rho_bar = _HEADER.unpack(raw)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"bad checkpoint magic {magic!r} in {path}")
-        grid = Grid(dim=int(dim), size=int(size), length=length)
-        params = FluidParams(mu=mu, lam=lam, rho_bar=rho_bar, dim=int(dim))
-        count = grid.size**grid.dim
+        raw = fh.read()
+    if len(raw) < _HEADER.size:
+        raise ValueError(f"truncated checkpoint header in {path}")
+    magic, dim, size, length, n, t, mu, lam, rho_bar = _HEADER.unpack_from(raw)
+    if magic == _FULL_LATTICE_MAGIC:
+        raise ValueError(
+            f"checkpoint {path} has magic {magic!r}, the full-lattice layout; "
+            f"this version reads only {CHECKPOINT_MAGIC!r}, the half-lattice (rfftn) layout"
+        )
+    if magic != CHECKPOINT_MAGIC:
+        raise ValueError(f"bad checkpoint magic {magic!r} in {path}")
+    header = {"L": length, "n": n, "t": t, "mu": mu, "lambda": lam, "rho_bar": rho_bar}
+    bad = [name for name, value in header.items() if not np.isfinite(value)]
+    if bad:
+        raise ValueError(f"non-finite checkpoint header value(s) {', '.join(bad)} in {path}")
+    if not n > 1.0:
+        raise ValueError(f"checkpoint truncation parameter must exceed 1, got n = {n} in {path}")
+    grid = Grid(dim=int(dim), size=int(size), length=length)
+    params = FluidParams(mu=mu, lam=lam, rho_bar=rho_bar, dim=int(dim))
 
-        def read_field(ncomp: int) -> SpectralField:
-            expected = ncomp * count * 16
-            buf = fh.read(expected)
-            if len(buf) != expected:
-                raise ValueError(f"truncated checkpoint payload in {path}")
-            data = np.frombuffer(buf, dtype="<c16")
-            return SpectralField(grid, data.reshape((ncomp,) + grid.shape).astype(np.complex128))
-
-        from .spectral import antisym_pairs
-
-        h = read_field(1)
-        c = read_field(1)
-        I = read_field(len(antisym_pairs(grid.dim)))
+    shapes = [(ncomp,) + grid.spectral_shape for ncomp in (1, 1, len(antisym_pairs(grid.dim)))]
+    counts = [int(np.prod(shape)) for shape in shapes]
+    payload = len(raw) - _HEADER.size
+    expected = 16 * sum(counts)
+    if payload < expected:
+        raise ValueError(f"truncated checkpoint payload in {path}")
+    if payload > expected:
+        raise ValueError(f"{payload - expected} trailing bytes after the checkpoint payload in {path}")
+    data = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size).astype(np.complex128)
+    parts = np.split(data, np.cumsum(counts)[:-1])
+    h, c, I = (SpectralField(grid, part.reshape(shape)) for part, shape in zip(parts, shapes))
     return NspState(h=h, c=c, I=I, t=t), params, n

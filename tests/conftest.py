@@ -24,16 +24,14 @@ def grid32() -> Grid:
 
 
 def wave(grid: Grid, nvec, kind: str = "cos", amp: float = 1.0) -> SpectralField:
-    """amp * cos(n . x * 2pi/L) (or sin) with exactly two nonzero coefficients."""
-    coef = np.zeros((1,) + grid.shape, dtype=np.complex128)
+    """amp * cos(n . x * 2pi/L) (or sin): its two conjugate coefficients, as far as they are stored."""
+    coef = np.zeros((1,) + grid.spectral_shape, dtype=np.complex128)
     plus = tuple(n % grid.size for n in nvec)
     minus = tuple(-n % grid.size for n in nvec)
-    if kind == "cos":
-        coef[(0,) + plus] += 0.5 * amp
-        coef[(0,) + minus] += 0.5 * amp
-    else:
-        coef[(0,) + plus] += -0.5j * amp
-        coef[(0,) + minus] += 0.5j * amp
+    value = 0.5 * amp if kind == "cos" else -0.5j * amp
+    for index, c in ((plus, value), (minus, np.conj(value))):
+        if index[-1] <= grid.size // 2:  # the other one is the unstored mirror
+            coef[(0,) + index] += c
     return SpectralField(grid, coef)
 
 

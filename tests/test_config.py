@@ -213,6 +213,16 @@ class TestRecords:
         with pytest.raises(OSError, match="records.ndjson"):
             write_records(sample_records(), target)
 
+    def test_failed_write_keeps_previous_files(self, tmp_path):
+        path = tmp_path / "records.ndjson"
+        write_records(sample_records(), path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        recs = sample_records()
+        recs[2].alpha = [[2, object()]]  # not serializable: fails after two lines
+        with pytest.raises(TypeError):
+            write_records(recs, path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
 
 class TestParamsEquality:
     def test_checkpoint_params_comparison(self):

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from nspbox.cli import main
 from nspbox.config import parse_config
@@ -153,6 +154,16 @@ class TestDrivers:
         result = experiment_check_lemmas(parse_config("grid.M = 16"), tmp_path, do_assert=True)
         assert result.exit_code == 1
         assert result.summary["assertions"]["hybrid_equals_besov"] is False
+
+    def test_failed_summary_write_keeps_previous_file(self, tmp_path):
+        from nspbox.experiments import _finish
+
+        _finish("demo", tmp_path, {"value": 1.0}, [], do_assert=False)
+        before = (tmp_path / "summary.json").read_bytes()
+        with pytest.raises(TypeError):
+            _finish("demo", tmp_path, {"value": 2.0, "bad": object()}, [], do_assert=False)
+        assert (tmp_path / "summary.json").read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
 
 
 class TestCli:

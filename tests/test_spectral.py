@@ -37,11 +37,17 @@ class TestGrid:
             Grid(dim=3, size=16, length=-1.0)
 
     def test_lattice_symmetry_without_nyquist(self, grid3):
-        # every surviving wavenumber has its negative on the lattice
-        keep = grid3.keep_mask > 0
+        # on the last-axis zero plane, every surviving wavenumber has its negative
+        keep = grid3.keep_mask[..., 0] > 0
         for xi in grid3.wavenumbers:
-            flipped = np.roll(np.flip(xi, axis=(0, 1, 2)), 1, axis=(0, 1, 2))
-            assert np.array_equal(xi[keep], -flipped[keep])
+            plane = xi[..., 0]
+            flipped = np.roll(np.flip(plane, axis=(0, 1)), 1, axis=(0, 1))
+            assert np.array_equal(plane[keep], -flipped[keep])
+
+    def test_half_lattice_layout(self, grid3):
+        assert grid3.spectral_shape == (16, 16, 9)
+        assert grid3.lam.shape == grid3.dealias_mask.shape == grid3.spectral_shape
+        assert list(grid3.hermitian_weight) == [1.0] + [2.0] * 7 + [1.0]
 
     def test_xi_extremes(self, grid3):
         assert grid3.xi_min == pytest.approx(1.0)
@@ -88,7 +94,7 @@ class TestTransforms:
         grid = request.getfixturevalue(grid_name)
         f = random_field(grid, 3, np.random.default_rng(4))
         axes = tuple(range(1, grid.dim + 1))
-        expected = np.fft.ifftn(f.coef * grid.size**grid.dim, axes=axes).real
+        expected = np.fft.ifftn(_full_lattice(f) * grid.size**grid.dim, axes=axes).real
         out = transform_to_physical(f)
         assert np.max(np.abs(out - expected)) <= 1e-14 * np.max(np.abs(expected))
 
@@ -97,10 +103,23 @@ class TestTransforms:
         grid = request.getfixturevalue(grid_name)
         values = np.random.default_rng(5).standard_normal((3,) + grid.shape)
         axes = tuple(range(1, grid.dim + 1))
-        expected = np.fft.fftn(values, axes=axes) / grid.size**grid.dim * grid.keep_mask
+        full = np.fft.fftn(values, axes=axes) / grid.size**grid.dim
+        expected = full[..., : grid.size // 2 + 1] * grid.keep_mask
         f = transform_to_spectral(grid, values)
         assert np.max(np.abs(f.coef - expected)) <= 1e-14 * np.max(np.abs(expected))
         assert hermitian_defect(f) == 0.0
+
+
+def _full_lattice(f: SpectralField) -> np.ndarray:
+    """The full-lattice coefficients: the stored half plus the conjugate mirror of the rest."""
+    grid = f.grid
+    axes = tuple(range(1, grid.dim + 1))
+    full = np.zeros((f.ncomp,) + grid.shape, dtype=np.complex128)
+    full[..., : grid.size // 2 + 1] = f.coef
+    mirror = np.conj(np.roll(np.flip(full, axis=axes), 1, axis=axes))
+    upper = slice(grid.size // 2 + 1, None)
+    full[..., upper] = mirror[..., upper]
+    return full
 
 
 class TestApplyLambda:
@@ -210,7 +229,7 @@ class TestHelmholtz:
     def test_shear_mode_3d(self, grid3):
         u = SpectralField.zeros(grid3, 3)
         shear = wave(grid3, (0, 1, 0), kind="sin")  # u = (sin x2, 0, 0)
-        u = SpectralField(grid3, np.concatenate([shear.coef, np.zeros((2,) + grid3.shape)]))
+        u = SpectralField(grid3, np.concatenate([shear.coef, np.zeros((2,) + grid3.spectral_shape)]))
         pair = helmholtz_decompose(u)
         assert l2_norm(pair.c) < 1e-13
         back = helmholtz_recompose(pair)
@@ -261,3 +280,76 @@ class TestHelmholtz:
         coef[0, 0, 0, 0] = 1.0
         with pytest.raises(ValueError, match="mean-free"):
             helmholtz_decompose(SpectralField(grid3, coef))
+
+
+HALF_GRIDS = {"grid2": Grid(dim=2, size=16), "grid3": Grid(dim=3, size=16)}
+PROPERTY = settings(max_examples=15, deadline=None, derandomize=True)
+
+
+@pytest.mark.parametrize("grid_name", sorted(HALF_GRIDS))
+class TestHalfLatticeProperties:
+    """Invariants of half-lattice storage on random fields."""
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**16), ncomp=st.integers(1, 3))
+    def test_norm_and_inner_match_physical_means(self, grid_name, seed, ncomp):
+        grid = HALF_GRIDS[grid_name]
+        rng = np.random.default_rng(seed)
+        f, g = random_field(grid, ncomp, rng), random_field(grid, ncomp, rng)
+        fp, gp = f.to_physical(), g.to_physical()
+        mean_sq = np.sum(np.mean(fp**2, axis=tuple(range(1, grid.dim + 1))))
+        assert abs(l2_norm(f) ** 2 - mean_sq) <= 1e-13 * mean_sq
+        mean_fg = np.sum(np.mean(fp * gp, axis=tuple(range(1, grid.dim + 1))))
+        assert abs(inner(f, g) - mean_fg) <= 1e-13 * l2_norm(f) * l2_norm(g)
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**16))
+    def test_forward_transform_is_exactly_hermitian(self, grid_name, seed):
+        grid = HALF_GRIDS[grid_name]
+        values = np.random.default_rng(seed).standard_normal((2,) + grid.shape)
+        assert hermitian_defect(transform_to_spectral(grid, values)) == 0.0
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**16))
+    def test_symmetrize_repairs_the_zero_plane(self, grid_name, seed):
+        from nspbox.spectral import hermitian_symmetrize
+
+        grid = HALF_GRIDS[grid_name]
+        rng = np.random.default_rng(seed)
+        f = random_field(grid, 2, rng)
+        coef = f.coef.copy()
+        coef[..., 0] += rng.standard_normal(coef[..., 0].shape)
+        broken = SpectralField(grid, coef)
+        assert hermitian_defect(broken) > 0.0
+        fixed = hermitian_symmetrize(broken)
+        assert hermitian_defect(fixed) == 0.0
+        assert np.array_equal(fixed.coef[..., 1:], broken.coef[..., 1:])
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**16))
+    def test_helmholtz_round_trip(self, grid_name, seed):
+        grid = HALF_GRIDS[grid_name]
+        u = random_field(grid, grid.dim, np.random.default_rng(seed))
+        back = helmholtz_recompose(helmholtz_decompose(u))
+        assert np.max(np.abs(back.coef - u.coef)) <= 1e-13 * np.max(np.abs(u.coef))
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**16), n=st.floats(min_value=1.01, max_value=16.0))
+    def test_projection_is_idempotent(self, grid_name, seed, n):
+        from nspbox.stepper import FriedrichsProjector
+
+        grid = HALF_GRIDS[grid_name]
+        project = FriedrichsProjector(grid, n)
+        once = project(random_field(grid, 2, np.random.default_rng(seed)))
+        assert np.array_equal(project(once).coef, once.coef)
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**16), ncomp=st.integers(1, 3))
+    def test_shell_spectrum_equals_block_norms(self, grid_name, seed, ncomp):
+        from nspbox.lp import dyadic_block, dyadic_spectrum
+
+        grid = HALF_GRIDS[grid_name]
+        f = random_field(grid, ncomp, np.random.default_rng(seed))
+        spectrum = dyadic_spectrum(f)
+        for k, norm in zip(spectrum.ks, spectrum.block_norms):
+            assert abs(norm - l2_norm(dyadic_block(f, int(k)))) <= 1e-13 * l2_norm(f)

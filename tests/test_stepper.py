@@ -227,6 +227,24 @@ class TestStep:
             stepper.run(small_state(grid3, seed=53, amp=1e-3))
         assert len(calls) == 10
 
+    def test_linear_fast_path_matches_general_path_bitwise(self, grid3, monkeypatch):
+        # linear-only ETDRK2 skips the phi-terms; the general path on zero tendencies agrees exactly
+        cfg = StepperConfig(dt=1e-3, n=8.0, t_end=0.01)
+        fast = FriedrichsStepper(grid3, PARAMS, cfg, linear_only=True)
+        general = FriedrichsStepper(grid3, PARAMS, cfg)
+
+        def zero_rhs(s, *args, **kwargs):
+            zero = SpectralField.zeros(s.grid)
+            return zero, zero, SpectralField.zeros(s.grid, 3), model.RhsDiagnostics(1.0, 0.0)
+
+        monkeypatch.setattr(model, "explicit_rhs", zero_rhs)
+        a = b = fast.prepare(small_state(grid3, seed=56, amp=1e-2))
+        for _ in range(5):
+            a, b = fast.step(a), general.step(b)
+            for name in ("h", "c", "I"):
+                assert np.array_equal(getattr(a, name).coef, getattr(b, name).coef)
+        assert a.t == b.t
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             StepperConfig(dt=0.0, n=8.0, t_end=1.0)
@@ -296,6 +314,62 @@ class TestCheckpoints:
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(path)
+
+    def test_full_lattice_layout_rejected(self, grid3, tmp_path):
+        path = tmp_path / "state.chk"
+        save_checkpoint(path, small_state(grid3, seed=57, amp=1e-2), PARAMS, n=8.0)
+        path.write_bytes(b"NSPCHK1" + path.read_bytes()[7:])
+        with pytest.raises(ValueError, match="NSPCHK1.*full-lattice.*NSPCHK2"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, grid3, tmp_path):
+        path = tmp_path / "state.chk"
+        save_checkpoint(path, small_state(grid3, seed=58, amp=1e-2), PARAMS, n=8.0)
+        path.write_bytes(path.read_bytes() + b"junk")
+        with pytest.raises(ValueError, match="4 trailing bytes"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field", ["L", "n", "t", "mu", "lambda", "rho_bar"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_header_rejected(self, grid3, tmp_path, field, value):
+        path = tmp_path / "state.chk"
+        save_checkpoint(path, small_state(grid3, seed=59, amp=1e-2), PARAMS, n=8.0)
+        self._rewrite_header(path, **{field: value})
+        with pytest.raises(ValueError, match=f"non-finite checkpoint header value.*{field}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("n", [1.0, 0.5, -3.0])
+    def test_truncation_at_most_one_rejected(self, grid3, tmp_path, n):
+        path = tmp_path / "state.chk"
+        save_checkpoint(path, small_state(grid3, seed=60, amp=1e-2), PARAMS, n=8.0)
+        self._rewrite_header(path, n=n)
+        with pytest.raises(ValueError, match="must exceed 1"):
+            load_checkpoint(path)
+
+    def test_failed_save_keeps_previous_file(self, grid3, tmp_path):
+        from types import SimpleNamespace
+
+        path = tmp_path / "state.chk"
+        save_checkpoint(path, small_state(grid3, seed=61, amp=1e-2), PARAMS, n=8.0)
+        before = path.read_bytes()
+        broken = small_state(grid3, seed=62, amp=1e-2)
+        broken.I = SimpleNamespace(coef=[["not a number"]])  # fails after the header, h and c
+        with pytest.raises(ValueError):
+            save_checkpoint(path, broken, PARAMS, n=8.0)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["state.chk"]
+
+    @staticmethod
+    def _rewrite_header(path, **values):
+        import struct
+
+        fmt = "<7sqqdddddd"
+        names = ("magic", "dim", "size", "L", "n", "t", "mu", "lambda", "rho_bar")
+        raw = bytearray(path.read_bytes())
+        header = dict(zip(names, struct.unpack_from(fmt, raw)))
+        header.update(values)
+        struct.pack_into(fmt, raw, 0, *(header[name] for name in names))
+        path.write_bytes(bytes(raw))
 
     def test_header_layout(self, grid3, tmp_path):
         import struct

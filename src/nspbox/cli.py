@@ -3,7 +3,8 @@
     nsp run|linear|refine|perturb|check-lemmas [--config PATH] [--assert] [--out DIR]
 
 Exit codes: 0 ok, 1 assertion failure, 2 configuration error, 3 numerical
-abort.
+abort, 4 I/O error (an unreadable input file such as ``init.file``, or an
+unwritable output directory).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+EXIT_IO = 4
 
 _DRIVERS = {
     "run": experiment_nonlinear,
@@ -82,6 +84,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalAbort as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:
+        print(f"io error: {exc}", file=sys.stderr)
+        return EXIT_IO
     return result.exit_code
 
 

@@ -15,10 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.linalg import eigh
 
 from . import lp
-from . import spectral as sp
 from .model import FluidParams, NspState
 from .spectral import Grid
 
@@ -30,7 +28,6 @@ __all__ = [
     "GlobalBoundVerdict",
     "compute_constants",
     "feasibility_margins",
-    "shell_energy",
     "all_shell_energies",
     "equivalence_bounds",
     "display_equivalence_bounds",
@@ -114,18 +111,29 @@ def feasibility_margins(params: FluidParams, consts: EstimateConstants) -> dict[
 
 
 def _form_matrices(lam: np.ndarray, k: int, consts: EstimateConstants, params: FluidParams):
-    """Per-mode matrices of alpha_k^2 (P) and the squared-block-norm sum (B)."""
+    """Per-|xi| matrices of alpha_k^2 (P) and the squared-block-norm sum (B), each (n, 2, 2)."""
     rho, beta = params.rho_bar, params.beta
+    zero, one = np.zeros_like(lam), np.ones_like(lam)
     if k <= 0:
         q = lam**2
-        P = np.array([[(1.0 + q) / rho, -consts.K1 * q], [-consts.K1 * q, np.ones_like(q)]])
-        B = np.array([[1.0 + q, np.zeros_like(q)], [np.zeros_like(q), np.ones_like(q)]])
+        P = [[(1.0 + q) / rho, -consts.K1 * q], [-consts.K1 * q, one]]
+        B = [[1.0 + q, zero], [zero, one]]
     else:
         l1, l3, l5 = lam, lam**3, lam**5
         hh = (l1 + l3) / rho + beta * consts.K2 / rho**2 * l5
-        P = np.array([[hh, -consts.K2 * l3], [-consts.K2 * l3, l1]])
-        B = np.array([[l1 + l3 + l5, np.zeros_like(l1)], [np.zeros_like(l1), l1]])
-    return P, B
+        P = [[hh, -consts.K2 * l3], [-consts.K2 * l3, l1]]
+        B = [[l1 + l3 + l5, zero], [zero, l1]]
+    return np.moveaxis(np.array(P), -1, 0), np.moveaxis(np.array(B), -1, 0)
+
+
+def _generalized_eigvalsh(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues w of a x = w b x for stacks of symmetric a and positive definite b.
+
+    The Cholesky reduction of LAPACK sygv: with b = L L^T, the eigenvalues
+    of L^-1 a L^-T.
+    """
+    inv_l = np.linalg.inv(np.linalg.cholesky(b))
+    return np.linalg.eigvalsh(inv_l @ a @ np.swapaxes(inv_l, -1, -2))
 
 
 @dataclass
@@ -139,74 +147,61 @@ class ShellEnergy:
     weighted: dict[str, float] = dc_field(default_factory=dict)
 
 
-def _shell_reductions(s: NspState):
-    grid = s.grid
-    h_hat = s.h.coef[0]
-    c_hat = s.c.coef[0]
-    Ph = np.abs(h_hat) ** 2
-    Pc = np.abs(c_hat) ** 2
-    X = (h_hat * np.conj(c_hat)).real
-    lam = grid.lam
-    powers = {0: np.ones_like(lam), 1: lam, 2: lam**2, 3: lam**3, 5: lam**5}
-    return Ph, Pc, X, powers
+def _pair_powers(s: NspState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """|h|^2, |c|^2 and Re h c* reduced onto `Grid.radii`."""
+    h_hat, c_hat = s.h.coef[0], s.c.coef[0]
+    cross = s.grid.radial_sum((h_hat * np.conj(c_hat)).real)
+    return lp.radial_power(s.h), lp.radial_power(s.c), cross
 
 
-def _one_shell(k, w, Ph, Pc, X, powers, consts, params) -> ShellEnergy:
+def _shell_energies(grid: Grid, power_h, power_c, cross, consts: EstimateConstants, params: FluidParams):
+    """Every shell's `ShellEnergy` from the radial reductions of `_pair_powers`, as (shells, radii) products."""
     rho, beta = params.rho_bar, params.beta
+    filters = lp.shell_filters(grid)
+    w, r = filters.radial_masks**2, grid.radii
 
     def red(power, quad):
-        return float(np.sum(w * powers[power] * quad))
+        return w @ (r**power * quad)
 
-    norm_h = np.sqrt(red(0, Ph))
-    norm_c = np.sqrt(red(0, Pc))
-    if k <= 0:
-        lam_h_sq = red(2, Ph)
-        cross = red(2, X)
-        alpha_sq = (norm_h**2 + lam_h_sq) / rho + norm_c**2 - 2.0 * consts.K1 * cross
-        weighted = {"lam_h": np.sqrt(lam_h_sq), "cross": cross}
-    else:
-        lam12_h = red(1, Ph)
-        lam32_h = red(3, Ph)
-        lam52_h = red(5, Ph)
-        lam12_c = red(1, Pc)
-        cross = red(3, X)
-        alpha_sq = (
-            (lam12_h + lam32_h) / rho
-            + beta * consts.K2 / rho**2 * lam52_h
-            + lam12_c
-            - 2.0 * consts.K2 * cross
-        )
-        weighted = {
-            "lam12_h": np.sqrt(lam12_h),
-            "lam32_h": np.sqrt(lam32_h),
-            "lam52_h": np.sqrt(lam52_h),
-            "lam12_c": np.sqrt(lam12_c),
-            "cross": cross,
-        }
-    return ShellEnergy(k=k, alpha_sq=float(alpha_sq), norm_h=float(norm_h), norm_c=float(norm_c), weighted=weighted)
-
-
-def shell_energy(s: NspState, k: int, consts: EstimateConstants, params: FluidParams) -> ShellEnergy:
-    filters = lp.shell_filters(s.grid)
-    Ph, Pc, X, powers = _shell_reductions(s)
-    w = filters.mask(k) ** 2 * s.grid.hermitian_weight
-    return _one_shell(k, w, Ph, Pc, X, powers, consts, params)
+    norm_h, norm_c = np.sqrt(w @ power_h), np.sqrt(w @ power_c)
+    # low-shell terms
+    lam_h_sq, cross_low = red(2, power_h), red(2, cross)
+    alpha_low = (norm_h**2 + lam_h_sq) / rho + norm_c**2 - 2.0 * consts.K1 * cross_low
+    # high-shell terms
+    lam12_h, lam32_h, lam52_h = red(1, power_h), red(3, power_h), red(5, power_h)
+    lam12_c, cross_high = red(1, power_c), red(3, cross)
+    alpha_high = (
+        (lam12_h + lam32_h) / rho + beta * consts.K2 / rho**2 * lam52_h + lam12_c - 2.0 * consts.K2 * cross_high
+    )
+    shells = []
+    for i, k in enumerate(filters.ks):
+        if k <= 0:
+            alpha_sq = alpha_low[i]
+            weighted = {"lam_h": np.sqrt(lam_h_sq[i]), "cross": cross_low[i]}
+        else:
+            alpha_sq = alpha_high[i]
+            weighted = {
+                "lam12_h": np.sqrt(lam12_h[i]),
+                "lam32_h": np.sqrt(lam32_h[i]),
+                "lam52_h": np.sqrt(lam52_h[i]),
+                "lam12_c": np.sqrt(lam12_c[i]),
+                "cross": cross_high[i],
+            }
+        shells.append(ShellEnergy(k, float(alpha_sq), float(norm_h[i]), float(norm_c[i]), weighted))
+    return shells
 
 
 def all_shell_energies(s: NspState, consts: EstimateConstants, params: FluidParams) -> list[ShellEnergy]:
-    filters = lp.shell_filters(s.grid)
-    Ph, Pc, X, powers = _shell_reductions(s)
-    return [
-        _one_shell(k, filters.masks_sq[k - filters.k_min], Ph, Pc, X, powers, consts, params)
-        for k in filters.ks
-    ]
+    return _shell_energies(s.grid, *_pair_powers(s), consts, params)
 
 
 def _shell_lams(grid: Grid, k: int) -> np.ndarray:
+    """The nonzero distinct |xi| that shell k touches."""
     filters = lp.shell_filters(grid)
-    mask = filters.mask(k)
-    vals = np.unique(grid.lam[mask > 0])
-    return vals[vals > 0]
+    if not filters.k_min <= k <= filters.k_max:
+        return np.empty(0)
+    r = grid.radii
+    return r[(filters.radial_masks[k - filters.k_min] > 0) & (r > 0)]
 
 
 def equivalence_bounds(grid: Grid, k: int, consts: EstimateConstants, params: FluidParams) -> tuple[float, float]:
@@ -219,11 +214,8 @@ def equivalence_bounds(grid: Grid, k: int, consts: EstimateConstants, params: Fl
     if lams.size == 0:
         raise ValueError(f"shell {k} contains no lattice modes")
     P, B = _form_matrices(lams, k, consts, params)
-    lo, hi = np.inf, -np.inf
-    for i in range(lams.size):
-        vals = eigh(B[:, :, i], P[:, :, i], eigvals_only=True)
-        lo, hi = min(lo, vals[0]), max(hi, vals[-1])
-    return float(lo), float(hi)
+    vals = _generalized_eigvalsh(B, P)
+    return float(vals[:, 0].min()), float(vals[:, -1].max())
 
 
 def display_equivalence_bounds(grid: Grid, k: int, consts: EstimateConstants, params: FluidParams) -> tuple[float, float]:
@@ -236,14 +228,9 @@ def display_equivalence_bounds(grid: Grid, k: int, consts: EstimateConstants, pa
     if lams.size == 0:
         raise ValueError(f"shell {k} contains no lattice modes")
     P, _ = _form_matrices(lams, k, consts, params)
-    wh = max(1.0, 2.0 ** (5 * k))
-    wc = max(1.0, 2.0**k)
-    lo, hi = np.inf, -np.inf
-    for i in range(lams.size):
-        D = np.diag([wh, wc])
-        vals = eigh(D, P[:, :, i], eigvals_only=True)
-        lo, hi = min(lo, vals[0]), max(hi, vals[-1])
-    return float(lo), float(hi)
+    D = np.diag([max(1.0, 2.0 ** (5 * k)), max(1.0, 2.0**k)])
+    vals = _generalized_eigvalsh(np.broadcast_to(D, P.shape), P)
+    return float(vals[:, 0].min()), float(vals[:, -1].max())
 
 
 def linear_decay_rate_bound(grid: Grid, consts: EstimateConstants, params: FluidParams) -> float:
@@ -252,21 +239,17 @@ def linear_decay_rate_bound(grid: Grid, consts: EstimateConstants, params: Fluid
     Per mode this is a generalized eigenvalue problem between the Lyapunov
     derivative of the energy form along z' = A z and the form itself.
     """
-    filters = lp.shell_filters(grid)
     best = np.inf
-    for k in filters.ks:
+    for k in lp.shell_filters(grid).ks:
         lams = _shell_lams(grid, k)
         if lams.size == 0:
             continue
         m = min(2.0 ** (2 * k), 1.0)
         P, _ = _form_matrices(lams, k, consts, params)
-        for i in range(lams.size):
-            A = params.pair_matrix(lams[i] ** 2)
-            Pi = P[:, :, i]
-            lyap = A.T @ Pi + Pi @ A
-            # rate = -sup_x (x' lyap x) / (2 m x' P x)
-            vals = eigh(lyap, 2.0 * m * Pi, eigvals_only=True)
-            best = min(best, -float(vals[-1]))
+        A = params.pair_matrix(lams**2)
+        lyap = np.swapaxes(A, -1, -2) @ P + P @ A
+        # rate = -sup_x (x' lyap x) / (2 m x' P x)
+        best = min(best, -float(_generalized_eigvalsh(lyap, 2.0 * m * P)[:, -1].max()))
     return float(best)
 
 
@@ -346,13 +329,21 @@ class EnergyMonitor:
     def __call__(self, s: NspState, flags=None) -> EnergyReport:
         n2 = 0.5 * s.grid.dim
         reg = self.reg_index if self.reg_index is not None else n2
-        # one shell spectrum per field; every norm below is a weighting of it
-        spec_h = lp.dyadic_spectrum(s.h)
+        # one shell spectrum per field; every norm below is a weighting of it.
+        # theta = Lambda h and phi = -Lambda^-1 h reuse the radial power of h.
+        # u is recomposed: |u|^2 = |c|^2 + |I|^2 mode by mode only when I lies
+        # in the curl image, which a loaded checkpoint need not satisfy.
+        grid = s.grid
+        filters = lp.shell_filters(grid)
+        power_h, power_c, cross = _pair_powers(s)
+        r_sq = grid.radii_sq
+        inv_r_sq = np.divide(1.0, r_sq, out=np.zeros_like(r_sq), where=r_sq > 0)
+        spec_h = filters.spectrum(power_h)
         spec_u = lp.dyadic_spectrum(s.velocity())
-        spec_c = lp.dyadic_spectrum(s.c)
+        spec_c = filters.spectrum(power_c)
         spec_I = lp.dyadic_spectrum(s.I)
-        spec_theta = lp.dyadic_spectrum(s.theta())
-        spec_phi = lp.dyadic_spectrum(sp.SpectralField(s.grid, _neg_inv_lam(s.grid) * s.h.coef))
+        spec_theta = filters.spectrum(r_sq * power_h)
+        spec_phi = filters.spectrum(inv_r_sq * power_h)
 
         hybrid_h = spec_h.hybrid((n2 - 1.5, n2 + 1.0))
         hybrid_u = spec_u.hybrid((n2 - 1.5, n2 - 1.0))
@@ -362,7 +353,7 @@ class EnergyMonitor:
         int_u_now = spec_u.hybrid((n2 + 0.5, n2 + 1.0))
         besov_u_high = spec_u.hybrid((n2 + 1.0, n2 + 1.0))
 
-        shells = all_shell_energies(s, self.consts, self.params)
+        shells = _shell_energies(grid, power_h, power_c, cross, self.consts, self.params)
         smooth_now = sum(
             2.0 ** (sh.k * (reg + 1.5)) * sh.norm_c for sh in shells if sh.k > 0
         )
@@ -451,12 +442,6 @@ class EnergyMonitor:
             prim_norm=prim_norm,
             prim_ratio=prim_ratio,
         )
-
-
-def _neg_inv_lam(grid: Grid) -> np.ndarray:
-    out = np.zeros_like(grid.lam)
-    np.divide(-1.0, grid.lam, out=out, where=grid.lam > 0)
-    return out
 
 
 # ---------------------------------------------------------------------------

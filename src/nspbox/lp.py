@@ -13,10 +13,13 @@ A hybrid norm weights low shells (k <= 0) by 2^{ks} and high shells by
 compute the spectrum of a field once and call its `hybrid` method for each
 index.
 
-Masks live on the half lattice of `spectral`.  Block norms are weighted
-sums over it, so `ShellFilters.masks_sq` carries the Hermitian multiplicity
-`Grid.hermitian_weight`; `ShellFilters.mask` and `dyadic_block` stay plain
-multipliers.
+The cutoffs are radial, so `shell_filters` evaluates the profile once per
+distinct |xi| of the grid (`Grid.radii`) and keeps those (shells, radii)
+masks; `ShellFilters.masks` is their gather onto the half lattice, and
+`ShellFilters.mask` and `dyadic_block` stay plain multipliers.  A shell
+spectrum needs only the radial power `radial_power(f)`, the Hermitian-weighted
+sum of |coef|^2 over each radius: block norm k is
+sqrt(sum_r mask_k(r)^2 power(r)).
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ __all__ = [
     "shell_range",
     "shell_filters",
     "dyadic_block",
+    "radial_power",
     "dyadic_spectrum",
     "besov_norm",
     "hybrid_norm",
@@ -156,22 +160,30 @@ def shell_range(grid: Grid) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class ShellFilters:
-    """Stacked annular multipliers phi(2^-k |xi|) for every shell on a grid."""
+    """Annular multipliers phi(2^-k |xi|) of every shell on a grid.
+
+    `radial_masks` has shape (shells, `Grid.radii`): one row per k, one
+    column per distinct |xi|.
+    """
 
     grid: Grid
     k_min: int
     k_max: int
-    masks: np.ndarray
+    radial_masks: np.ndarray
+
+    @cached_property
+    def masks(self) -> np.ndarray:
+        """The radial masks gathered onto the half lattice, shape (shells, *spectral_shape)."""
+        return self.radial_masks[:, self.grid.radial_index]
 
     def mask(self, k: int) -> np.ndarray:
         if self.k_min <= k <= self.k_max:
             return self.masks[k - self.k_min]
         return np.zeros(self.grid.spectral_shape)
 
-    @cached_property
-    def masks_sq(self) -> np.ndarray:
-        """Squared masks times `Grid.hermitian_weight`: the weights of every block norm and shell energy."""
-        return self.masks**2 * self.grid.hermitian_weight
+    def spectrum(self, power: np.ndarray) -> DyadicSpectrum:
+        """Block norms of a field with radial power `power` (see `radial_power`)."""
+        return DyadicSpectrum(self.k_min, self.k_max, np.sqrt(self.radial_masks**2 @ power))
 
     @property
     def ks(self) -> range:
@@ -180,12 +192,10 @@ class ShellFilters:
 
 @lru_cache(maxsize=8)
 def shell_filters(grid: Grid) -> ShellFilters:
-    """Annular masks of every shell; the profile runs once per distinct |xi|, then is gathered."""
+    """Annular masks of every shell; the profile runs once per distinct |xi|."""
     k_min, k_max = shell_range(grid)
-    radii, where = np.unique(grid.lam, return_inverse=True)
-    where = where.reshape(grid.spectral_shape)
-    masks = np.stack([DEFAULT_PROFILE.phi(radii * 2.0 ** (-k))[where] for k in range(k_min, k_max + 1)])
-    return ShellFilters(grid=grid, k_min=k_min, k_max=k_max, masks=masks)
+    radial = np.stack([DEFAULT_PROFILE.phi(grid.radii * 2.0 ** (-k)) for k in range(k_min, k_max + 1)])
+    return ShellFilters(grid=grid, k_min=k_min, k_max=k_max, radial_masks=radial)
 
 
 def dyadic_block(f: SpectralField, k: int) -> SpectralField:
@@ -193,11 +203,13 @@ def dyadic_block(f: SpectralField, k: int) -> SpectralField:
     return SpectralField(f.grid, f.coef * shell_filters(f.grid).mask(k))
 
 
+def radial_power(f: SpectralField) -> np.ndarray:
+    """sum |coef|^2 over components and over each distinct |xi|, Hermitian-weighted."""
+    return f.grid.radial_sum(np.sum(np.abs(f.coef) ** 2, axis=0))
+
+
 def dyadic_spectrum(f: SpectralField) -> DyadicSpectrum:
-    filters = shell_filters(f.grid)
-    power = np.sum(np.abs(f.coef) ** 2, axis=0)
-    norms_sq = np.tensordot(filters.masks_sq, power, axes=f.grid.dim)
-    return DyadicSpectrum(filters.k_min, filters.k_max, np.sqrt(norms_sq))
+    return shell_filters(f.grid).spectrum(radial_power(f))
 
 
 def besov_norm(f: SpectralField, s: float) -> float:

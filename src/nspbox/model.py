@@ -74,8 +74,13 @@ class FluidParams:
         return self.mu / self.rho_bar
 
     def pair_matrix(self, lam_sq) -> np.ndarray:
-        """Per-mode linear generator of (h, c): [[0, -rho_bar], [|xi|^2 + 1, -nu_c |xi|^2]]."""
-        return np.array([[0.0, -self.rho_bar], [lam_sq + 1.0, -self.nu_c * lam_sq]])
+        """Linear generator of (h, c), [[0, -rho_bar], [|xi|^2 + 1, -nu_c |xi|^2]], shape (*lam_sq.shape, 2, 2)."""
+        q = np.asarray(lam_sq, dtype=np.float64)
+        out = np.zeros(q.shape + (2, 2))
+        out[..., 0, 1] = -self.rho_bar
+        out[..., 1, 0] = q + 1.0
+        out[..., 1, 1] = -self.nu_c * q
+        return out
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """Norm time-series records and their NDJSON / CSV serialization.
 
-One NDJSON object per monitored instant, keys in a fixed documented order;
+One NDJSON object per monitored instant, keys in `NormRecord` field order;
 floats are emitted with shortest round-trip representation so read-back is
 exact.  The CSV companion carries the scalar columns only, with one fixed
 schema across all configurations.
@@ -15,26 +15,13 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .energy import EnergyReport
 
 __all__ = ["NormRecord", "record_from_report", "write_records", "read_records", "CSV_COLUMNS"]
 
 ALPHA_CUTOFF = 1e-14
-
-NDJSON_KEYS = (
-    "t",
-    "hybrid_h",
-    "hybrid_c",
-    "hybrid_I",
-    "hybrid_u",
-    "V",
-    "E",
-    "alpha",
-    "positivity",
-    "guarded",
-)
 
 CSV_COLUMNS = ("t", "hybrid_h", "hybrid_c", "hybrid_I", "hybrid_u", "V", "E", "positivity", "guarded")
 
@@ -69,21 +56,6 @@ def record_from_report(report: EnergyReport, positivity: bool = True, guarded: b
     )
 
 
-def _as_dict(rec: NormRecord) -> dict:
-    return {
-        "t": rec.t,
-        "hybrid_h": rec.hybrid_h,
-        "hybrid_c": rec.hybrid_c,
-        "hybrid_I": rec.hybrid_I,
-        "hybrid_u": rec.hybrid_u,
-        "V": rec.V,
-        "E": rec.E,
-        "alpha": rec.alpha,
-        "positivity": rec.positivity,
-        "guarded": rec.guarded,
-    }
-
-
 @contextmanager
 def atomic_open(path, mode: str = "w"):
     """Open a temp file beside `path`; move it onto `path` on success, remove it on failure."""
@@ -109,14 +81,13 @@ def write_records(records: list[NormRecord], path, csv_path=None) -> None:
     try:
         with atomic_open(path) as fh:
             for rec in records:
-                fh.write(json.dumps(_as_dict(rec)) + "\n")
+                fh.write(json.dumps(asdict(rec)) + "\n")
         if csv_path is None:
             csv_path = str(path) + ".csv"
         with atomic_open(csv_path) as fh:
             fh.write(",".join(CSV_COLUMNS) + "\n")
             for rec in records:
-                row = _as_dict(rec)
-                fh.write(",".join(_csv_cell(row[col]) for col in CSV_COLUMNS) + "\n")
+                fh.write(",".join(_csv_cell(getattr(rec, col)) for col in CSV_COLUMNS) + "\n")
     except OSError as exc:
         raise OSError(f"failed writing records to {path}: {exc}") from exc
 
@@ -136,7 +107,5 @@ def read_records(path) -> list[NormRecord]:
             if not line.strip():
                 continue
             d = json.loads(line)
-            out.append(NormRecord(**{k: d[k] for k in ("t", "hybrid_h", "hybrid_c", "hybrid_I", "hybrid_u")},
-                                  V=d["V"], E=d["E"], alpha=d["alpha"],
-                                  positivity=d["positivity"], guarded=d["guarded"]))
+            out.append(NormRecord(**{f.name: d[f.name] for f in fields(NormRecord)}))
     return out

@@ -17,7 +17,13 @@ the forward transform symmetrizes it.  Sums over the full lattice become
 weighted sums over the half: ``Grid.hermitian_weight`` counts each stored
 mode once on the last-axis zero (and Nyquist) plane and twice on the
 interior planes, which carry their unstored mirrors.  `l2_norm`, `inner` and
-the shell spectra of `lp` use it; pointwise multipliers need no weight.
+`Grid.radial_sum` use it; pointwise multipliers need no weight.
+
+Radial table: Littlewood-Paley cutoffs, shell energy forms, the linear
+propagators and the form bounds depend on |xi| alone, so they are evaluated
+once per distinct |xi| (``Grid.radii``, 464 values for the 17,408 stored
+modes of a 3D M=32 grid) and gathered with ``Grid.radial_index``;
+``Grid.radial_sum`` reduces a per-mode array onto the same radii.
 
 Zero-mode convention: fractional powers of the Laplacian and every inverse
 operator (Poisson solve, Lambda^-1 gradients/divergences) annihilate the
@@ -123,6 +129,30 @@ class Grid:
     def lam(self) -> np.ndarray:
         """|xi| on the half lattice."""
         return np.sqrt(self.lam_sq)
+
+    @cached_property
+    def radii_sq(self) -> np.ndarray:
+        """Distinct |xi|^2 on the half lattice, ascending: ``radii_sq[radial_index] == lam_sq``."""
+        return np.unique(self.lam_sq)
+
+    @cached_property
+    def radial_index(self) -> np.ndarray:
+        """Position of each stored mode's |xi| in `radii`, shape `spectral_shape`."""
+        return np.searchsorted(self.radii_sq, self.lam_sq)
+
+    @cached_property
+    def radii(self) -> np.ndarray:
+        """Distinct |xi| on the half lattice, ascending: ``radii[radial_index] == lam``."""
+        return np.sqrt(self.radii_sq)
+
+    def radial_sum(self, values: np.ndarray) -> np.ndarray:
+        """Full-lattice sum of a per-mode array over each distinct |xi|, one entry per `radii`.
+
+        The stored modes are weighted by `hermitian_weight`, so a sum of
+        ``|coef|^2`` over the result is a squared L2 norm.
+        """
+        weighted = (self.hermitian_weight * values).ravel()
+        return np.bincount(self.radial_index.ravel(), weights=weighted, minlength=self.radii_sq.size)
 
     @cached_property
     def nyquist_mask(self) -> np.ndarray:

@@ -29,7 +29,6 @@ __all__ = [
     "FriedrichsStepper",
     "Trajectory",
     "NumericalAbort",
-    "linear_reference_run",
     "save_checkpoint",
     "load_checkpoint",
     "CHECKPOINT_MAGIC",
@@ -88,9 +87,11 @@ class LinearBlock:
 
     On each mode the pair (h, c) obeys z' = A z with
     A = [[0, -rho_bar], [|xi|^2 + 1, -nu_c |xi|^2]] and the solenoidal part
-    decays at rate nu_i |xi|^2.  The matrix exponential and the first two
-    phi-functions are read off an augmented 6x6 exponential per distinct
-    |xi|^2, which avoids cancellation at small arguments.
+    decays at rate nu_i |xi|^2.  A depends on |xi| alone, so the matrix
+    exponential and the first two phi-functions are read off one augmented
+    6x6 exponential per distinct |xi|^2 of the grid's radial table
+    (`Grid.radii_sq`), which avoids cancellation at small arguments, and
+    gathered onto the lattice with `Grid.radial_index`.
     """
 
     def __init__(self, grid: Grid, params: FluidParams, dt: float):
@@ -98,43 +99,29 @@ class LinearBlock:
         self.params = params
         self.dt = dt
 
-        q = grid.lam_sq.ravel()
-        uniq, inverse = np.unique(q, return_inverse=True)
-        eye = np.eye(2)
-        E = np.empty((len(uniq), 2, 2))
-        P1 = np.empty_like(E)
-        P2 = np.empty_like(E)
-        worst = -np.inf
-        for idx, qq in enumerate(uniq):
-            A = params.pair_matrix(qq)
-            if qq > 0:
-                worst = max(worst, float(np.max(np.linalg.eigvals(A).real)))
-            aug = np.zeros((6, 6))
-            aug[0:2, 0:2] = A
-            aug[0:2, 2:4] = eye
-            aug[2:4, 4:6] = eye
-            big = expm(dt * aug)
-            E[idx] = big[0:2, 0:2]
-            P1[idx] = big[0:2, 2:4]
-            P2[idx] = big[0:2, 4:6] / dt
+        q = grid.radii_sq
+        A = params.pair_matrix(q)
+        worst = float(np.max(np.linalg.eigvals(A[q > 0]).real, initial=-np.inf))
         if worst > 1e-12:
             raise NumericalAbort(f"linear pair block is not dissipative: max Re eig = {worst:.3e}")
         self.spectral_abscissa = worst
 
-        zero_idx = inverse.reshape(grid.spectral_shape)[(0,) * grid.dim]
-        E[zero_idx] = eye  # zero mode carries no state; keep it inert
-        P1[zero_idx] = dt * eye
-        P2[zero_idx] = 0.5 * dt * eye
+        eye = np.eye(2)
+        aug = np.zeros((q.size, 6, 6))
+        aug[:, 0:2, 0:2] = A
+        aug[:, 0:2, 2:4] = eye
+        aug[:, 2:4, 4:6] = eye
+        big = expm(dt * aug)
+        E, P1, P2 = big[:, 0:2, 0:2], big[:, 0:2, 2:4], big[:, 0:2, 4:6] / dt
+        # q[0] == 0 is the zero mode, which carries no state; keep it inert
+        E[0] = eye
+        P1[0] = dt * eye
+        P2[0] = 0.5 * dt * eye
 
-        def scatter(M):
-            return M[inverse].reshape(grid.spectral_shape)
-
-        self.e00, self.e01 = scatter(E[:, 0, 0]), scatter(E[:, 0, 1])
-        self.e10, self.e11 = scatter(E[:, 1, 0]), scatter(E[:, 1, 1])
-        self.p1_00, self.p1_01 = scatter(P1[:, 0, 0]), scatter(P1[:, 0, 1])
-        self.p1_10, self.p1_11 = scatter(P1[:, 1, 0]), scatter(P1[:, 1, 1])
-        self.p2_00, self.p2_01 = scatter(P2[:, 0, 0]), scatter(P2[:, 0, 1])
-        self.p2_10, self.p2_11 = scatter(P2[:, 1, 0]), scatter(P2[:, 1, 1])
+        at = grid.radial_index
+        self.e00, self.e01, self.e10, self.e11 = E[at, 0, 0], E[at, 0, 1], E[at, 1, 0], E[at, 1, 1]
+        self.p1_00, self.p1_01, self.p1_10, self.p1_11 = P1[at, 0, 0], P1[at, 0, 1], P1[at, 1, 0], P1[at, 1, 1]
+        self.p2_00, self.p2_01, self.p2_10, self.p2_11 = P2[at, 0, 0], P2[at, 0, 1], P2[at, 1, 0], P2[at, 1, 1]
 
         z = -params.nu_i * grid.lam_sq * dt
         self.heat_e = np.exp(z)
@@ -250,7 +237,8 @@ class FriedrichsStepper:
     # -- schemes -------------------------------------------------------------
 
     def step(self, s: NspState) -> NspState:
-        self._check_health(s)
+        # a non-finite or mean-carrying input gives such an output, so `prepare`
+        # and the output check below cover every state of a run
         if self.cfg.scheme == "etdrk2" or self._prev_tend is None:
             out = self._step_etdrk2(s)
         else:
@@ -328,6 +316,7 @@ class FriedrichsStepper:
 
     def prepare(self, s0: NspState) -> NspState:
         s = NspState(self.projector(s0.h), self.projector(s0.c), self.projector(s0.I), t=s0.t)
+        self._check_health(s)
         if not self.linear_only:
             u_phys = s.velocity().to_physical()
             speed = float(np.max(np.sqrt(np.sum(u_phys**2, axis=0))))
@@ -360,14 +349,6 @@ class FriedrichsStepper:
         traj.min_density = self.flags.min_density
         traj.guard_ever_active = self.flags.guard_active
         return traj
-
-
-def linear_reference_run(
-    s0: NspState, cfg: StepperConfig, params: FluidParams, monitor=None, stride: int = 1
-) -> Trajectory:
-    """Same machinery with convection and all forcings switched off."""
-    stepper = FriedrichsStepper(s0.grid, params, cfg, linear_only=True)
-    return stepper.run(s0, monitor=monitor, stride=stride)
 
 
 # ---------------------------------------------------------------------------

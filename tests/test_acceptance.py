@@ -35,7 +35,7 @@ from nspbox.spectral import (
     l2_norm,
     random_field,
 )
-from nspbox.stepper import FriedrichsStepper, StepperConfig, linear_reference_run
+from nspbox.stepper import FriedrichsStepper, StepperConfig
 
 from frozen import FROZEN
 from test_model import small_state
@@ -240,7 +240,7 @@ def test_criterion_07_heat_smoothing(grid32):
         checked_times.append((state.t, state.I.coef.copy()))
         return None
 
-    traj = linear_reference_run(s0, cfg, PARAMS, monitor=capture, stride=100)
+    traj = FriedrichsStepper(grid32, PARAMS, cfg, linear_only=True).run(s0, monitor=capture, stride=100)
     worst = 0.0
     scale = np.max(np.abs(s0.I.coef))
     for t, coef in checked_times:
@@ -255,7 +255,7 @@ def test_criterion_07_heat_smoothing(grid32):
     s0 = NspState(h=SpectralField.zeros(grid32), c=c0, I=SpectralField.zeros(grid32, 3))
     cfg = StepperConfig(dt=1e-3, n=float(grid32.size), t_end=1.0)
     monitor = EnergyMonitor(PARAMS, consts)
-    traj = linear_reference_run(s0, cfg, PARAMS, monitor=monitor, stride=5)
+    traj = FriedrichsStepper(grid32, PARAMS, cfg, linear_only=True).run(s0, monitor=monitor, stride=5)
     reg = 1.5
     integral = smoothing_integral(traj.records, reg)
     initial = hybrid_norm(s0.h, (reg, reg + 1.5)) + hybrid_norm(s0.c, (reg - 1.0, reg - 0.5))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from nspbox.energy import (
     EnergyMonitor,
@@ -17,13 +18,12 @@ from nspbox.energy import (
     global_bound_check,
     initial_energy,
     linear_decay_rate_bound,
-    shell_energy,
     smoothing_integral,
 )
 from nspbox.lp import DEFAULT_PROFILE, besov_norm, dyadic_block, dyadic_spectrum, hybrid_norm, shell_filters
 from nspbox.model import FluidParams, NspState
 from nspbox.spectral import SpectralField, random_field
-from nspbox.stepper import FriedrichsStepper, StepperConfig, linear_reference_run
+from nspbox.stepper import FriedrichsStepper, StepperConfig
 
 from conftest import wave
 from test_model import small_state
@@ -75,8 +75,9 @@ class TestConstants:
 class TestShellEnergy:
     def test_zero_state(self, grid3):
         consts = compute_constants(PARAMS)
-        for k in shell_filters(grid3).ks:
-            sh = shell_energy(NspState.zeros(grid3), k, consts, PARAMS)
+        shells = all_shell_energies(NspState.zeros(grid3), consts, PARAMS)
+        assert [sh.k for sh in shells] == list(shell_filters(grid3).ks)
+        for sh in shells:
             assert sh.alpha_sq == 0.0
             assert sh.norm_h == 0.0 and sh.norm_c == 0.0
 
@@ -88,12 +89,12 @@ class TestShellEnergy:
             c=SpectralField.zeros(grid3),
             I=SpectralField.zeros(grid3, 3),
         )
+        shells = {sh.k: sh for sh in all_shell_energies(s, consts, PARAMS)}
         for k in (-1, 0):
             w = float(DEFAULT_PROFILE.phi(np.asarray(2.0**-k)))
             mode_norm = w * amp / np.sqrt(2.0)
             expected = (1.0 + 1.0) * mode_norm**2  # rho_bar = 1 and |xi| = 1
-            got = shell_energy(s, k, consts, PARAMS)
-            assert got.alpha_sq == pytest.approx(expected, rel=1e-12)
+            assert shells[k].alpha_sq == pytest.approx(expected, rel=1e-12)
 
     def test_positive_on_random_states(self, grid3):
         consts = compute_constants(PARAMS)
@@ -130,10 +131,94 @@ class TestShellEnergy:
             ratio = disp / sh.alpha_sq
             assert d1 - 1e-10 <= ratio <= d2 + 1e-10
 
+    @pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_all_shell_energies_match_direct_lattice_sums(self, grid_name, seed, request):
+        # reference: sum over the stored modes of mask^2 * hermitian weight * (z* P z), z = (h, c)
+        grid = request.getfixturevalue(grid_name)
+        params = FluidParams(mu=0.7, lam=0.2, rho_bar=1.3, dim=grid.dim)
+        consts = compute_constants(params)
+        s = random_pair_state(grid, seed=seed, h_scale=0.3, c_scale=2.0)
+        h, c = s.h.coef[0], s.c.coef[0]
+        Ph, Pc, X = np.abs(h) ** 2, np.abs(c) ** 2, (h * np.conj(c)).real
+        lam, rho = grid.lam, params.rho_bar
+        filters = shell_filters(grid)
+        shells = all_shell_energies(s, consts, params)
+        assert [sh.k for sh in shells] == list(filters.ks)
+        for sh in shells:
+            w = filters.mask(sh.k) ** 2 * grid.hermitian_weight
+            if sh.k <= 0:
+                p_hh, p_hc, p_cc = (1.0 + lam**2) / rho, -consts.K1 * lam**2, 1.0
+                keys = {"lam_h", "cross"}
+            else:
+                p_hh = (lam + lam**3) / rho + params.beta * consts.K2 / rho**2 * lam**5
+                p_hc, p_cc = -consts.K2 * lam**3, lam
+                keys = {"lam12_h", "lam32_h", "lam52_h", "lam12_c", "cross"}
+            alpha_sq = np.sum(w * (p_hh * Ph + 2.0 * p_hc * X + p_cc * Pc))
+            assert abs(sh.alpha_sq - alpha_sq) <= 1e-13 * alpha_sq
+            assert abs(sh.norm_h - np.sqrt(np.sum(w * Ph))) <= 1e-13 * sh.norm_h
+            assert abs(sh.norm_c - np.sqrt(np.sum(w * Pc))) <= 1e-13 * sh.norm_c
+            assert set(sh.weighted) == keys
+
     def test_empty_shell_rejected_in_bounds(self, grid3):
         consts = compute_constants(PARAMS)
         with pytest.raises(ValueError, match="no lattice modes"):
             equivalence_bounds(grid3, 40, consts, PARAMS)
+
+
+def _reference_forms(lam, k, consts, params):
+    """(P, B) of one |xi|, written out entry by entry."""
+    rho, beta = params.rho_bar, params.beta
+    if k <= 0:
+        q = lam**2
+        return np.array([[(1.0 + q) / rho, -consts.K1 * q], [-consts.K1 * q, 1.0]]), np.diag([1.0 + q, 1.0])
+    hh = (lam + lam**3) / rho + beta * consts.K2 / rho**2 * lam**5
+    P = np.array([[hh, -consts.K2 * lam**3], [-consts.K2 * lam**3, lam]])
+    return P, np.diag([lam + lam**3 + lam**5, lam])
+
+
+def _reference_shell_lams(grid, k):
+    vals = np.unique(grid.lam[shell_filters(grid).mask(k) > 0])
+    return vals[vals > 0]
+
+
+BOUND_PARAMS = [PARAMS, FluidParams(mu=0.7, lam=0.2, rho_bar=1.3, dim=3)]
+
+
+class TestFormBounds:
+    """The batched generalized eigenvalues against one `scipy.linalg.eigh` per mode."""
+
+    @pytest.mark.parametrize("params", BOUND_PARAMS, ids=["unit", "general"])
+    def test_equivalence_bounds_match_per_mode_eigh(self, grid32, params):
+        consts = compute_constants(params)
+        for k in shell_filters(grid32).ks:
+            lo, hi, d_lo, d_hi = np.inf, -np.inf, np.inf, -np.inf
+            D = np.diag([max(1.0, 2.0 ** (5 * k)), max(1.0, 2.0**k)])
+            for lam in _reference_shell_lams(grid32, k):
+                P, B = _reference_forms(lam, k, consts, params)
+                vals = eigh(B, P, eigvals_only=True)
+                lo, hi = min(lo, vals[0]), max(hi, vals[-1])
+                vals = eigh(D, P, eigvals_only=True)
+                d_lo, d_hi = min(d_lo, vals[0]), max(d_hi, vals[-1])
+            got = equivalence_bounds(grid32, k, consts, params)
+            got += display_equivalence_bounds(grid32, k, consts, params)
+            for a, b in zip(got, (lo, hi, d_lo, d_hi)):
+                assert abs(a - b) <= 1e-13 * abs(b)
+
+    @pytest.mark.parametrize("params", BOUND_PARAMS, ids=["unit", "general"])
+    def test_linear_decay_rate_bound_matches_per_mode_eigh(self, grid32, params):
+        consts = compute_constants(params)
+        best = np.inf
+        for k in shell_filters(grid32).ks:
+            m = min(2.0 ** (2 * k), 1.0)
+            for lam in _reference_shell_lams(grid32, k):
+                P, _ = _reference_forms(lam, k, consts, params)
+                q = lam**2
+                A = np.array([[0.0, -params.rho_bar], [q + 1.0, -params.nu_c * q]])
+                vals = eigh(A.T @ P + P @ A, 2.0 * m * P, eigvals_only=True)
+                best = min(best, -vals[-1])
+        got = linear_decay_rate_bound(grid32, consts, params)
+        assert abs(got - best) <= 1e-13 * abs(best)
 
 
 @pytest.fixture(scope="module")
@@ -142,7 +227,7 @@ def linear_traj(grid3):
     s0 = random_pair_state(grid3, seed=62, h_scale=1.0, c_scale=0.5)
     cfg = StepperConfig(dt=1e-3, n=float(grid3.size), t_end=0.5)
     monitor = EnergyMonitor(PARAMS, consts)
-    return linear_reference_run(s0, cfg, PARAMS, monitor=monitor, stride=25)
+    return FriedrichsStepper(grid3, PARAMS, cfg, linear_only=True).run(s0, monitor=monitor, stride=25)
 
 
 class TestDamping:
@@ -169,7 +254,7 @@ class TestDamping:
         s0 = random_pair_state(grid3, seed=63, xi_lo=5.4, xi_hi=10.6)  # shell k = 3 band
         cfg = StepperConfig(dt=1e-3, n=float(grid3.size), t_end=0.1)
         monitor = EnergyMonitor(PARAMS, consts)
-        traj = linear_reference_run(s0, cfg, PARAMS, monitor=monitor, stride=10)
+        traj = FriedrichsStepper(grid3, PARAMS, cfg, linear_only=True).run(s0, monitor=monitor, stride=10)
         c_fit = fit_damping_constant(traj.records)
         alphas = [np.sqrt(r.shells[4].alpha_sq) for r in traj.records]  # k = 3 slot
         assert traj.records[0].shells[4].k == 3
@@ -186,7 +271,8 @@ class TestDamping:
         consts = compute_constants(PARAMS)
         cfg = StepperConfig(dt=1e-3, n=8.0, t_end=0.01)
         monitor = EnergyMonitor(PARAMS, consts)
-        traj = linear_reference_run(NspState.zeros(grid3), cfg, PARAMS, monitor=monitor, stride=2)
+        stepper = FriedrichsStepper(grid3, PARAMS, cfg, linear_only=True)
+        traj = stepper.run(NspState.zeros(grid3), monitor=monitor, stride=2)
         margins = damping_margins(traj.records, c_fit=1.0)
         assert all(v == 0.0 for v in margins.values())
 
@@ -196,7 +282,8 @@ class TestSmoothing:
         consts = compute_constants(PARAMS)
         cfg = StepperConfig(dt=1e-3, n=8.0, t_end=0.01)
         monitor = EnergyMonitor(PARAMS, consts)
-        traj = linear_reference_run(NspState.zeros(grid3), cfg, PARAMS, monitor=monitor, stride=2)
+        stepper = FriedrichsStepper(grid3, PARAMS, cfg, linear_only=True)
+        traj = stepper.run(NspState.zeros(grid3), monitor=monitor, stride=2)
         assert smoothing_integral(traj.records, 1.5) == 0.0
 
     def _c_only_run(self, grid, params, t_end=0.5):
@@ -206,7 +293,7 @@ class TestSmoothing:
         s0 = NspState(h=SpectralField.zeros(grid), c=c0, I=SpectralField.zeros(grid, 3))
         cfg = StepperConfig(dt=1e-3, n=float(grid.size), t_end=t_end)
         monitor = EnergyMonitor(params, consts)
-        traj = linear_reference_run(s0, cfg, params, monitor=monitor, stride=10)
+        traj = FriedrichsStepper(grid, params, cfg, linear_only=True).run(s0, monitor=monitor, stride=10)
         reg = 0.5 * grid.dim
         integral = smoothing_integral(traj.records, reg)
         initial = hybrid_norm(s0.h, (reg, reg + 1.5)) + hybrid_norm(s0.c, (reg - 1.0, reg - 0.5))
@@ -252,7 +339,8 @@ class TestGlobalBound:
         consts = compute_constants(PARAMS)
         cfg = StepperConfig(dt=1e-3, n=8.0, t_end=0.01)
         monitor = EnergyMonitor(PARAMS, consts)
-        traj = linear_reference_run(NspState.zeros(grid3), cfg, PARAMS, monitor=monitor, stride=2)
+        stepper = FriedrichsStepper(grid3, PARAMS, cfg, linear_only=True)
+        traj = stepper.run(NspState.zeros(grid3), monitor=monitor, stride=2)
         verdict = global_bound_check(traj.records, monitor.e0, consts)
         assert verdict.passed and verdict.max_ratio == 0.0
 
@@ -262,8 +350,8 @@ class TestGlobalBound:
         consts = compute_constants(PARAMS)
         cfg = StepperConfig(dt=1e-3, n=8.0, t_end=0.02)
         monitor = EnergyMonitor(PARAMS, consts)
-        traj = linear_reference_run(
-            random_pair_state(grid3, seed=66), cfg, PARAMS, monitor=monitor, stride=4
+        traj = FriedrichsStepper(grid3, PARAMS, cfg, linear_only=True).run(
+            random_pair_state(grid3, seed=66), monitor=monitor, stride=4
         )
         blown = [dataclasses.replace(r, e_value=r.e_value * 1e9) for r in traj.records]
         verdict = global_bound_check(blown, monitor.e0, consts)
@@ -302,6 +390,20 @@ class TestMonitor:
         assert report.hybrid_u == hybrid_norm(u, (n2 - 1.5, n2 - 1.0))
         assert report.besov_u_high == besov_norm(u, n2 + 1.0)
 
+    def test_primitive_norm_reads_theta_and_phi_spectra(self, grid3):
+        # theta = Lambda h and phi = -Lambda^-1 h are weighted from the radial power of h
+        from nspbox.spectral import apply_lambda
+
+        s0 = small_state(grid3, seed=75, amp=1e-3)
+        report = EnergyMonitor(PARAMS)(s0)
+        n2 = 0.5 * grid3.dim
+        expected = (
+            hybrid_norm(s0.theta(), (n2 - 2.5, n2))
+            + hybrid_norm(s0.velocity(), (n2 - 1.5, n2 - 1.0))
+            + hybrid_norm(-apply_lambda(s0.h, -1.0), (n2 - 0.5, n2 + 2.0))
+        )
+        assert abs(report.prim_norm - expected) <= 1e-13 * expected
+
     def test_one_shell_filter_build_per_grid(self, grid3):
         s0 = small_state(grid3, seed=74, amp=1e-3)
         shell_filters.cache_clear()
@@ -325,7 +427,7 @@ class TestMonitor:
         monitor = EnergyMonitor(PARAMS, consts, c_fit=1e-6)
         s0 = random_pair_state(grid3, seed=70)
         cfg = StepperConfig(dt=1e-3, n=float(grid3.size), t_end=0.02)
-        traj = linear_reference_run(s0, cfg, PARAMS, monitor=monitor, stride=5)
+        traj = FriedrichsStepper(grid3, PARAMS, cfg, linear_only=True).run(s0, monitor=monitor, stride=5)
         assert traj.records[0].damping_margin is None
         later = [r.damping_margin for r in traj.records[1:]]
         assert all(m is not None and m <= 1e-8 for m in later)
@@ -341,7 +443,7 @@ class TestMonitor:
         monitor = EnergyMonitor(
             PARAMS, consts, smoothing_c=FROZEN["smoothing_majorant_constant"]
         )
-        traj = linear_reference_run(s0, cfg, PARAMS, monitor=monitor, stride=10)
+        traj = FriedrichsStepper(grid3, PARAMS, cfg, linear_only=True).run(s0, monitor=monitor, stride=10)
         margins = [r.smoothing_margin for r in traj.records]
         assert all(m is not None for m in margins)
         assert all(m <= 0.0 for m in margins)

@@ -204,6 +204,23 @@ class TestCli:
         cfg_file.write_text(text)
         assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 3
 
+    def test_unwritable_output_dir_is_io_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(FAST_NONLINEAR)
+        (tmp_path / "plain").write_text("a regular file, not a directory")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "plain" / "out")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("io error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_missing_init_file_is_io_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"grid.M = 16\ninit.kind = file\ninit.file = {tmp_path / 'missing.chk'}\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("io error:") and "missing.chk" in err
+        assert "Traceback" not in err
+
     def test_records_are_bitwise_deterministic(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(FAST_NONLINEAR)

@@ -98,7 +98,6 @@ class TestBlocks:
         filters = shell_filters(grid)
         for k in filters.ks:
             assert np.array_equal(filters.mask(k), DEFAULT_PROFILE.phi(grid.lam * 2.0**-k))
-        assert np.array_equal(filters.masks_sq, filters.masks**2 * grid.hermitian_weight)
 
     def test_single_mode_block_value(self, grid3):
         f = wave(grid3, (1, 0, 0))

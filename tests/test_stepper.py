@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from nspbox.model import FluidParams, NspState
-from nspbox.spectral import SpectralField, helmholtz_decompose, l2_norm, random_field
+from nspbox.spectral import Grid, SpectralField, helmholtz_decompose, l2_norm, random_field
 from nspbox.stepper import (
     CHECKPOINT_MAGIC,
     FriedrichsProjector,
@@ -13,7 +15,6 @@ from nspbox.stepper import (
     LinearBlock,
     NumericalAbort,
     StepperConfig,
-    linear_reference_run,
     load_checkpoint,
     save_checkpoint,
 )
@@ -86,6 +87,30 @@ class TestLinearBlock:
             )
             assert np.max(np.abs(exact - sol.y[:, -1])) < 1e-10 * max(1.0, np.max(np.abs(z0)))
 
+    @pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
+    def test_arrays_equal_per_radius_expm(self, grid_name, request):
+        # reference: one 6x6 augmented exponential per distinct |xi|^2, read off entry by entry
+        grid = request.getfixturevalue(grid_name)
+        params = FluidParams(mu=0.7, lam=0.2, rho_bar=1.3, dim=grid.dim)
+        dt = 0.37
+        blocks = LinearBlock(grid, params, dt)
+        eye = np.eye(2)
+        for q in np.unique(grid.lam_sq):
+            where = grid.lam_sq == q
+            if q == 0.0:  # the inert zero mode
+                E, P1, P2 = eye, dt * eye, 0.5 * dt * eye
+            else:
+                aug = np.zeros((6, 6))
+                aug[0:2, 0:2] = [[0.0, -params.rho_bar], [q + 1.0, -params.nu_c * q]]
+                aug[0:2, 2:4] = eye
+                aug[2:4, 4:6] = eye
+                big = expm(dt * aug)
+                E, P1, P2 = big[0:2, 0:2], big[0:2, 2:4], big[0:2, 4:6] / dt
+            for prefix, M in (("e", E), ("p1_", P1), ("p2_", P2)):
+                for i in range(2):
+                    for j in range(2):
+                        assert np.all(getattr(blocks, f"{prefix}{i}{j}")[where] == M[i, j])
+
     def test_dissipative(self, grid3):
         blocks = LinearBlock(grid3, PARAMS, 0.1)
         assert blocks.spectral_abscissa <= 0.0
@@ -108,7 +133,7 @@ class TestStep:
 
         cfg = StepperConfig(dt=1e-3, n=16.0, t_end=0.25)
         s0 = pair_state(grid3, nvec=(2, 1, 0))
-        traj = linear_reference_run(s0, cfg, PARAMS, stride=50)
+        traj = FriedrichsStepper(grid3, PARAMS, cfg, linear_only=True).run(s0, stride=50)
         sf = traj.final_state
         q = 5.0
         A = np.array([[0.0, -1.0], [q + 1.0, -2.0 * q]])
@@ -125,8 +150,8 @@ class TestStep:
         pair = helmholtz_decompose(u)
         s0 = NspState(h=SpectralField.zeros(grid3), c=SpectralField.zeros(grid3), I=pair.I)
         cfg = StepperConfig(dt=2e-3, n=16.0, t_end=0.2)
-        traj = linear_reference_run(
-            s0, cfg, PARAMS, monitor=lambda s, flags: l2_norm(s.I), stride=20
+        traj = FriedrichsStepper(grid3, PARAMS, cfg, linear_only=True).run(
+            s0, monitor=lambda s, flags: l2_norm(s.I), stride=20
         )
         sf = traj.final_state
         decay = np.exp(-PARAMS.nu_i * grid3.lam_sq * cfg.t_end)
@@ -258,6 +283,25 @@ def advance(grid, scheme, dt, t_end, seed=51, amp=0.05):
     cfg = StepperConfig(dt=dt, n=float(grid.size), t_end=t_end, scheme=scheme)
     s0 = small_state(grid, seed=seed, amp=amp)
     return FriedrichsStepper(grid, PARAMS, cfg).run(s0, stride=10**9).final_state
+
+
+MEAN_GRIDS = {"grid2": Grid(dim=2, size=16), "grid3": Grid(dim=3, size=16)}
+
+
+@pytest.mark.parametrize("linear_only", [True, False], ids=["linear", "nonlinear"])
+@pytest.mark.parametrize("grid_name", sorted(MEAN_GRIDS))
+class TestMeanProperty:
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16), amp=st.floats(min_value=1e-4, max_value=5e-2))
+    def test_zero_mode_stays_zero_across_a_step(self, grid_name, linear_only, seed, amp):
+        # every propagator and tendency multiplier leaves xi = 0 alone
+        grid = MEAN_GRIDS[grid_name]
+        params = FluidParams(mu=1.0, lam=0.0, rho_bar=1.0, dim=grid.dim)
+        cfg = StepperConfig(dt=1e-3, n=8.0, t_end=1e-3)
+        stepper = FriedrichsStepper(grid, params, cfg, linear_only=linear_only)
+        out = stepper.step(stepper.prepare(small_state(grid, seed=seed, amp=amp)))
+        for f in (out.h, out.c, out.I):
+            assert np.all(f.zero_mode() == 0.0)
 
 
 class TestSchemes:

@@ -38,7 +38,6 @@ DEFAULTS: dict[str, tuple] = {
     "stepper.scheme": (str, "etdrk2", "etdrk2 | imex-bdf2"),
     "stepper.n": (float, None, "truncation radius; default M (covers the lattice)"),
     "stepper.t_end": (float, 1.0, "final time"),
-    "stepper.dealias": (bool, True, "two-thirds-rule truncation of products"),
     "init.kind": (str, "random-band", " | ".join(INIT_KINDS)),
     "init.amplitude": (float, 1e-3, "target initial energy norm, >= 0"),
     "init.seed": (int, 0, "RNG seed for random data"),
@@ -53,13 +52,6 @@ DEFAULTS: dict[str, tuple] = {
     "perturb.delta": (float, 1e-6, "perturbation amplitude for the stability driver"),
     "output.dir": (str, "out", "artifact directory"),
 }
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    raise ValueError(f"expected true or false, got {text!r}")
 
 
 @dataclass(frozen=True)
@@ -102,9 +94,8 @@ def parse_config(text: str) -> RunConfig:
     for key, (caster, default, _) in DEFAULTS.items():
         if key in raw:
             text_value, lineno = raw[key]
-            parse = _parse_bool if caster is bool else caster
             try:
-                values[key] = parse(text_value)
+                values[key] = caster(text_value)
             except ValueError as exc:
                 raise ConfigError(f"invalid value for {key}: {exc}", lineno) from exc
         else:
@@ -136,7 +127,6 @@ def parse_config(text: str) -> RunConfig:
             n=n,
             t_end=values["stepper.t_end"],
             scheme=values["stepper.scheme"],
-            dealias=values["stepper.dealias"],
         )
     except ValueError as exc:
         raise ConfigError(f"stepper: {exc}") from exc

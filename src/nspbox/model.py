@@ -6,6 +6,13 @@ antisymmetric solenoidal part.  The quadratic pressure law makes the
 pressure and electrostatic forces exactly linear in these variables, so
 the only nonlinearities are the convection terms, the density-weighted
 viscous quotient J, and their div/curl projections F, G, H.
+
+`explicit_rhs` evaluates all of them at once, with two-thirds-rule
+dealiased products, in conservative form for the mass transport
+(u.grad theta + theta div u = div(theta u)) and in rotational form for
+the momentum flux (u.grad u = grad(|u|^2/2) - sum_j u_j omega_ij, with
+the vorticity omega_ij = d_i u_j - d_j u_i).  Both identities are exact on
+the dealiased modes.
 """
 
 from __future__ import annotations
@@ -25,10 +32,6 @@ __all__ = [
     "zeta",
     "from_primitive",
     "to_primitive",
-    "nonlinear_F",
-    "nonlinear_J",
-    "nonlinear_G",
-    "nonlinear_H",
     "explicit_rhs",
     "RhsDiagnostics",
 ]
@@ -231,33 +234,7 @@ def to_primitive(s: NspState, params: FluidParams) -> PrimitiveState:
 
 
 # ---------------------------------------------------------------------------
-# nonlinearities
-
-
-def _masked_phys(f: SpectralField, mask: np.ndarray | None) -> np.ndarray:
-    if mask is None:
-        return f.to_physical()
-    return SpectralField(f.grid, f.coef * mask).to_physical()
-
-
-def _spectralize(grid: Grid, phys: np.ndarray, mask: np.ndarray | None) -> SpectralField:
-    out = sp.transform_to_spectral(grid, phys)
-    if mask is None:
-        return out
-    return SpectralField(grid, out.coef * mask)
-
-
-def _dealias_mask(s: NspState, dealias: bool) -> np.ndarray | None:
-    return s.grid.dealias_mask if dealias else None
-
-
-def nonlinear_F(s: NspState, dealias: bool = True) -> SpectralField:
-    """F = -Lambda^-1 (Lambda h * div u), the quadratic mass-transport term."""
-    grid = s.grid
-    mask = _dealias_mask(s, dealias)
-    theta_phys = _masked_phys(s.theta(), mask)[0]
-    divu_phys = _masked_phys(sp.divergence(s.velocity()), mask)[0]
-    return -1.0 * sp.apply_lambda(_spectralize(grid, theta_phys * divu_phys, mask), -1.0)
+# nonlinearities: the explicit right-hand side for the stepper
 
 
 def _viscous_quotient(
@@ -276,55 +253,6 @@ def _viscous_quotient(
     return theta_phys / (params.rho_bar * den)
 
 
-def nonlinear_J(s: NspState, params: FluidParams, guarded: bool = True, dealias: bool = True) -> SpectralField:
-    """J = u.grad u + quotient(theta) * (mu lap u + (mu+lambda) grad div u), one component at a time."""
-    grid = s.grid
-    xi = grid.wavenumbers
-    mask = _dealias_mask(s, dealias)
-    u = s.velocity()
-    u_phys = _masked_phys(u, mask)
-    divu = sp.divergence(u)
-    quot = _viscous_quotient(s.theta().to_physical()[0], params, guarded)
-    out = np.zeros((grid.dim,) + grid.spectral_shape, dtype=np.complex128)
-    for i in range(grid.dim):
-        adv = np.zeros(grid.shape)
-        for j in range(grid.dim):
-            du_ij = _masked_phys(SpectralField(grid, 1j * xi[j] * u.coef[i : i + 1]), mask)[0]
-            adv += u_phys[j] * du_ij
-        # viscous stress: mu lap u_i + (mu + lambda) d_i div u
-        visc = SpectralField(
-            grid,
-            (-params.mu * grid.lam_sq * u.coef[i] + (params.mu + params.lam) * 1j * xi[i] * divu.coef[0])[None],
-        ).to_physical()[0]
-        out[i] = (_spectralize(grid, adv, mask) + _spectralize(grid, quot * visc, mask)).coef[0]
-    return SpectralField(grid, out)
-
-
-def nonlinear_G(s: NspState, params: FluidParams, guarded: bool = True, dealias: bool = True) -> SpectralField:
-    """G = u.grad c - Lambda^-1 div J."""
-    grid = s.grid
-    mask = _dealias_mask(s, dealias)
-    u = s.velocity()
-    u_phys = _masked_phys(u, mask)
-    adv = np.zeros(grid.shape)
-    for j in range(grid.dim):
-        dc_j = _masked_phys(SpectralField(grid, 1j * grid.wavenumbers[j] * s.c.coef), mask)[0]
-        adv += u_phys[j] * dc_j
-    conv = _spectralize(grid, adv, mask)
-    J = nonlinear_J(s, params, guarded=guarded, dealias=dealias)
-    return conv - sp.apply_lambda(sp.divergence(J), -1.0)
-
-
-def nonlinear_H(s: NspState, params: FluidParams, guarded: bool = True, dealias: bool = True) -> SpectralField:
-    """H = -Lambda^-1 curl J."""
-    J = nonlinear_J(s, params, guarded=guarded, dealias=dealias)
-    return -1.0 * sp.apply_lambda(sp.curl(J), -1.0)
-
-
-# ---------------------------------------------------------------------------
-# assembled explicit right-hand side for the stepper
-
-
 @dataclass
 class RhsDiagnostics:
     min_density: float
@@ -332,121 +260,131 @@ class RhsDiagnostics:
 
 
 class _RhsMultipliers:
-    """Fourier multipliers of `explicit_rhs` for one (grid, dealias, params).
+    """Fourier multipliers of `explicit_rhs` for one (grid, params).
 
     Each is the product of the operators it stands for, so every quantity is
-    one multiply of h, c, I or the forward transform away.  The stored
+    one multiply of h, c, u or the forward transform away.  The stored
     fields are Nyquist-free, hence so is every product.
     """
 
-    def __init__(self, grid: Grid, dealias: bool, params: FluidParams):
+    def __init__(self, grid: Grid, params: FluidParams):
         lam = grid.lam
-        inv_lam = np.zeros_like(lam)
-        np.divide(1.0, lam, out=inv_lam, where=lam > 0)
-        mask = grid.dealias_mask if dealias else grid.keep_mask
-        self.mask = mask  # dealiasing mask; the Nyquist-free keep mask without dealiasing
+        mask = grid.dealias_mask
+        self.mask = mask  # two-thirds-rule dealiasing mask
         self.ixi = 1j * np.stack(grid.wavenumbers)  # 1j * xi_j, one row per axis
-        self.lam = lam  # theta = Lambda h, and div u = Lambda c
-        self.lam_m = lam * mask
-        self.grad_lam_m = self.ixi * self.lam_m  # grad of the dealiased theta, from h
+        self.lam = lam  # theta = Lambda h
+        self.lam_m = lam * mask  # -Lambda^-1 div grad of the dealiased |u|^2/2
         self.visc_lap = -params.mu * grid.lam_sq  # mu lap u
         self.visc_grad = (params.mu + params.lam) * self.ixi * lam  # (mu + lambda) grad div u, from c
-        self.tend_h = -inv_lam * mask  # -Lambda^-1 of the dealiased h term
-        self.tend_j = -grid.riesz * mask  # rows of -Lambda^-1 div and -Lambda^-1 curl of the dealiased J
+        self.tend_j = -grid.riesz * mask  # rows of -Lambda^-1 div and -Lambda^-1 curl of dealiased fluxes
         self._projected: tuple | None = None
 
     def tendency(self, project_mask: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-        """`tend_h` and `tend_j`, times `project_mask` when one is given.
+        """`lam_m` and `tend_j`, times `project_mask` when one is given.
 
         The products for the last mask are kept, keyed by the identity of the
         mask array, which a stepper passes unchanged on every call.
         """
         if project_mask is None:
-            return self.tend_h, self.tend_j
+            return self.lam_m, self.tend_j
         if self._projected is None or self._projected[0] is not project_mask:
-            self._projected = (project_mask, self.tend_h * project_mask, self.tend_j * project_mask)
+            self._projected = (project_mask, self.lam_m * project_mask, self.tend_j * project_mask)
         return self._projected[1], self._projected[2]
 
 
 @lru_cache(maxsize=4)
-def _rhs_multipliers(grid: Grid, dealias: bool, params: FluidParams) -> _RhsMultipliers:
-    return _RhsMultipliers(grid, dealias, params)
+def _rhs_multipliers(grid: Grid, params: FluidParams) -> _RhsMultipliers:
+    return _RhsMultipliers(grid, params)
 
 
 def _rhs_sizes(dim: int) -> tuple[int, ...]:
-    """Component counts of the quantities `explicit_rhs` transforms in one batch.
+    """Component counts of the quantities `explicit_rhs` transforms in its inverse batch.
 
-    In order: dealiased u; raw theta; dealiased theta; dealiased div u; grad
-    theta; grad u as rows (i, j) -> d_j u_i; the viscous stress.
+    In order: dealiased u; raw theta; dealiased theta; the dealiased
+    vorticity omega_ij = d_i u_j - d_j u_i, i < j, in `antisym_pairs` order;
+    the viscous stress.
     """
-    return (dim, 1, 1, 1, dim, dim * dim, dim)
-
-
-def _rhs_parts(stack: np.ndarray, dim: int) -> list[np.ndarray]:
-    """Views of the batched quantities in a stack of `sum(_rhs_sizes(dim))` components."""
-    parts = np.split(stack, np.cumsum(_rhs_sizes(dim))[:-1])
-    parts[5] = parts[5].reshape((dim, dim) + stack.shape[1:])
-    return parts
+    return (dim, 1, 1, dim * (dim - 1) // 2, dim)
 
 
 def explicit_rhs(
     s: NspState,
     params: FluidParams,
-    dealias: bool = True,
     project_mask: np.ndarray | None = None,
 ) -> tuple[SpectralField, SpectralField, SpectralField, RhsDiagnostics]:
     """Convection plus forcing tendencies for (h, c, I) in two batched transforms.
 
     The advection of c cancels exactly between the left-hand convection term
-    and the forcing G, so the net c tendency is just -Lambda^-1 div J; the h
-    tendency keeps both its convection and F.  The linear terms are handled
-    by the propagator, not here.  Every spectral quantity the products need
-    is one cached multiplier away from h, c or u and goes through one
-    inverse transform; the h term with the J components goes through one
-    forward transform.  `nonlinear_F/J/H` compute the same terms one
-    component at a time through the public operators.
+    and the forcing G, so the net c tendency is -Lambda^-1 div J and the I
+    tendency -Lambda^-1 curl J, with J = u.grad u + quotient * viscous
+    stress; the h tendency is -Lambda^-1 (u.grad theta + theta div u).  The
+    linear terms are handled by the propagator, not here.
+
+    Products are dealiased by the two-thirds rule, so two identities hold
+    exactly on the kept modes and cut what is transformed:
+
+    - conservative form: u.grad theta + theta div u = div(theta u);
+    - rotational form: u.grad u = grad(|u|^2/2) - sum_j u_j omega_ij with
+      omega_ij = d_i u_j - d_j u_i.  The gradient adds only Lambda |u|^2/2
+      to the c tendency and nothing to the I tendency.
+
+    One inverse transform takes u, theta (raw for the quotient and the
+    diagnostics, dealiased for the product), the N(N-1)/2 vorticity
+    components and the viscous stress: 2N + 2 + N(N-1)/2 components, 11 in
+    3D.  One forward transform takes theta u, |u|^2/2 and the remaining
+    flux: 2N + 1 components, 7 in 3D.
     """
     grid = s.grid
     dim = grid.dim
-    mult = _rhs_multipliers(grid, dealias, params)
-    h, c = s.h.coef[0], s.c.coef[0]
+    pairs = sp.antisym_pairs(dim)
+    mult = _rhs_multipliers(grid, params)
+    c = s.c.coef[0]
     u = s.velocity().coef
 
-    spec = np.empty((sum(_rhs_sizes(dim)),) + grid.spectral_shape, dtype=np.complex128)
-    u_m, theta_raw, theta_m, divu_m, grad_theta, grad_u, visc = _rhs_parts(spec, dim)
+    sizes = _rhs_sizes(dim)
+    bounds = np.cumsum(sizes)[:-1]
+    spec = np.empty((sum(sizes),) + grid.spectral_shape, dtype=np.complex128)
+    u_m, theta_raw, theta_m, omega, visc = np.split(spec, bounds)
     np.multiply(u, mult.mask, out=u_m)
-    np.multiply(mult.lam, h, out=theta_raw[0])
-    np.multiply(mult.lam_m, h, out=theta_m[0])
-    np.multiply(mult.lam_m, c, out=divu_m[0])
-    np.multiply(mult.grad_lam_m, h, out=grad_theta)
-    np.multiply(mult.ixi[None], u_m[:, None], out=grad_u)
+    np.multiply(mult.lam, s.h.coef, out=theta_raw)
+    np.multiply(mult.mask, theta_raw, out=theta_m)
+    for p, (i, j) in enumerate(pairs):
+        np.multiply(mult.ixi[i], u_m[j], out=omega[p])
+        omega[p] -= mult.ixi[j] * u_m[i]
     # viscous stress: mu lap u + (mu + lambda) grad div u
     np.multiply(mult.visc_lap, u, out=visc)
     visc += mult.visc_grad * c
 
     phys = sp.transform_to_physical(SpectralField(grid, spec))
-    u_p, theta_raw_p, theta_p, divu_p, grad_theta_p, grad_u_p, visc_p = _rhs_parts(phys, dim)
+    u_p, theta_raw_p, theta_p, omega_p, visc_p = np.split(phys, bounds)
     theta_raw_p = theta_raw_p[0]
+    speed_sq = np.sum(u_p**2, axis=0)
 
     diag = RhsDiagnostics(
         min_density=float(np.min(theta_raw_p)) + params.rho_bar,
-        max_speed=float(np.max(np.sqrt(np.sum(u_p**2, axis=0)))),
+        max_speed=float(np.sqrt(np.max(speed_sq))),
     )
 
-    # h: -Lambda^-1(u . grad Lambda h) - Lambda^-1(Lambda h div u)
-    h_term = np.sum(u_p * grad_theta_p, axis=0) + theta_p[0] * divu_p[0]
-    # J = u.grad u + quotient * viscous stress, guarded quotient throughout
-    quot = _viscous_quotient(theta_raw_p, params, guarded=True)
-    flux = np.sum(u_p * grad_u_p, axis=1) + quot * visc_p
-    out = sp.transform_to_spectral(grid, np.concatenate([h_term[None], flux])).coef
+    # forward batch: theta u; |u|^2/2; -sum_j u_j omega_ij + quotient * viscous stress
+    prod = np.empty((2 * dim + 1,) + grid.shape)
+    theta_u, kinetic, flux = np.split(prod, (dim, dim + 1))
+    np.multiply(u_p, theta_p, out=theta_u)
+    np.multiply(speed_sq, 0.5, out=kinetic[0])
+    np.multiply(_viscous_quotient(theta_raw_p, params, guarded=True), visc_p, out=flux)
+    for p, (i, j) in enumerate(pairs):
+        flux[i] -= u_p[j] * omega_p[p]
+        flux[j] += u_p[i] * omega_p[p]
+    out = sp.transform_to_spectral(grid, prod).coef
+    theta_u, kinetic, flux = np.split(out, (dim, dim + 1))
 
-    # tendencies: -Lambda^-1 h term, -Lambda^-1 div J and -Lambda^-1 curl J, all masked
-    tend_h_mult, tend_j = mult.tendency(project_mask)
-    J = out[1:]
-    tend_c = np.sum(tend_j * J, axis=0, keepdims=True)
-    tend_I = np.stack([tend_j[j] * J[i] - tend_j[i] * J[j] for i, j in sp.antisym_pairs(dim)])
+    # tendencies: -Lambda^-1 div(theta u), -Lambda^-1 div J and -Lambda^-1 curl J, all masked
+    lam_m, tend_j = mult.tendency(project_mask)
+    tend_h = np.sum(tend_j * theta_u, axis=0, keepdims=True)
+    tend_c = np.sum(tend_j * flux, axis=0, keepdims=True)
+    tend_c += lam_m * kinetic
+    tend_I = np.stack([tend_j[j] * flux[i] - tend_j[i] * flux[j] for i, j in pairs])
     return (
-        SpectralField(grid, tend_h_mult * out[:1]),
+        SpectralField(grid, tend_h),
         SpectralField(grid, tend_c),
         SpectralField(grid, tend_I),
         diag,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 from .energy import EnergyReport
 
@@ -38,6 +38,9 @@ class NormRecord:
     alpha: list  # [k, alpha_k^2] pairs for shells above the cutoff
     positivity: bool
     guarded: bool
+
+
+_FIELDS = tuple(f.name for f in fields(NormRecord))  # NDJSON key order
 
 
 def record_from_report(report: EnergyReport, positivity: bool = True, guarded: bool = False) -> NormRecord:
@@ -81,7 +84,8 @@ def write_records(records: list[NormRecord], path, csv_path=None) -> None:
     try:
         with atomic_open(path) as fh:
             for rec in records:
-                fh.write(json.dumps(asdict(rec)) + "\n")
+                # a shallow dict: `dataclasses.asdict` would deep-copy every alpha pair
+                fh.write(json.dumps({name: getattr(rec, name) for name in _FIELDS}) + "\n")
         if csv_path is None:
             csv_path = str(path) + ".csv"
         with atomic_open(csv_path) as fh:
@@ -107,5 +111,5 @@ def read_records(path) -> list[NormRecord]:
             if not line.strip():
                 continue
             d = json.loads(line)
-            out.append(NormRecord(**{f.name: d[f.name] for f in fields(NormRecord)}))
+            out.append(NormRecord(**{name: d[name] for name in _FIELDS}))
     return out

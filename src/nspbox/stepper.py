@@ -68,7 +68,6 @@ class StepperConfig:
     n: float
     t_end: float
     scheme: str = "etdrk2"
-    dealias: bool = True
     cfl_margin: float = 0.9
 
     def __post_init__(self) -> None:
@@ -196,9 +195,7 @@ class FriedrichsStepper:
         if self.linear_only:
             z = np.zeros_like(s.h.coef)
             return z, z, np.zeros_like(s.I.coef)
-        th, tc, ti, diag = model.explicit_rhs(
-            s, self.params, dealias=self.cfg.dealias, project_mask=self.projector.mask
-        )
+        th, tc, ti, diag = model.explicit_rhs(s, self.params, project_mask=self.projector.mask)
         self.flags.min_density = min(self.flags.min_density, diag.min_density)
         self.flags.max_speed = diag.max_speed
         if diag.min_density <= 0.0:

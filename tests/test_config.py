@@ -28,7 +28,6 @@ class TestParseConfig:
         assert cfg.stepper.dt == 1e-3
         assert cfg.stepper.scheme == "etdrk2"
         assert cfg.stepper.n == 32.0
-        assert cfg.stepper.dealias is True
         assert cfg.init_kind == "random-band"
         assert cfg.monitor_stride == 10
 
@@ -51,8 +50,11 @@ class TestParseConfig:
     def test_bad_value_carries_key_and_line(self):
         with pytest.raises(ConfigError, match="grid.M"):
             parse_config("grid.M = sixteen")
-        with pytest.raises(ConfigError, match="stepper.dealias"):
-            parse_config("stepper.dealias = maybe")
+
+    def test_removed_dealias_key_rejected(self):
+        # products are always dealiased; an old config that sets the switch fails loudly
+        with pytest.raises(ConfigError, match="line 2: unknown key 'stepper.dealias'"):
+            parse_config("grid.M = 16\nstepper.dealias = true\n")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -212,6 +214,32 @@ class TestRecords:
         target = tmp_path / "missing" / "records.ndjson"
         with pytest.raises(OSError, match="records.ndjson"):
             write_records(sample_records(), target)
+
+    def test_driver_records_match_deep_copy_serialization(self, tmp_path, monkeypatch):
+        # each NDJSON line of a seeded driver run is what json.dumps(dataclasses.asdict(rec))
+        # gives for the record in memory, and a second run writes both files byte for byte
+        from dataclasses import asdict
+
+        from nspbox import records
+        from nspbox.experiments import experiment_nonlinear
+
+        written = []
+        plain = records.write_records
+
+        def capture(recs, path, csv_path=None):
+            written.append(recs)
+            plain(recs, path, csv_path)
+
+        monkeypatch.setattr(records, "write_records", capture)
+        cfg = parse_config("grid.M = 16\nstepper.dt = 1e-3\nstepper.t_end = 0.01\nmonitor.stride = 2\n")
+        experiment_nonlinear(cfg, tmp_path / "a")
+        experiment_nonlinear(cfg, tmp_path / "b")
+        recs = written[0]
+        assert len(recs) > 2 and all(rec.alpha for rec in recs)
+        lines = (tmp_path / "a" / "records.ndjson").read_text().splitlines()
+        assert lines == [json.dumps(asdict(rec)) for rec in recs]
+        for name in ("records.ndjson", "records.ndjson.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_failed_write_keeps_previous_files(self, tmp_path):
         path = tmp_path / "records.ndjson"

@@ -12,7 +12,8 @@ dealiased products, in conservative form for the mass transport
 (u.grad theta + theta div u = div(theta u)) and in rotational form for
 the momentum flux (u.grad u = grad(|u|^2/2) - sum_j u_j omega_ij, with
 the vorticity omega_ij = d_i u_j - d_j u_i).  Both identities are exact on
-the dealiased modes.
+the dealiased modes, which it transforms and forms on the two-thirds-rule
+band alone (`spectral.BandTransform`).
 """
 
 from __future__ import annotations
@@ -260,7 +261,7 @@ class RhsDiagnostics:
 
 
 class _RhsMultipliers:
-    """Fourier multipliers of `explicit_rhs` for one (grid, params).
+    """Fourier multipliers and band transforms of `explicit_rhs` for one (grid, params).
 
     Each is the product of the operators it stands for, so every quantity is
     one multiply of h, c, u or the forward transform away.  The stored
@@ -269,18 +270,20 @@ class _RhsMultipliers:
 
     def __init__(self, grid: Grid, params: FluidParams):
         lam = grid.lam
-        mask = grid.dealias_mask
-        self.mask = mask  # two-thirds-rule dealiasing mask
-        self.ixi = 1j * np.stack(grid.wavenumbers)  # 1j * xi_j, one row per axis
         self.lam = lam  # theta = Lambda h
-        self.lam_m = lam * mask  # -Lambda^-1 div grad of the dealiased |u|^2/2
         self.visc_lap = -params.mu * grid.lam_sq  # mu lap u
-        self.visc_grad = (params.mu + params.lam) * self.ixi * lam  # (mu + lambda) grad div u, from c
-        self.tend_j = -grid.riesz * mask  # rows of -Lambda^-1 div and -Lambda^-1 curl of dealiased fluxes
+        ixi = 1j * np.stack(grid.wavenumbers)  # 1j * xi_j, one row per axis
+        self.visc_grad = (params.mu + params.lam) * ixi * lam  # (mu + lambda) grad div u, from c
+        self.ixi = grid.to_band(ixi)
+        self.lam_m = grid.to_band(lam)  # -Lambda^-1 div grad of |u|^2/2
+        # rows of -Lambda^-1 div and -Lambda^-1 curl of the fluxes; the mask is 1 on the band, but the
+        # product fixes the signed zeros, so the tendencies equal the full-lattice ones bit for bit
+        self.tend_j = grid.to_band(-grid.riesz * grid.dealias_mask)
+        self.band = sp.BandTransform(grid, max(2 * grid.dim + 1, grid.dim + 1 + len(sp.antisym_pairs(grid.dim))))
         self._projected: tuple | None = None
 
     def tendency(self, project_mask: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-        """`lam_m` and `tend_j`, times `project_mask` when one is given.
+        """`lam_m` and `tend_j`, times `project_mask` on the band when one is given.
 
         The products for the last mask are kept, keyed by the identity of the
         mask array, which a stepper passes unchanged on every call.
@@ -288,7 +291,8 @@ class _RhsMultipliers:
         if project_mask is None:
             return self.lam_m, self.tend_j
         if self._projected is None or self._projected[0] is not project_mask:
-            self._projected = (project_mask, self.lam_m * project_mask, self.tend_j * project_mask)
+            mask = self.band.grid.to_band(project_mask)
+            self._projected = (project_mask, self.lam_m * mask, self.tend_j * mask)
         return self._projected[1], self._projected[2]
 
 
@@ -297,22 +301,12 @@ def _rhs_multipliers(grid: Grid, params: FluidParams) -> _RhsMultipliers:
     return _RhsMultipliers(grid, params)
 
 
-def _rhs_sizes(dim: int) -> tuple[int, ...]:
-    """Component counts of the quantities `explicit_rhs` transforms in its inverse batch.
-
-    In order: dealiased u; raw theta; dealiased theta; the dealiased
-    vorticity omega_ij = d_i u_j - d_j u_i, i < j, in `antisym_pairs` order;
-    the viscous stress.
-    """
-    return (dim, 1, 1, dim * (dim - 1) // 2, dim)
-
-
 def explicit_rhs(
     s: NspState,
     params: FluidParams,
     project_mask: np.ndarray | None = None,
 ) -> tuple[SpectralField, SpectralField, SpectralField, RhsDiagnostics]:
-    """Convection plus forcing tendencies for (h, c, I) in two batched transforms.
+    """Convection plus forcing tendencies for (h, c, I) in three batched transforms.
 
     The advection of c cancels exactly between the left-hand convection term
     and the forcing G, so the net c tendency is -Lambda^-1 div J and the I
@@ -328,11 +322,13 @@ def explicit_rhs(
       omega_ij = d_i u_j - d_j u_i.  The gradient adds only Lambda |u|^2/2
       to the c tendency and nothing to the I tendency.
 
-    One inverse transform takes u, theta (raw for the quotient and the
-    diagnostics, dealiased for the product), the N(N-1)/2 vorticity
-    components and the viscous stress: 2N + 2 + N(N-1)/2 components, 11 in
-    3D.  One forward transform takes theta u, |u|^2/2 and the remaining
-    flux: 2N + 1 components, 7 in 3D.
+    A full inverse transform takes what must stay unaliased: raw theta (for
+    the quotient and the diagnostics) and the viscous stress, N + 1
+    components.  A band inverse (`spectral.BandTransform`) takes u, theta
+    and the N(N-1)/2 vorticity components, gathered onto the band: N + 1 +
+    N(N-1)/2 components, 7 in 3D.  A band forward takes theta u, |u|^2/2 and
+    the remaining flux: 2N + 1 components, 7 in 3D.  The tendencies are
+    formed on the band and are exactly zero off it.
     """
     grid = s.grid
     dim = grid.dim
@@ -341,23 +337,23 @@ def explicit_rhs(
     c = s.c.coef[0]
     u = s.velocity().coef
 
-    sizes = _rhs_sizes(dim)
-    bounds = np.cumsum(sizes)[:-1]
-    spec = np.empty((sum(sizes),) + grid.spectral_shape, dtype=np.complex128)
-    u_m, theta_raw, theta_m, omega, visc = np.split(spec, bounds)
-    np.multiply(u, mult.mask, out=u_m)
+    # full inverse: raw theta, viscous stress mu lap u + (mu + lambda) grad div u
+    full = np.empty((1 + dim,) + grid.spectral_shape, dtype=np.complex128)
+    theta_raw, visc = full[:1], full[1:]
     np.multiply(mult.lam, s.h.coef, out=theta_raw)
-    np.multiply(mult.mask, theta_raw, out=theta_m)
+    np.multiply(mult.visc_lap, u, out=visc)
+    visc += mult.visc_grad * c
+    theta_raw_p, visc_p = np.split(sp.transform_to_physical(SpectralField(grid, full)), (1,))
+    theta_raw_p = theta_raw_p[0]
+
+    # band inverse: u, theta, omega_ij (i < j) in `antisym_pairs` order
+    band = np.empty((dim + 1 + len(pairs),) + grid.band_shape, dtype=np.complex128)
+    u_m, theta_m, omega = np.split(band, (dim, dim + 1))
+    u_m[...], theta_m[...] = grid.to_band(u), grid.to_band(theta_raw)
     for p, (i, j) in enumerate(pairs):
         np.multiply(mult.ixi[i], u_m[j], out=omega[p])
         omega[p] -= mult.ixi[j] * u_m[i]
-    # viscous stress: mu lap u + (mu + lambda) grad div u
-    np.multiply(mult.visc_lap, u, out=visc)
-    visc += mult.visc_grad * c
-
-    phys = sp.transform_to_physical(SpectralField(grid, spec))
-    u_p, theta_raw_p, theta_p, omega_p, visc_p = np.split(phys, bounds)
-    theta_raw_p = theta_raw_p[0]
+    u_p, theta_p, omega_p = np.split(mult.band.to_physical(band), (dim, dim + 1))
     speed_sq = np.sum(u_p**2, axis=0)
 
     diag = RhsDiagnostics(
@@ -365,7 +361,7 @@ def explicit_rhs(
         max_speed=float(np.sqrt(np.max(speed_sq))),
     )
 
-    # forward batch: theta u; |u|^2/2; -sum_j u_j omega_ij + quotient * viscous stress
+    # band forward: theta u; |u|^2/2; -sum_j u_j omega_ij + quotient * viscous stress
     prod = np.empty((2 * dim + 1,) + grid.shape)
     theta_u, kinetic, flux = np.split(prod, (dim, dim + 1))
     np.multiply(u_p, theta_p, out=theta_u)
@@ -374,15 +370,14 @@ def explicit_rhs(
     for p, (i, j) in enumerate(pairs):
         flux[i] -= u_p[j] * omega_p[p]
         flux[j] += u_p[i] * omega_p[p]
-    out = sp.transform_to_spectral(grid, prod).coef
-    theta_u, kinetic, flux = np.split(out, (dim, dim + 1))
+    theta_u, kinetic, flux = np.split(mult.band.to_spectral(prod), (dim, dim + 1))
 
-    # tendencies: -Lambda^-1 div(theta u), -Lambda^-1 div J and -Lambda^-1 curl J, all masked
+    # tendencies on the band: -Lambda^-1 div(theta u), -Lambda^-1 div J and -Lambda^-1 curl J
     lam_m, tend_j = mult.tendency(project_mask)
     tend_h = np.sum(tend_j * theta_u, axis=0, keepdims=True)
-    tend_c = np.sum(tend_j * flux, axis=0, keepdims=True)
-    tend_c += lam_m * kinetic
+    tend_c = np.sum(tend_j * flux, axis=0, keepdims=True) + lam_m * kinetic
     tend_I = np.stack([tend_j[j] * flux[i] - tend_j[i] * flux[j] for i, j in pairs])
+    tend_h, tend_c, tend_I = np.split(grid.from_band(np.concatenate([tend_h, tend_c, tend_I])), (1, 2))
     return (
         SpectralField(grid, tend_h),
         SpectralField(grid, tend_c),

@@ -17,6 +17,8 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .energy import EnergyReport
 
 __all__ = ["NormRecord", "record_from_report", "write_records", "read_records", "CSV_COLUMNS"]
@@ -97,10 +99,10 @@ def write_records(records: list[NormRecord], path, csv_path=None) -> None:
 
 
 def _csv_cell(value) -> str:
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, float):  # np.float64 too, whose repr is not a number under numpy 2
+        return repr(float(value))
     return str(value)
 
 

@@ -25,6 +25,11 @@ once per distinct |xi| (``Grid.radii``, 464 values for the 17,408 stored
 modes of a 3D M=32 grid) and gathered with ``Grid.radial_index``;
 ``Grid.radial_sum`` reduces a per-mode array onto the same radii.
 
+Dealiased band: the two-thirds rule keeps |k_i| <= size/3 on every axis,
+the box ``Grid.band_shape`` (2m+1 lead wavenumbers [0..m, -m..-1], 0..m
+last, m = size // 3).  `BandTransform` maps it to and from physical space
+with the pocketfft passes of the full transforms, less the all-zero ones.
+
 Zero-mode convention: fractional powers of the Laplacian and every inverse
 operator (Poisson solve, Lambda^-1 gradients/divergences) annihilate the
 zero mode.  Nyquist planes are zeroed on construction, so every multiplier
@@ -59,7 +64,7 @@ __all__ = [
     "linf_norm",
     "inner",
     "hermitian_defect",
-    "hermitian_symmetrize",
+    "BandTransform",
     "random_field",
     "MEAN_FREE_RTOL",
 ]
@@ -164,17 +169,34 @@ class Grid:
         """Index of each axis's Nyquist plane in a (ncomp, *spectral_shape) array."""
         return tuple((slice(None),) * (1 + axis) + (self.size // 2,) for axis in range(self.dim))
 
-    @cached_property
-    def keep_mask(self) -> np.ndarray:
-        """Float mask that keeps everything except Nyquist planes."""
-        return np.where(self.nyquist_mask, 0.0, 1.0)
+    @property
+    def band_shape(self) -> tuple[int, ...]:
+        """The two-thirds-rule band, m = size // 3: 2m+1 wavenumbers [0..m, -m..-1] per lead axis, 0..m last."""
+        m = self.size // 3
+        return (2 * m + 1,) * (self.dim - 1) + (m + 1,)
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
-        """Two-thirds-rule mask (integer modes with |k| <= size/3), Nyquist-free."""
-        ints = np.rint(self._freq1d * self.length / (2.0 * np.pi))
-        keep = np.logical_and.reduce(self._mesh(np.abs(ints) <= self.size / 3.0))
-        return np.where(keep & ~self.nyquist_mask, 1.0, 0.0)
+        """Two-thirds-rule mask: 1 on the band (integer modes with every |k_i| <= size/3), else 0."""
+        mask = np.zeros(self.spectral_shape)
+        mask.flat[self._band_flat] = 1.0
+        return mask
+
+    @cached_property
+    def _band_flat(self) -> np.ndarray:
+        m = self.size // 3
+        lead = np.r_[0 : m + 1, self.size - m : self.size]
+        return np.ravel_multi_index(np.ix_(*[lead] * (self.dim - 1), np.arange(m + 1)), self.spectral_shape)
+
+    def to_band(self, coef: np.ndarray) -> np.ndarray:
+        """Gather a (..., *spectral_shape) array onto the band, shape (..., *band_shape)."""
+        return coef.reshape(coef.shape[: coef.ndim - self.dim] + (-1,))[..., self._band_flat]
+
+    def from_band(self, band: np.ndarray) -> np.ndarray:
+        """Scatter (ncomp, *band_shape) coefficients into a fresh half lattice, zero off the band."""
+        out = np.zeros((len(band),) + self.spectral_shape, dtype=np.complex128)
+        out.reshape(len(band), -1)[:, self._band_flat] = band
+        return out
 
     @cached_property
     def riesz(self) -> np.ndarray:
@@ -256,10 +278,6 @@ class SpectralField:
     def zeros(cls, grid: Grid, ncomp: int = 1) -> "SpectralField":
         return cls(grid, np.zeros((ncomp,) + grid.spectral_shape, dtype=np.complex128))
 
-    @classmethod
-    def from_physical(cls, grid: Grid, values: np.ndarray) -> "SpectralField":
-        return transform_to_spectral(grid, values)
-
     def to_physical(self) -> np.ndarray:
         return transform_to_physical(self)
 
@@ -268,9 +286,6 @@ class SpectralField:
 
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.coef.copy())
-
-    def component(self, i: int) -> "SpectralField":
-        return SpectralField(self.grid, self.coef[i : i + 1])
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         return SpectralField(self.grid, self.coef + other.coef)
@@ -380,9 +395,49 @@ def _symmetrize_zero_plane(grid: Grid, coef: np.ndarray) -> np.ndarray:
     return coef
 
 
-def hermitian_symmetrize(f: SpectralField) -> SpectralField:
-    """Average the last-axis zero plane with its conjugate mirror."""
-    return SpectralField(f.grid, _symmetrize_zero_plane(f.grid, f.coef.copy()))
+class BandTransform:
+    """Transforms between the two-thirds-rule band (`Grid.band_shape`) and physical space.
+
+    The inverse puts the band in the low corner of a zeroed half lattice and
+    per lead axis moves the rows -m..-1 into place and runs an in-place c2c
+    pass, then `irfft`s the last axis; the forward runs `rfft`, then per lead
+    axis a c2c pass and the reverse move.  These are the passes of the full
+    transforms in their order, less all-zero or discarded columns, so on
+    band-limited data the results are the full ones on the band, bitwise
+    (1/size^dim as 1/size a pass is exact for a power-of-two size).  The
+    inverse's buffer holds up to `ncomp` components; a call re-zeroes all it reads.
+    """
+
+    def __init__(self, grid: Grid, ncomp: int):
+        self.grid = grid
+        self._half = np.zeros((ncomp,) + grid.spectral_shape, dtype=np.complex128)
+
+    def _corner(self, coef: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
+        """The view coef[:, :lead[0], ..., :lead[-1], :m + 1]."""
+        return coef[(slice(None),) + tuple(slice(n) for n in lead) + (slice(self.grid.size // 3 + 1),)]
+
+    def to_physical(self, band: np.ndarray) -> np.ndarray:
+        """(ncomp, *band_shape) coefficients to real (ncomp, *grid.shape) values."""
+        grid, size, m = self.grid, self.grid.size, self.grid.size // 3
+        half = self._half[: len(band)]
+        half[..., m + 1 :] = 0.0
+        self._corner(half, grid.band_shape[:-1])[...] = band
+        for a in range(1, grid.dim):
+            box, pre = self._corner(half, (size,) * a + grid.band_shape[a:-1]), (slice(None),) * a
+            box[pre + (slice(size - m, None),)] = box[pre + (slice(m + 1, 2 * m + 1),)]
+            box[pre + (slice(m + 1, size - m),)] = 0.0
+            scipy.fft.ifft(box, axis=a, norm="forward", overwrite_x=True)  # in place: scipy keeps aligned views
+        return scipy.fft.irfft(half, n=size, axis=-1, norm="forward")
+
+    def to_spectral(self, values: np.ndarray) -> np.ndarray:
+        """Real (ncomp, *grid.shape) values to (ncomp, *band_shape) coefficients."""
+        grid, size, m = self.grid, self.grid.size, self.grid.size // 3
+        coef = scipy.fft.rfft(values, axis=-1, norm="forward")
+        for a in range(1, grid.dim):
+            box, pre = self._corner(coef, grid.band_shape[: a - 1] + (size,) * (grid.dim - a)), (slice(None),) * a
+            scipy.fft.fft(box, axis=a, norm="forward", overwrite_x=True)
+            box[pre + (slice(m + 1, 2 * m + 1),)] = box[pre + (slice(size - m, None),)]
+        return _symmetrize_zero_plane(grid, self._corner(coef, grid.band_shape[:-1]).copy())
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,20 @@ class TestRecords:
         for name in ("records.ndjson", "records.ndjson.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_driver_csv_cells_are_the_ndjson_numbers(self, tmp_path):
+        # the driver's values are numpy scalars; every CSV cell must still parse as a number
+        from nspbox.experiments import experiment_nonlinear
+
+        cfg = parse_config("grid.M = 16\nstepper.dt = 1e-3\nstepper.t_end = 0.01\nmonitor.stride = 2\n")
+        experiment_nonlinear(cfg, tmp_path)
+        rows = (tmp_path / "records.ndjson.csv").read_text().splitlines()
+        lines = (tmp_path / "records.ndjson").read_text().splitlines()
+        assert rows[0] == ",".join(CSV_COLUMNS) and len(rows) == len(lines) + 1 > 3
+        for row, line in zip(rows[1:], lines):
+            record = json.loads(line)
+            for col, cell in zip(CSV_COLUMNS, row.split(",")):
+                assert float(cell) == record[col], (col, cell)
+
     def test_failed_write_keeps_previous_files(self, tmp_path):
         path = tmp_path / "records.ndjson"
         write_records(sample_records(), path)

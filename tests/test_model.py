@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nspbox.model import (
     FluidParams,
@@ -345,15 +346,16 @@ class TestExplicitRhs:
 
     @pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
     def test_batch_sizes(self, grid_name, request, monkeypatch):
-        # inverse: u, raw and dealiased theta, omega_ij (i < j), viscous stress;
-        # forward: theta u, |u|^2/2, the remaining flux
+        # full inverse: raw theta, viscous stress; band inverse: u, theta, omega_ij (i < j);
+        # band forward: theta u, |u|^2/2, the remaining flux
         from nspbox import spectral
 
         grid = request.getfixturevalue(grid_name)
         n = grid.dim
         s = small_state(grid, seed=36)
-        sizes = {"transform_to_physical": [], "transform_to_spectral": []}
+        sizes = {"transform_to_physical": [], "transform_to_spectral": [], "band_inverse": [], "band_forward": []}
         plain_inverse, plain_forward = spectral.transform_to_physical, spectral.transform_to_spectral
+        band_inverse, band_forward = spectral.BandTransform.to_physical, spectral.BandTransform.to_spectral
 
         def inverse(f):
             sizes["transform_to_physical"].append(f.ncomp)
@@ -363,30 +365,63 @@ class TestExplicitRhs:
             sizes["transform_to_spectral"].append(len(values))
             return plain_forward(g, values)
 
+        def to_physical(self, band):
+            assert band.shape[1:] == grid.band_shape
+            sizes["band_inverse"].append(len(band))
+            return band_inverse(self, band)
+
+        def to_spectral(self, values):
+            sizes["band_forward"].append(len(values))
+            return band_forward(self, values)
+
         monkeypatch.setattr(spectral, "transform_to_physical", inverse)
         monkeypatch.setattr(spectral, "transform_to_spectral", forward)
+        monkeypatch.setattr(spectral.BandTransform, "to_physical", to_physical)
+        monkeypatch.setattr(spectral.BandTransform, "to_spectral", to_spectral)
         explicit_rhs(s, FluidParams(mu=1.0, lam=0.0, rho_bar=1.0, dim=n))
-        # 2N + 2 + N(N-1)/2 inverse and 2N + 1 forward components
+        # N + 1 full inverse, N + 1 + N(N-1)/2 band inverse and 2N + 1 band forward components
         assert sizes == {
-            "transform_to_physical": [{2: 7, 3: 11}[n]],
-            "transform_to_spectral": [{2: 5, 3: 7}[n]],
+            "transform_to_physical": [{2: 3, 3: 4}[n]],
+            "transform_to_spectral": [],
+            "band_inverse": [{2: 4, 3: 7}[n]],
+            "band_forward": [{2: 5, 3: 7}[n]],
         }
 
     def test_one_batched_transform_each_way(self, grid3, monkeypatch):
+        # one full inverse, then one band inverse and one band forward
         from nspbox import spectral
 
         s = small_state(grid3, seed=36)
-        calls = {"transform_to_physical": 0, "transform_to_spectral": 0}
-        for name in calls:
-            plain = getattr(spectral, name)
+        calls = []
+        for owner, name in (
+            (spectral, "transform_to_physical"),
+            (spectral, "transform_to_spectral"),
+            (spectral.BandTransform, "to_physical"),
+            (spectral.BandTransform, "to_spectral"),
+        ):
 
-            def counted(*args, _plain=plain, _name=name):
-                calls[_name] += 1
+            def counted(*args, _plain=getattr(owner, name), _name=name):
+                calls.append(_name)
                 return _plain(*args)
 
-            monkeypatch.setattr(spectral, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         explicit_rhs(s, PARAMS3)
-        assert calls == {"transform_to_physical": 1, "transform_to_spectral": 1}
+        assert calls == ["transform_to_physical", "to_physical", "to_spectral"]
+
+    @pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
+    @pytest.mark.parametrize("projected", [False, True], ids=["unprojected", "projected"])
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16), amp=st.sampled_from([1e-2, 0.3]))
+    def test_tendencies_vanish_off_the_band(self, grid_name, projected, seed, amp, request):
+        from nspbox.stepper import FriedrichsProjector
+
+        grid = request.getfixturevalue(grid_name)
+        params = FluidParams(mu=1.0, lam=0.25, rho_bar=1.0, dim=grid.dim)
+        project_mask = FriedrichsProjector(grid, 4.0).mask if projected else None
+        off = grid.dealias_mask == 0.0
+        for tend in explicit_rhs(small_state(grid, seed=seed, amp=amp), params, project_mask)[:3]:
+            assert not tend.coef[:, off].any()
+            assert tend.coef[:, ~off].any()
 
     def test_diagnostics(self, grid3):
         s = state_with(grid3, h=wave(grid3, (1, 0, 0), amp=0.25))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nspbox.spectral import (
+    BandTransform,
     Grid,
     SpectralField,
     apply_lambda,
@@ -25,6 +26,18 @@ from nspbox.spectral import (
 from conftest import constant, wave
 
 
+def keep_mask(grid: Grid) -> np.ndarray:
+    """Float mask that keeps everything except Nyquist planes."""
+    return np.where(grid.nyquist_mask, 0.0, 1.0)
+
+
+def hermitian_symmetrize(f: SpectralField) -> SpectralField:
+    """Average the last-axis zero plane with its conjugate mirror."""
+    from nspbox.spectral import _symmetrize_zero_plane
+
+    return SpectralField(f.grid, _symmetrize_zero_plane(f.grid, f.coef.copy()))
+
+
 class TestGrid:
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
@@ -38,7 +51,7 @@ class TestGrid:
 
     def test_lattice_symmetry_without_nyquist(self, grid3):
         # on the last-axis zero plane, every surviving wavenumber has its negative
-        keep = grid3.keep_mask[..., 0] > 0
+        keep = keep_mask(grid3)[..., 0] > 0
         for xi in grid3.wavenumbers:
             plane = xi[..., 0]
             flipped = np.roll(np.flip(plane, axis=(0, 1)), 1, axis=(0, 1))
@@ -104,7 +117,7 @@ class TestTransforms:
         values = np.random.default_rng(5).standard_normal((3,) + grid.shape)
         axes = tuple(range(1, grid.dim + 1))
         full = np.fft.fftn(values, axes=axes) / grid.size**grid.dim
-        expected = full[..., : grid.size // 2 + 1] * grid.keep_mask
+        expected = full[..., : grid.size // 2 + 1] * keep_mask(grid)
         f = transform_to_spectral(grid, values)
         assert np.max(np.abs(f.coef - expected)) <= 1e-14 * np.max(np.abs(expected))
         assert hermitian_defect(f) == 0.0
@@ -312,8 +325,6 @@ class TestHalfLatticeProperties:
     @PROPERTY
     @given(seed=st.integers(0, 2**16))
     def test_symmetrize_repairs_the_zero_plane(self, grid_name, seed):
-        from nspbox.spectral import hermitian_symmetrize
-
         grid = HALF_GRIDS[grid_name]
         rng = np.random.default_rng(seed)
         f = random_field(grid, 2, rng)
@@ -353,3 +364,52 @@ class TestHalfLatticeProperties:
         spectrum = dyadic_spectrum(f)
         for k, norm in zip(spectrum.ks, spectrum.block_norms):
             assert abs(norm - l2_norm(dyadic_block(f, int(k)))) <= 1e-13 * l2_norm(f)
+
+
+BAND_GRIDS = {f"{dim}d-M{size}": Grid(dim=dim, size=size) for dim in (2, 3) for size in (8, 16, 32)}
+
+
+@pytest.mark.parametrize("grid_name", list(BAND_GRIDS))
+class TestBandTransform:
+    """The band transforms are the full ones restricted to the two-thirds-rule band, bit for bit."""
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**16), ncomp=st.integers(1, 7))
+    def test_inverse_equals_full_transform_of_band_limited_field(self, grid_name, seed, ncomp):
+        grid = BAND_GRIDS[grid_name]
+        band = grid.to_band(random_field(grid, ncomp, np.random.default_rng(seed)).coef)
+        full = transform_to_physical(SpectralField(grid, grid.from_band(band)))
+        assert BandTransform(grid, 7).to_physical(band).tobytes() == full.tobytes()
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**16), ncomp=st.integers(1, 7))
+    def test_forward_equals_full_transform_on_the_band(self, grid_name, seed, ncomp):
+        grid = BAND_GRIDS[grid_name]
+        values = np.random.default_rng(seed).standard_normal((ncomp,) + grid.shape)
+        band = BandTransform(grid, 7).to_spectral(values)
+        assert band.tobytes() == grid.to_band(transform_to_spectral(grid, values).coef).tobytes()
+        assert hermitian_defect(SpectralField(grid, grid.from_band(band))) == 0.0
+
+    def test_buffers_are_reused_across_calls_and_sizes(self, grid_name):
+        # one workspace serves both directions and every batch size up to its own
+        grid = BAND_GRIDS[grid_name]
+        rng = np.random.default_rng(7)
+        work = BandTransform(grid, 7)
+        for ncomp in (7, 2, 5, 1):
+            values = rng.standard_normal((ncomp,) + grid.shape)
+            band = grid.to_band(random_field(grid, ncomp, rng).coef)
+            assert work.to_spectral(values).tobytes() == BandTransform(grid, ncomp).to_spectral(values).tobytes()
+            assert work.to_physical(band).tobytes() == BandTransform(grid, ncomp).to_physical(band).tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("size", [8, 16, 32, 64])
+def test_band_is_the_dealias_support(dim, size):
+    # the two-thirds rule: every integer |k_i| <= size/3 (so no Nyquist plane), on the half lattice
+    grid = Grid(dim=dim, size=size)
+    k = np.abs(np.fft.fftfreq(size, 1.0 / size))
+    mesh = np.meshgrid(*[k] * (dim - 1), k[: size // 2 + 1], indexing="ij")
+    kept = np.logical_and.reduce([k_i <= size / 3 for k_i in mesh])
+    assert np.array_equal(grid.dealias_mask, np.where(kept, 1.0, 0.0))
+    assert np.array_equal(grid.from_band(np.ones((1,) + grid.band_shape))[0], kept)
+    assert np.prod(grid.band_shape) == np.count_nonzero(kept)

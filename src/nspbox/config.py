@@ -35,7 +35,6 @@ DEFAULTS: dict[str, tuple] = {
     "params.lambda": (float, 0.0, "second viscosity, 2*mu + N*lambda >= 0"),
     "params.rho_bar": (float, 1.0, "background density, > 0"),
     "stepper.dt": (float, 1e-3, "time step"),
-    "stepper.scheme": (str, "etdrk2", "etdrk2 | imex-bdf2"),
     "stepper.n": (float, None, "truncation radius; default M (covers the lattice)"),
     "stepper.t_end": (float, 1.0, "final time"),
     "init.kind": (str, "random-band", " | ".join(INIT_KINDS)),
@@ -122,12 +121,7 @@ def parse_config(text: str) -> RunConfig:
 
     n = values["stepper.n"] if values["stepper.n"] is not None else float(grid.size)
     try:
-        stepper = StepperConfig(
-            dt=values["stepper.dt"],
-            n=n,
-            t_end=values["stepper.t_end"],
-            scheme=values["stepper.scheme"],
-        )
+        stepper = StepperConfig(dt=values["stepper.dt"], n=n, t_end=values["stepper.t_end"])
     except ValueError as exc:
         raise ConfigError(f"stepper: {exc}") from exc
     if n <= 1.0:

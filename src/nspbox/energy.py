@@ -4,10 +4,11 @@ Each dyadic shell carries a quadratic form alpha_k^2 mixing the density
 variable h and the gradient-part velocity c with a carefully signed cross
 term; with the constants chosen below the form is positive semidefinite and
 its decay rate along the linear flow is bounded below by min(2^{2k}, 1)
-times a positive constant.  The monitor evaluates these forms along runs,
+times a positive constant.  The monitor evaluates these forms along runs and
 accumulates the convection weight V(t) and the mixed sup/integral norm
-E(h, u, t), and exposes the damping and smoothing margins the acceptance
-suite checks.
+E(h, u, t).  The damping and smoothing margins the acceptance suite checks
+are computed post hoc from the monitor's reports (`damping_margins`,
+`fit_damping_constant`, `smoothing_integral`).
 """
 
 from __future__ import annotations
@@ -271,9 +272,6 @@ class EnergyReport:
     v_accum: float
     e_value: float
     e_ratio: float
-    smoothing_accum: float
-    damping_margin: float | None
-    smoothing_margin: float | None
     prim_norm: float
     prim_ratio: float
 
@@ -300,35 +298,21 @@ class EnergyMonitor:
     the mixed norm on the sample times.
     """
 
-    def __init__(
-        self,
-        params: FluidParams,
-        consts: EstimateConstants | None = None,
-        reg_index: float | None = None,
-        c_fit: float | None = None,
-        smoothing_c: float | None = None,
-    ):
+    def __init__(self, params: FluidParams, consts: EstimateConstants | None = None):
         self.params = params
         self.consts = consts if consts is not None else compute_constants(params)
-        self.reg_index = reg_index
-        self.c_fit = c_fit
-        self.smoothing_c = smoothing_c
         self._prev: dict | None = None
         self.sup_h = 0.0
         self.sup_u = 0.0
         self.int_h = 0.0
         self.int_u = 0.0
         self.v_accum = 0.0
-        self.smoothing_accum = 0.0
         self.e0: float | None = None
-        self.smoothing_initial: float | None = None
         self._prim_sup = np.zeros(3)
         self._prim_int = np.zeros(3)
-        self.prim_e0: float | None = None
 
     def __call__(self, s: NspState, flags=None) -> EnergyReport:
         n2 = 0.5 * s.grid.dim
-        reg = self.reg_index if self.reg_index is not None else n2
         # one shell spectrum per field; every norm below is a weighting of it.
         # theta = Lambda h and phi = -Lambda^-1 h reuse the radial power of h.
         # u is recomposed: |u|^2 = |c|^2 + |I|^2 mode by mode only when I lies
@@ -354,9 +338,6 @@ class EnergyMonitor:
         besov_u_high = spec_u.hybrid((n2 + 1.0, n2 + 1.0))
 
         shells = _shell_energies(grid, power_h, power_c, cross, self.consts, self.params)
-        smooth_now = sum(
-            2.0 ** (sh.k * (reg + 1.5)) * sh.norm_c for sh in shells if sh.k > 0
-        )
 
         prim_sup_now = np.array(
             [
@@ -375,8 +356,6 @@ class EnergyMonitor:
 
         if self._prev is None:
             self.e0 = hybrid_h + hybrid_u
-            self.prim_e0 = self.e0
-            self.smoothing_initial = spec_h.hybrid((reg, reg + 1.5)) + spec_c.hybrid((reg - 1.0, reg - 0.5))
         else:
             dt = s.t - self._prev["t"]
             if dt < 0:
@@ -384,7 +363,6 @@ class EnergyMonitor:
             self.int_h += 0.5 * dt * (self._prev["int_h"] + int_h_now)
             self.int_u += 0.5 * dt * (self._prev["int_u"] + int_u_now)
             self.v_accum += 0.5 * dt * (self._prev["besov_u"] + besov_u_high)
-            self.smoothing_accum += 0.5 * dt * (self._prev["smooth"] + smooth_now)
             self._prim_int += 0.5 * dt * (self._prev["prim_int"] + prim_int_now)
 
         self.sup_h = max(self.sup_h, hybrid_h)
@@ -394,34 +372,13 @@ class EnergyMonitor:
         e_value = self.sup_h + self.sup_u + self.int_h + self.int_u
         e_ratio = e_value / self.e0 if self.e0 and self.e0 > 0 else 0.0
         prim_norm = float(np.sum(self._prim_sup) + np.sum(self._prim_int))
-        prim_ratio = prim_norm / self.prim_e0 if self.prim_e0 and self.prim_e0 > 0 else 0.0
-
-        margin = None
-        if self.c_fit is not None and self._prev is not None:
-            dt = s.t - self._prev["t"]
-            if dt > 0:
-                margin = -np.inf
-                for sh, prev_a in zip(shells, self._prev["alphas"]):
-                    a_prev = np.sqrt(max(prev_a, 0.0))
-                    a_now = np.sqrt(max(sh.alpha_sq, 0.0))
-                    if a_prev < ALPHA_FLOOR:
-                        continue
-                    m = min(2.0 ** (2 * sh.k), 1.0)
-                    margin = max(margin, (a_now - a_prev) / dt + self.c_fit * m * a_prev)
-                margin = None if margin == -np.inf else float(margin)
-
-        smoothing_margin = None
-        if self.smoothing_c is not None and self.smoothing_initial is not None:
-            majorant = self.smoothing_c * (1.0 + self.v_accum) * self.smoothing_initial
-            smoothing_margin = float(self.smoothing_accum - majorant)
+        prim_ratio = prim_norm / self.e0 if self.e0 and self.e0 > 0 else 0.0
 
         self._prev = {
             "t": s.t,
             "int_h": int_h_now,
             "int_u": int_u_now,
             "besov_u": besov_u_high,
-            "smooth": smooth_now,
-            "alphas": [sh.alpha_sq for sh in shells],
             "prim_int": prim_int_now,
         }
 
@@ -436,9 +393,6 @@ class EnergyMonitor:
             v_accum=self.v_accum,
             e_value=e_value,
             e_ratio=e_ratio,
-            smoothing_accum=self.smoothing_accum,
-            damping_margin=margin,
-            smoothing_margin=smoothing_margin,
             prim_norm=prim_norm,
             prim_ratio=prim_ratio,
         )

@@ -77,9 +77,9 @@ class _RecordingMonitor:
         self.norm_records.append(rec.record_from_report(report, positivity=positivity, guarded=guarded))
         return report
 
-    def write(self, out_dir, stem: str = "records") -> None:
+    def write(self, out_dir) -> None:
         os.makedirs(out_dir, exist_ok=True)
-        rec.write_records(self.norm_records, os.path.join(out_dir, stem + ".ndjson"))
+        rec.write_records(self.norm_records, os.path.join(out_dir, "records.ndjson"))
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ class FluidParams:
     lam: float
     rho_bar: float
     dim: int
-    gamma: float = 2.0
 
     def __post_init__(self) -> None:
         if not (self.mu > 0):
@@ -59,8 +58,6 @@ class FluidParams:
             raise ValueError(f"background density must be positive, got {self.rho_bar}")
         if self.dim not in (2, 3):
             raise ValueError(f"dimension must be 2 or 3, got {self.dim}")
-        if self.gamma != 2.0:
-            raise ValueError("only the quadratic pressure law (gamma = 2) is supported")
 
     @property
     def beta(self) -> float:
@@ -183,13 +180,8 @@ def zeta(x, rho_bar: float):
     r = np.abs(np.asarray(x, dtype=np.float64))
     scalar = r.ndim == 0
     r = np.atleast_1d(r) / rho_bar
-    out = np.empty_like(r)
-
-    out[r <= 0.25] = 0.25
-    mid = (r >= 0.5) & (r <= 1.5)
-    out[mid] = r[mid]
-    out[r >= 1.75] = 1.75
-
+    # plateaus and the identity branch; the ramps overwrite the two gaps
+    out = np.clip(r, 0.25, 1.75)
     lo = (r > 0.25) & (r < 0.5)
     out[lo] = _hermite(r[lo], 0.25, 0.5, 0.25, 0.5, 0.0, 1.0)
     hi = (r > 1.5) & (r < 1.75)

@@ -76,8 +76,8 @@ def atomic_open(path, mode: str = "w"):
         raise
 
 
-def write_records(records: list[NormRecord], path, csv_path=None) -> None:
-    """Write NDJSON (one record per line) plus a CSV companion."""
+def write_records(records: list[NormRecord], path) -> None:
+    """Write NDJSON (one record per line) plus a CSV companion at `path` + ".csv"."""
     last_t = None
     for rec in records:
         if last_t is not None and rec.t <= last_t:
@@ -88,9 +88,7 @@ def write_records(records: list[NormRecord], path, csv_path=None) -> None:
             for rec in records:
                 # a shallow dict: `dataclasses.asdict` would deep-copy every alpha pair
                 fh.write(json.dumps({name: getattr(rec, name) for name in _FIELDS}) + "\n")
-        if csv_path is None:
-            csv_path = str(path) + ".csv"
-        with atomic_open(csv_path) as fh:
+        with atomic_open(str(path) + ".csv") as fh:
             fh.write(",".join(CSV_COLUMNS) + "\n")
             for rec in records:
                 fh.write(",".join(_csv_cell(getattr(rec, col)) for col in CSV_COLUMNS) + "\n")

@@ -3,7 +3,7 @@
 The stiff linear coupling of (h, c) and the heat flow of I are advanced by
 exact per-mode propagators precomputed once per (grid, params, dt); only the
 convection and forcing terms are treated explicitly, by second-order
-exponential time differencing (default) or IMEX-BDF2.  Every explicit
+exponential time differencing (ETDRK2, Cox & Matthews 2002).  Every explicit
 tendency is re-projected onto the truncation annulus, so projected states
 stay projected to round-off.
 """
@@ -32,9 +32,11 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "CHECKPOINT_MAGIC",
+    "CFL_MARGIN",
 ]
 
-SCHEMES = ("etdrk2", "imex-bdf2")
+# largest admissible convective number dt*|u|/dx
+CFL_MARGIN = 0.9
 
 
 class NumericalAbort(RuntimeError):
@@ -67,18 +69,12 @@ class StepperConfig:
     dt: float
     n: float
     t_end: float
-    scheme: str = "etdrk2"
-    cfl_margin: float = 0.9
 
     def __post_init__(self) -> None:
         if not (self.dt > 0):
             raise ValueError(f"time step must be positive, got {self.dt}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
         if self.t_end < 0:
             raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
-        if not (0 < self.cfl_margin <= 1):
-            raise ValueError("cfl_margin must lie in (0, 1]")
 
 
 class LinearBlock:
@@ -186,15 +182,11 @@ class FriedrichsStepper:
         self.linear_only = linear_only
         self.projector = FriedrichsProjector(grid, cfg.n)
         self.blocks = LinearBlock(grid, params, cfg.dt)
-        self._prev_tend: tuple[np.ndarray, ...] | None = None
         self.flags = StepFlags()
 
     # -- explicit tendencies ------------------------------------------------
 
     def _tendencies(self, s: NspState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self.linear_only:
-            z = np.zeros_like(s.h.coef)
-            return z, z, np.zeros_like(s.I.coef)
         th, tc, ti, diag = model.explicit_rhs(s, self.params, project_mask=self.projector.mask)
         self.flags.min_density = min(self.flags.min_density, diag.min_density)
         self.flags.max_speed = diag.max_speed
@@ -225,80 +217,41 @@ class FriedrichsStepper:
         if speed <= 0.0:
             return
         number = self.cfg.dt * speed / self.grid.spacing
-        if number > self.cfg.cfl_margin:
+        if number > CFL_MARGIN:
             raise NumericalAbort(
-                f"convective stability violated {when}: dt*|u|/dx = {number:.3f} "
-                f"> {self.cfg.cfl_margin}"
+                f"convective stability violated {when}: dt*|u|/dx = {number:.3f} > {CFL_MARGIN}"
             )
 
-    # -- schemes -------------------------------------------------------------
+    # -- stepping ------------------------------------------------------------
 
     def step(self, s: NspState) -> NspState:
+        """One ETDRK2 step.
+
+        A linear-only stepper has zero tendencies, so every phi-term vanishes
+        and only the exact propagators remain.
+        """
+        blocks, t_new = self.blocks, s.t + self.cfg.dt
+        if self.linear_only:
+            h_new, c_new = blocks.apply_exp(s.h.coef[0], s.c.coef[0])
+            out = self._wrap(h_new, c_new, blocks.heat_e * s.I.coef, t_new)
+        else:
+            n0 = self._tendencies(s)
+
+            eh, ec = blocks.apply_exp(s.h.coef[0], s.c.coef[0])
+            ph, pc = blocks.apply_phi1(n0[0][0], n0[1][0])
+            h_mid, c_mid = eh + ph, ec + pc
+            i_mid = blocks.heat_e * s.I.coef + blocks.heat_p1 * n0[2]
+
+            n1 = self._tendencies(self._wrap(h_mid, c_mid, i_mid, t_new))
+
+            dh, dc = blocks.apply_phi2(n1[0][0] - n0[0][0], n1[1][0] - n0[1][0])
+            i_new = i_mid + blocks.heat_p2 * (n1[2] - n0[2])
+            out = self._wrap(h_mid + dh, c_mid + dc, i_new, t_new)
         # a non-finite or mean-carrying input gives such an output, so `prepare`
         # and the output check below cover every state of a run
-        if self.cfg.scheme == "etdrk2" or self._prev_tend is None:
-            out = self._step_etdrk2(s)
-        else:
-            out = self._step_imex_bdf2(s)
         self._check_cfl(self.flags.max_speed, f"at t = {out.t:.6g}")
         self._check_health(out)
         return out
-
-    def _step_etdrk2(self, s: NspState) -> NspState:
-        blocks = self.blocks
-        if self.linear_only and self.cfg.scheme == "etdrk2":
-            # zero tendencies: every phi-term vanishes and only the exact propagators remain
-            h_new, c_new = blocks.apply_exp(s.h.coef[0], s.c.coef[0])
-            return self._wrap(h_new, c_new, blocks.heat_e * s.I.coef, s.t + self.cfg.dt)
-        n0 = self._tendencies(s)
-
-        eh, ec = blocks.apply_exp(s.h.coef[0], s.c.coef[0])
-        ph, pc = blocks.apply_phi1(n0[0][0], n0[1][0])
-        h_mid, c_mid = eh + ph, ec + pc
-        i_mid = blocks.heat_e * s.I.coef + blocks.heat_p1 * n0[2]
-
-        mid = self._wrap(h_mid, c_mid, i_mid, s.t + self.cfg.dt)
-        n1 = self._tendencies(mid)
-
-        dh, dc = blocks.apply_phi2(n1[0][0] - n0[0][0], n1[1][0] - n0[1][0])
-        h_new, c_new = h_mid + dh, c_mid + dc
-        i_new = i_mid + blocks.heat_p2 * (n1[2] - n0[2])
-
-        if self.cfg.scheme == "imex-bdf2":
-            self._prev_state = (s.h.coef.copy(), s.c.coef.copy(), s.I.coef.copy())
-            self._prev_tend = n0
-        return self._wrap(h_new, c_new, i_new, s.t + self.cfg.dt)
-
-    def _step_imex_bdf2(self, s: NspState) -> NspState:
-        # (3 z_{n+1} - 4 z_n + z_{n-1}) / (2 dt) = L z_{n+1} + 2 N_n - N_{n-1}
-        dt = self.cfg.dt
-        n_now = self._tendencies(s)
-        prev_h, prev_c, prev_i = self._prev_state
-        n_prev = self._prev_tend
-
-        rhs_h = 4.0 * s.h.coef[0] - prev_h[0] + 2.0 * dt * (2.0 * n_now[0][0] - n_prev[0][0])
-        rhs_c = 4.0 * s.c.coef[0] - prev_c[0] + 2.0 * dt * (2.0 * n_now[1][0] - n_prev[1][0])
-        rhs_i = 4.0 * s.I.coef - prev_i + 2.0 * dt * (2.0 * n_now[2] - n_prev[2])
-
-        r = self._bdf2_resolvent()
-        h_new = r["00"] * rhs_h + r["01"] * rhs_c
-        c_new = r["10"] * rhs_h + r["11"] * rhs_c
-        i_new = rhs_i / (3.0 + 2.0 * dt * self.params.nu_i * self.grid.lam_sq)
-
-        self._prev_state = (s.h.coef.copy(), s.c.coef.copy(), s.I.coef.copy())
-        self._prev_tend = n_now
-        return self._wrap(h_new, c_new, i_new, s.t + dt)
-
-    def _bdf2_resolvent(self) -> dict[str, np.ndarray]:
-        if not hasattr(self, "_bdf2_cache"):
-            dt, params, grid = self.cfg.dt, self.params, self.grid
-            q = grid.lam_sq
-            # inverse of [[3, 2 dt rho], [-2 dt (q+1), 3 + 2 dt nu_c q]] per mode
-            a, b = 3.0 * np.ones_like(q), 2.0 * dt * params.rho_bar * np.ones_like(q)
-            c, d = -2.0 * dt * (q + 1.0), 3.0 + 2.0 * dt * params.nu_c * q
-            det = a * d - b * c
-            self._bdf2_cache = {"00": d / det, "01": -b / det, "10": -c / det, "11": a / det}
-        return self._bdf2_cache
 
     def _wrap(self, h: np.ndarray, c: np.ndarray, i: np.ndarray, t: float) -> NspState:
         grid = self.grid
@@ -318,7 +271,7 @@ class FriedrichsStepper:
             u_phys = s.velocity().to_physical()
             speed = float(np.max(np.sqrt(np.sum(u_phys**2, axis=0))))
             number = self.cfg.dt * speed / self.grid.spacing
-            if number > self.cfg.cfl_margin:
+            if number > CFL_MARGIN:
                 raise ValueError(
                     f"initial data violates the stability bound: dt*|u|/dx = {number:.3f}"
                 )

@@ -385,7 +385,7 @@ def test_criterion_11_integrator_order(grid3):
     t_end = 0.05
     finals = []
     for dt in (1e-3, 5e-4, 2.5e-4):
-        cfg = StepperConfig(dt=dt, n=float(grid3.size), t_end=t_end, scheme="etdrk2")
+        cfg = StepperConfig(dt=dt, n=float(grid3.size), t_end=t_end)
         s0 = small_state(grid3, seed=106, amp=0.05)
         stepper = FriedrichsStepper(grid3, PARAMS, cfg)
         finals.append(stepper.run(s0, stride=10**9).final_state)

@@ -26,7 +26,6 @@ class TestParseConfig:
         assert cfg.params.lam == 0.0
         assert cfg.params.rho_bar == 1.0
         assert cfg.stepper.dt == 1e-3
-        assert cfg.stepper.scheme == "etdrk2"
         assert cfg.stepper.n == 32.0
         assert cfg.init_kind == "random-band"
         assert cfg.monitor_stride == 10
@@ -55,6 +54,11 @@ class TestParseConfig:
         # products are always dealiased; an old config that sets the switch fails loudly
         with pytest.raises(ConfigError, match="line 2: unknown key 'stepper.dealias'"):
             parse_config("grid.M = 16\nstepper.dealias = true\n")
+
+    def test_removed_scheme_key_rejected(self):
+        # ETDRK2 is the only integrator; an old config that names one fails loudly
+        with pytest.raises(ConfigError, match="line 2: unknown key 'stepper.scheme'"):
+            parse_config("grid.M = 16\nstepper.scheme = etdrk2\n")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -226,9 +230,9 @@ class TestRecords:
         written = []
         plain = records.write_records
 
-        def capture(recs, path, csv_path=None):
+        def capture(recs, path):
             written.append(recs)
-            plain(recs, path, csv_path)
+            plain(recs, path)
 
         monkeypatch.setattr(records, "write_records", capture)
         cfg = parse_config("grid.M = 16\nstepper.dt = 1e-3\nstepper.t_end = 0.01\nmonitor.stride = 2\n")

@@ -424,13 +424,12 @@ class TestMonitor:
 
     def test_damping_margin_field_with_c_fit(self, grid3):
         consts = compute_constants(PARAMS)
-        monitor = EnergyMonitor(PARAMS, consts, c_fit=1e-6)
+        monitor = EnergyMonitor(PARAMS, consts)
         s0 = random_pair_state(grid3, seed=70)
         cfg = StepperConfig(dt=1e-3, n=float(grid3.size), t_end=0.02)
         traj = FriedrichsStepper(grid3, PARAMS, cfg, linear_only=True).run(s0, monitor=monitor, stride=5)
-        assert traj.records[0].damping_margin is None
-        later = [r.damping_margin for r in traj.records[1:]]
-        assert all(m is not None and m <= 1e-8 for m in later)
+        margins = damping_margins(traj.records, c_fit=1e-6)
+        assert all(m <= 1e-8 for m in margins.values())
 
     def test_smoothing_margin_with_calibrated_constant(self, grid3):
         from frozen import FROZEN
@@ -440,12 +439,17 @@ class TestMonitor:
         c0 = random_field(grid3, 1, rng, xi_lo=2.0)
         s0 = NspState(h=SpectralField.zeros(grid3), c=c0, I=SpectralField.zeros(grid3, 3))
         cfg = StepperConfig(dt=1e-3, n=float(grid3.size), t_end=0.3)
-        monitor = EnergyMonitor(
-            PARAMS, consts, smoothing_c=FROZEN["smoothing_majorant_constant"]
-        )
+        monitor = EnergyMonitor(PARAMS, consts)
         traj = FriedrichsStepper(grid3, PARAMS, cfg, linear_only=True).run(s0, monitor=monitor, stride=10)
-        margins = [r.smoothing_margin for r in traj.records]
-        assert all(m is not None for m in margins)
+        # the majorant C (1 + V(t)) (||h0||_{B^{s,s+3/2}} + ||c0||_{B^{s-1,s-1/2}}) at s = N/2
+        initial = hybrid_norm(s0.h, (1.5, 3.0)) + hybrid_norm(s0.c, (0.5, 1.0))
+        recs = traj.records
+        margins = [
+            smoothing_integral(recs[: i + 1], 1.5)
+            - FROZEN["smoothing_majorant_constant"] * (1.0 + r.v_accum) * initial
+            for i, r in enumerate(recs)
+        ]
+        assert len(margins) == 31
         assert all(m <= 0.0 for m in margins)
 
     def test_convection_weight_series(self, grid3):

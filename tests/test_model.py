@@ -8,6 +8,7 @@ from nspbox.model import (
     FluidParams,
     NspState,
     PrimitiveState,
+    _hermite,
     explicit_rhs,
     from_primitive,
     to_primitive,
@@ -68,10 +69,6 @@ class TestFluidParams:
         with pytest.raises(ValueError, match="density"):
             FluidParams(mu=1.0, lam=0.0, rho_bar=0.0, dim=3)
 
-    def test_only_quadratic_pressure(self):
-        with pytest.raises(ValueError, match="gamma"):
-            FluidParams(mu=1.0, lam=0.0, rho_bar=1.0, dim=3, gamma=1.4)
-
 
 class TestZeta:
     def test_branch_values(self):
@@ -114,6 +111,31 @@ class TestZeta:
     def test_rho_bar_validation(self):
         with pytest.raises(ValueError):
             zeta(1.0, 0.0)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        rho=st.floats(min_value=0.05, max_value=20.0),
+        xs=st.lists(
+            st.floats(min_value=-3.0, max_value=3.0)
+            | st.sampled_from([0.0, 0.25, 0.5, 1.5, 1.75, -0.25, -0.5, -1.5, -1.75]),
+            min_size=1,
+            max_size=64,
+        ),
+    )
+    def test_equals_the_five_documented_branches_bitwise(self, rho, xs):
+        x = np.array(xs) * rho
+        r = np.abs(x) / rho
+        branches = np.select(
+            [r <= 0.25, r < 0.5, r <= 1.5, r < 1.75],
+            [
+                np.full_like(r, 0.25),
+                _hermite(r, 0.25, 0.5, 0.25, 0.5, 0.0, 1.0),
+                r,
+                _hermite(r, 1.5, 1.75, 1.5, 1.75, 1.0, 0.0),
+            ],
+            default=1.75,
+        )
+        assert np.array_equal(zeta(x, rho), branches * rho)
 
 
 class TestConversions:

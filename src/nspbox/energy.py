@@ -6,7 +6,8 @@ term; with the constants chosen below the form is positive semidefinite and
 its decay rate along the linear flow is bounded below by min(2^{2k}, 1)
 times a positive constant.  The monitor evaluates these forms along runs and
 accumulates the convection weight V(t) and the mixed sup/integral norm
-E(h, u, t).  The damping and smoothing margins the acceptance suite checks
+E(h, u, t), all from one set of radial powers per sample (`state_powers`;
+u from an identity of 2-forms, not recomposed).  The damping and smoothing margins the acceptance suite checks
 are computed post hoc from the monitor's reports (`damping_margins`,
 `fit_damping_constant`, `smoothing_integral`).
 """
@@ -14,12 +15,13 @@ are computed post hoc from the monitor's reports (`damping_margins`,
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import combinations
 
 import numpy as np
 
 from . import lp
 from .model import FluidParams, NspState
-from .spectral import Grid
+from .spectral import Grid, antisym_pairs
 
 __all__ = [
     "EstimateConstants",
@@ -29,6 +31,7 @@ __all__ = [
     "GlobalBoundVerdict",
     "compute_constants",
     "feasibility_margins",
+    "state_powers",
     "all_shell_energies",
     "equivalence_bounds",
     "display_equivalence_bounds",
@@ -148,15 +151,28 @@ class ShellEnergy:
     weighted: dict[str, float] = dc_field(default_factory=dict)
 
 
-def _pair_powers(s: NspState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """|h|^2, |c|^2 and Re h c* reduced onto `Grid.radii`."""
-    h_hat, c_hat = s.h.coef[0], s.c.coef[0]
-    cross = s.grid.radial_sum((h_hat * np.conj(c_hat)).real)
-    return lp.radial_power(s.h), lp.radial_power(s.c), cross
+def state_powers(s: NspState) -> np.ndarray:
+    """Radial powers of h, c, Re h c*, I and u: the rows of a (5, `Grid.radii`) array.
+
+    u is not recomposed.  For xi != 0, u = -i n c - i n.I with n = xi/|xi|; n.I is orthogonal to n
+    and |n.I|^2 + |n^I|^2 = |I|^2 for any 2-form I, in the curl image or not, so mode by mode
+    |u|^2 = |c|^2 + |I|^2 - sum_{i<j<k} |n_i I_jk - n_j I_ik + n_k I_ij|^2, whose terms are formed
+    with `Grid.riesz` = i n (same modulus).  At xi = 0, u is 0.
+    """
+    grid, riesz = s.grid, s.grid.riesz
+    pair = dict(zip(antisym_pairs(grid.dim), s.I.coef))
+    power_c, power_I = lp.mode_power(s.c.coef), lp.mode_power(s.I.coef)
+    power_u = power_c + power_I
+    for i, j, k in combinations(range(grid.dim), 3):
+        power_u -= lp.mode_power([riesz[i] * pair[j, k] - riesz[j] * pair[i, k] + riesz[k] * pair[i, j]])
+    cross = (s.h.coef[0] * np.conj(s.c.coef[0])).real
+    powers = np.array([grid.radial_sum(p) for p in (lp.mode_power(s.h.coef), power_c, cross, power_I, power_u)])
+    powers[4, 0] = 0.0
+    return powers
 
 
 def _shell_energies(grid: Grid, power_h, power_c, cross, consts: EstimateConstants, params: FluidParams):
-    """Every shell's `ShellEnergy` from the radial reductions of `_pair_powers`, as (shells, radii) products."""
+    """Every shell's `ShellEnergy` from the h, c and cross rows of `state_powers`, as (shells, radii) products."""
     rho, beta = params.rho_bar, params.beta
     filters = lp.shell_filters(grid)
     w, r = filters.radial_masks**2, grid.radii
@@ -193,7 +209,7 @@ def _shell_energies(grid: Grid, power_h, power_c, cross, consts: EstimateConstan
 
 
 def all_shell_energies(s: NspState, consts: EstimateConstants, params: FluidParams) -> list[ShellEnergy]:
-    return _shell_energies(s.grid, *_pair_powers(s), consts, params)
+    return _shell_energies(s.grid, *state_powers(s)[:3], consts, params)
 
 
 def _shell_lams(grid: Grid, k: int) -> np.ndarray:
@@ -284,10 +300,10 @@ class GlobalBoundVerdict:
 
 
 def initial_energy(s: NspState) -> float:
-    """E(0): hybrid norm of h at the sup indices plus that of u."""
+    """E(0): hybrid norm of h at the sup indices plus that of u, from `state_powers`."""
     n2 = 0.5 * s.grid.dim
-    u = s.velocity()
-    return lp.hybrid_norm(s.h, (n2 - 1.5, n2 + 1.0)) + lp.hybrid_norm(u, (n2 - 1.5, n2 - 1.0))
+    spec_h, spec_u = map(lp.shell_filters(s.grid).spectrum, state_powers(s)[[0, 4]])
+    return spec_h.hybrid((n2 - 1.5, n2 + 1.0)) + spec_u.hybrid((n2 - 1.5, n2 - 1.0))
 
 
 class EnergyMonitor:
@@ -313,21 +329,15 @@ class EnergyMonitor:
 
     def __call__(self, s: NspState, flags=None) -> EnergyReport:
         n2 = 0.5 * s.grid.dim
-        # one shell spectrum per field; every norm below is a weighting of it.
-        # theta = Lambda h and phi = -Lambda^-1 h reuse the radial power of h.
-        # u is recomposed: |u|^2 = |c|^2 + |I|^2 mode by mode only when I lies
-        # in the curl image, which a loaded checkpoint need not satisfy.
-        grid = s.grid
-        filters = lp.shell_filters(grid)
-        power_h, power_c, cross = _pair_powers(s)
+        # one pass over the half lattice gives every radial power, u without recomposition; each norm
+        # below weights one shell spectrum.  theta = Lambda h and phi = -Lambda^-1 h reuse that of h.
+        grid, filters = s.grid, lp.shell_filters(s.grid)
+        power_h, power_c, cross, power_I, power_u = state_powers(s)
         r_sq = grid.radii_sq
         inv_r_sq = np.divide(1.0, r_sq, out=np.zeros_like(r_sq), where=r_sq > 0)
-        spec_h = filters.spectrum(power_h)
-        spec_u = lp.dyadic_spectrum(s.velocity())
-        spec_c = filters.spectrum(power_c)
-        spec_I = lp.dyadic_spectrum(s.I)
-        spec_theta = filters.spectrum(r_sq * power_h)
-        spec_phi = filters.spectrum(inv_r_sq * power_h)
+        spec_h, spec_c, spec_I, spec_u, spec_theta, spec_phi = map(
+            filters.spectrum, (power_h, power_c, power_I, power_u, r_sq * power_h, inv_r_sq * power_h)
+        )
 
         hybrid_h = spec_h.hybrid((n2 - 1.5, n2 + 1.0))
         hybrid_u = spec_u.hybrid((n2 - 1.5, n2 - 1.0))

@@ -17,15 +17,16 @@ The cutoffs are radial, so `shell_filters` evaluates the profile once per
 distinct |xi| of the grid (`Grid.radii`) and keeps those (shells, radii)
 masks; `ShellFilters.masks` is their gather onto the half lattice, and
 `ShellFilters.mask` and `dyadic_block` stay plain multipliers.  A shell
-spectrum needs only the radial power `radial_power(f)`, the Hermitian-weighted
-sum of |coef|^2 over each radius: block norm k is
-sqrt(sum_r mask_k(r)^2 power(r)).
+spectrum needs only the radial power `radial_power(f)`: `mode_power` (re^2 +
+im^2 summed over the components) Hermitian-weighted and summed over each
+radius.  Block norm k is sqrt(sum_r mask_k(r)^2 power(r)); a hybrid norm is
+one dot product of the block norms with the weights 2^{ks} or 2^{kt}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -41,6 +42,7 @@ __all__ = [
     "shell_range",
     "shell_filters",
     "dyadic_block",
+    "mode_power",
     "radial_power",
     "dyadic_spectrum",
     "besov_norm",
@@ -143,11 +145,8 @@ class DyadicSpectrum:
     def hybrid(self, idx) -> float:
         """Low shells weighted by 2^{ks}, high shells by 2^{kt}, split at k = 0."""
         hidx = _as_index(idx)
-        total = 0.0
-        for k, bn in zip(self.ks, self.block_norms):
-            w = 2.0 ** (k * hidx.s) if k <= 0 else 2.0 ** (k * hidx.t)
-            total += w * bn
-        return total
+        ks = self.ks
+        return 2.0 ** (ks * np.where(ks <= 0, hidx.s, hidx.t)) @ self.block_norms
 
 
 def shell_range(grid: Grid) -> tuple[int, int]:
@@ -203,9 +202,14 @@ def dyadic_block(f: SpectralField, k: int) -> SpectralField:
     return SpectralField(f.grid, f.coef * shell_filters(f.grid).mask(k))
 
 
+def mode_power(coef: np.ndarray) -> np.ndarray:
+    """Per stored mode, re^2 + im^2 of a (ncomp, ...) array summed over the components in order."""
+    return reduce(np.add, (comp.real**2 + comp.imag**2 for comp in coef))
+
+
 def radial_power(f: SpectralField) -> np.ndarray:
-    """sum |coef|^2 over components and over each distinct |xi|, Hermitian-weighted."""
-    return f.grid.radial_sum(np.sum(np.abs(f.coef) ** 2, axis=0))
+    """`mode_power` of f summed over each distinct |xi|, Hermitian-weighted."""
+    return f.grid.radial_sum(mode_power(f.coef))
 
 
 def dyadic_spectrum(f: SpectralField) -> DyadicSpectrum:

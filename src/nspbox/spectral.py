@@ -156,8 +156,9 @@ class Grid:
         The stored modes are weighted by `hermitian_weight`, so a sum of
         ``|coef|^2`` over the result is a squared L2 norm.
         """
-        weighted = (self.hermitian_weight * values).ravel()
-        return np.bincount(self.radial_index.ravel(), weights=weighted, minlength=self.radii_sq.size)
+        weighted = 2.0 * values  # == hermitian_weight * values, without a slow short-axis broadcast
+        weighted[..., 0], weighted[..., -1] = values[..., 0], values[..., -1]
+        return np.bincount(self.radial_index.ravel(), weights=weighted.ravel(), minlength=self.radii_sq.size)
 
     @cached_property
     def nyquist_mask(self) -> np.ndarray:

@@ -198,18 +198,12 @@ class FriedrichsStepper:
         return th.coef, tc.coef, ti.coef
 
     def _check_health(self, s: NspState) -> None:
-        if not (
-            np.isfinite(s.h.coef).all()
-            and np.isfinite(s.c.coef).all()
-            and np.isfinite(s.I.coef).all()
-        ):
+        # the maxima propagate NaN and inf, so one scan per field also checks finiteness
+        peak_h, peak_c = float(np.max(np.abs(s.h.coef))), float(np.max(np.abs(s.c.coef)))
+        if not (np.isfinite(peak_h) and np.isfinite(peak_c) and np.isfinite(s.I.coef).all()):
             raise NumericalAbort(f"non-finite coefficients at t = {s.t:.6g}")
-        drift = max(
-            float(np.max(np.abs(s.h.zero_mode()))),
-            float(np.max(np.abs(s.c.zero_mode()))),
-            float(np.max(np.abs(s.I.zero_mode()))),
-        )
-        scale = max(float(np.max(np.abs(s.h.coef))), float(np.max(np.abs(s.c.coef))), 1.0)
+        drift = max(float(np.max(np.abs(f.zero_mode()))) for f in (s.h, s.c, s.I))
+        scale = max(peak_h, peak_c, 1.0)
         if drift > 1e-12 * scale:
             raise NumericalAbort(f"state acquired a mean at t = {s.t:.6g} (drift {drift:.3e})")
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh
 
 from nspbox.energy import (
@@ -19,10 +20,11 @@ from nspbox.energy import (
     initial_energy,
     linear_decay_rate_bound,
     smoothing_integral,
+    state_powers,
 )
-from nspbox.lp import DEFAULT_PROFILE, besov_norm, dyadic_block, dyadic_spectrum, hybrid_norm, shell_filters
+from nspbox.lp import DEFAULT_PROFILE, dyadic_block, dyadic_spectrum, hybrid_norm, radial_power, shell_filters
 from nspbox.model import FluidParams, NspState
-from nspbox.spectral import SpectralField, random_field
+from nspbox.spectral import Grid, SpectralField, helmholtz_decompose, inner, l2_norm, random_field
 from nspbox.stepper import FriedrichsStepper, StepperConfig
 
 from conftest import wave
@@ -358,6 +360,42 @@ class TestGlobalBound:
         assert not verdict.passed
 
 
+POWER_GRIDS = {"grid2": Grid(dim=2, size=16), "grid3": Grid(dim=3, size=16)}
+
+
+@pytest.mark.parametrize("grid_name", sorted(POWER_GRIDS))
+class TestStatePowers:
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16), curl_image=st.booleans())
+    def test_rows_match_per_field_powers(self, grid_name, seed, curl_image):
+        # the u row comes from the 2-form identity, without recomposing u; it
+        # must hold for I off the curl image too (e.g. a loaded checkpoint)
+        grid = POWER_GRIDS[grid_name]
+        rng = np.random.default_rng(seed)
+        h, c = random_field(grid, 1, rng), random_field(grid, 1, rng)
+        if curl_image:
+            I = helmholtz_decompose(random_field(grid, grid.dim, rng)).I
+        else:
+            I = random_field(grid, grid.dim * (grid.dim - 1) // 2, rng)
+        s = NspState(h=h, c=c, I=I)
+        power_h, power_c, cross, power_I, power_u = state_powers(s)
+        assert np.array_equal(power_h, radial_power(h))
+        assert np.array_equal(power_c, radial_power(c))
+        assert np.array_equal(power_I, radial_power(I))
+        assert abs(np.sum(cross) - inner(h, c)) <= 1e-13 * l2_norm(h) * l2_norm(c)
+        expected = radial_power(s.velocity())
+        assert np.all(np.abs(power_u - expected) <= 1e-14 * expected)
+
+    def test_zero_mode_bin_is_zero(self, grid_name):
+        # u has no mean even when c and I carry one
+        grid = POWER_GRIDS[grid_name]
+        s = small_state(grid, seed=76, amp=1e-2)
+        zero = (slice(None),) + (0,) * grid.dim
+        s.c.coef[zero], s.I.coef[zero] = 1.0, 2.0
+        assert state_powers(s)[4, 0] == 0.0
+        assert radial_power(s.velocity())[0] == 0.0
+
+
 class TestMonitor:
     def test_ratio_starts_at_one_and_e_monotone(self, grid3):
         consts = compute_constants(PARAMS)
@@ -383,12 +421,13 @@ class TestMonitor:
         s0 = small_state(grid3, seed=73, amp=1e-3)
         report = EnergyMonitor(PARAMS)(s0)
         n2 = 0.5 * grid3.dim
-        u = s0.velocity()
+        # u is read from the state-level powers; TestStatePowers ties them to s.velocity()
+        spec_u = shell_filters(grid3).spectrum(state_powers(s0)[4])
         assert report.hybrid_h == hybrid_norm(s0.h, (n2 - 1.5, n2 + 1.0))
         assert report.hybrid_c == hybrid_norm(s0.c, (n2 - 1.5, n2 - 1.0))
         assert report.hybrid_I == hybrid_norm(s0.I, (n2 - 1.5, n2 - 1.0))
-        assert report.hybrid_u == hybrid_norm(u, (n2 - 1.5, n2 - 1.0))
-        assert report.besov_u_high == besov_norm(u, n2 + 1.0)
+        assert report.hybrid_u == spec_u.hybrid((n2 - 1.5, n2 - 1.0))
+        assert report.besov_u_high == spec_u.hybrid((n2 + 1.0, n2 + 1.0))
 
     def test_primitive_norm_reads_theta_and_phi_spectra(self, grid3):
         # theta = Lambda h and phi = -Lambda^-1 h are weighted from the radial power of h

@@ -201,6 +201,16 @@ class TestStep:
         with pytest.raises(NumericalAbort, match="non-finite"):
             FriedrichsStepper(grid3, PARAMS, cfg).step(s)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["h", "c", "I"])
+    def test_non_finite_in_any_field_aborts(self, grid3, name, bad):
+        cfg = StepperConfig(dt=1e-3, n=8.0, t_end=0.01)
+        s = small_state(grid3, seed=47, amp=1e-2)
+        getattr(s, name).coef[0, 1, 0, 0] = bad
+        # prepare checks the projected state before the fields mix
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalAbort, match="non-finite coefficients"):
+            FriedrichsStepper(grid3, PARAMS, cfg).prepare(s)
+
     def test_initial_cfl_violation_rejected(self, grid3):
         cfg = StepperConfig(dt=1.0, n=8.0, t_end=1.0)
         stepper = FriedrichsStepper(grid3, PARAMS, cfg)

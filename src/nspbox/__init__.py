@@ -16,8 +16,8 @@ from .spectral import (
     helmholtz_decompose,
     helmholtz_recompose,
 )
-from .lp import HybridIndex, besov_norm, hybrid_norm, dyadic_block
-from .model import FluidParams, NspState, PrimitiveState, from_primitive, to_primitive
+from .lp import besov_norm, hybrid_norm, dyadic_block
+from .model import FluidParams, NspState, PrimitiveState, from_primitive
 from .stepper import FriedrichsProjector, FriedrichsStepper, StepperConfig
 from .energy import EnergyMonitor, EstimateConstants, compute_constants
 
@@ -29,7 +29,6 @@ __all__ = [
     "poisson_solve",
     "helmholtz_decompose",
     "helmholtz_recompose",
-    "HybridIndex",
     "besov_norm",
     "hybrid_norm",
     "dyadic_block",
@@ -37,7 +36,6 @@ __all__ = [
     "NspState",
     "PrimitiveState",
     "from_primitive",
-    "to_primitive",
     "FriedrichsProjector",
     "FriedrichsStepper",
     "StepperConfig",

@@ -1,8 +1,8 @@
 """Line-oriented run configuration: `section.key = value` pairs.
 
 Unknown keys are rejected, every value is validated against the physical
-and numerical invariants, and parse failures carry the offending line
-number.  An empty document yields the documented defaults.
+and numerical invariants (float values must be finite), and parse failures
+carry the offending line number.  An empty document yields the documented defaults.
 """
 
 from __future__ import annotations
@@ -95,6 +95,8 @@ def parse_config(text: str) -> RunConfig:
             text_value, lineno = raw[key]
             try:
                 values[key] = caster(text_value)
+                if caster is float and not math.isfinite(values[key]):
+                    raise ValueError(f"non-finite value {text_value!r}")
             except ValueError as exc:
                 raise ConfigError(f"invalid value for {key}: {exc}", lineno) from exc
         else:

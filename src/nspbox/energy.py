@@ -7,14 +7,17 @@ its decay rate along the linear flow is bounded below by min(2^{2k}, 1)
 times a positive constant.  The monitor evaluates these forms along runs and
 accumulates the convection weight V(t) and the mixed sup/integral norm
 E(h, u, t), all from one set of radial powers per sample (`state_powers`;
-u from an identity of 2-forms, not recomposed).  The damping and smoothing margins the acceptance suite checks
-are computed post hoc from the monitor's reports (`damping_margins`,
-`fit_damping_constant`, `smoothing_integral`).
+u from an identity of 2-forms, not recomposed).  A `ShellEnergy` keeps a
+shell's alpha_k^2 and its h and c block norms, nothing else.  The damping
+and smoothing margins the acceptance suite checks are computed post hoc from
+the monitor's reports (`damping_margins`, `fit_damping_constant`,
+`smoothing_integral`); the two damping fits read one (steps, shells) table
+of consecutive alpha pairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -53,12 +56,11 @@ ALPHA_FLOOR = 1e-14
 
 @dataclass(frozen=True)
 class EstimateConstants:
-    """Coupling constants of the shell energies plus bookkeeping knobs.
+    """Coupling constants of the shell energies and the global-bound factors.
 
     K1, M1, M2 drive the low-frequency form, K2, M3 the high-frequency one.
-    K is the convection-weight gain (default 0: reweighting is applied in
-    post-processing, never inside the solver).  A and c_tilde parameterize
-    the small-data bound threshold A * c_tilde * E(0).
+    A and c_tilde parameterize the small-data bound threshold
+    A * c_tilde * E(0).
     """
 
     K1: float
@@ -66,12 +68,11 @@ class EstimateConstants:
     M2: float
     K2: float
     M3: float
-    K: float = 0.0
     A: float = 16.0
     c_tilde: float = 1.0
 
 
-def compute_constants(params: FluidParams, K: float = 0.0, A: float = 16.0, c_tilde: float = 1.0) -> EstimateConstants:
+def compute_constants(params: FluidParams, A: float = 16.0, c_tilde: float = 1.0) -> EstimateConstants:
     """Closed-form admissible constants for the given fluid parameters."""
     rho, beta = params.rho_bar, params.beta
     consts = EstimateConstants(
@@ -80,7 +81,6 @@ def compute_constants(params: FluidParams, K: float = 0.0, A: float = 16.0, c_ti
         M2=5.0 * rho / (16.0 * beta),
         K2=beta / (4.0 * rho**2),
         M3=beta / (2.0 * rho**2),
-        K=K,
         A=A,
         c_tilde=c_tilde,
     )
@@ -148,7 +148,6 @@ class ShellEnergy:
     alpha_sq: float
     norm_h: float
     norm_c: float
-    weighted: dict[str, float] = dc_field(default_factory=dict)
 
 
 def state_powers(s: NspState) -> np.ndarray:
@@ -190,22 +189,9 @@ def _shell_energies(grid: Grid, power_h, power_c, cross, consts: EstimateConstan
     alpha_high = (
         (lam12_h + lam32_h) / rho + beta * consts.K2 / rho**2 * lam52_h + lam12_c - 2.0 * consts.K2 * cross_high
     )
-    shells = []
-    for i, k in enumerate(filters.ks):
-        if k <= 0:
-            alpha_sq = alpha_low[i]
-            weighted = {"lam_h": np.sqrt(lam_h_sq[i]), "cross": cross_low[i]}
-        else:
-            alpha_sq = alpha_high[i]
-            weighted = {
-                "lam12_h": np.sqrt(lam12_h[i]),
-                "lam32_h": np.sqrt(lam32_h[i]),
-                "lam52_h": np.sqrt(lam52_h[i]),
-                "lam12_c": np.sqrt(lam12_c[i]),
-                "cross": cross_high[i],
-            }
-        shells.append(ShellEnergy(k, float(alpha_sq), float(norm_h[i]), float(norm_c[i]), weighted))
-    return shells
+    alpha_sq = np.where(np.array(filters.ks) <= 0, alpha_low, alpha_high)
+    rows = zip(filters.ks, alpha_sq, norm_h, norm_c)
+    return [ShellEnergy(k, float(a), float(nh), float(nc)) for k, a, nh, nc in rows]
 
 
 def all_shell_energies(s: NspState, consts: EstimateConstants, params: FluidParams) -> list[ShellEnergy]:
@@ -419,44 +405,38 @@ def _alpha_matrix(reports: list[EnergyReport]) -> tuple[np.ndarray, np.ndarray, 
     return times, ks, alphas
 
 
+def _alpha_steps(reports: list[EnergyReport]):
+    """Consecutive alpha pairs of every shell, for the damping fits.
+
+    Returns (ks, m, a0, a1, dt, floor): a0 and a1 are alpha at the start and
+    end of each step, shape (steps, shells); dt has shape (steps, 1); m is
+    min(2^{2k}, 1) per shell; a shell at or below `floor` counts as empty.
+    """
+    if len(reports) < 3:
+        raise ValueError("need at least 3 monitored instants")
+    times, ks, alphas = _alpha_matrix(reports)
+    floor = ALPHA_FLOOR * max(float(alphas.max(initial=0.0)), 1.0)
+    return ks, np.minimum(2.0 ** (2 * ks), 1.0), alphas[:-1], alphas[1:], np.diff(times)[:, None], floor
+
+
 def fit_damping_constant(reports: list[EnergyReport]) -> float:
     """Largest c for which every shell obeys the decay inequality on this run."""
-    if len(reports) < 3:
-        raise ValueError("need at least 3 monitored instants to fit a decay constant")
-    times, ks, alphas = _alpha_matrix(reports)
-    scale = float(alphas.max(initial=0.0))
-    c_fit = np.inf
-    for j, k in enumerate(ks):
-        m = min(2.0 ** (2 * k), 1.0)
-        for i in range(len(times) - 1):
-            a0, a1 = alphas[i, j], alphas[i + 1, j]
-            if a0 <= ALPHA_FLOOR * max(scale, 1.0):
-                continue
-            dt = times[i + 1] - times[i]
-            c_fit = min(c_fit, -(a1 - a0) / (dt * m * a0))
+    _, m, a0, a1, dt, floor = _alpha_steps(reports)
+    with np.errstate(divide="ignore", invalid="ignore"):  # empty shells, excluded below
+        rates = -(a1 - a0) / (dt * m * a0)
+    # fmin skips NaN rates, as a running min(c, rate) does
+    c_fit = np.fmin.reduce(rates, axis=None, initial=np.inf, where=a0 > floor)
     if not np.isfinite(c_fit):
         raise ValueError("trajectory has no active shells to fit")
     return float(c_fit)
 
 
 def damping_margins(reports: list[EnergyReport], c_fit: float) -> dict[int, float]:
-    """Per shell: worst value of d(alpha)/dt + c_fit min(2^{2k},1) alpha over the window."""
-    if len(reports) < 3:
-        raise ValueError("need at least 3 monitored instants")
-    times, ks, alphas = _alpha_matrix(reports)
-    scale = float(alphas.max(initial=0.0))
-    margins: dict[int, float] = {}
-    for j, k in enumerate(ks):
-        m = min(2.0 ** (2 * k), 1.0)
-        worst = -np.inf
-        for i in range(len(times) - 1):
-            a0, a1 = alphas[i, j], alphas[i + 1, j]
-            if a0 <= ALPHA_FLOOR * max(scale, 1.0) and a1 <= ALPHA_FLOOR * max(scale, 1.0):
-                continue
-            dt = times[i + 1] - times[i]
-            worst = max(worst, (a1 - a0) / dt + c_fit * m * a0)
-        margins[int(k)] = float(worst) if worst > -np.inf else 0.0
-    return margins
+    """Per shell: worst value of d(alpha)/dt + c_fit min(2^{2k},1) alpha over the window; 0.0 if always empty."""
+    ks, m, a0, a1, dt, floor = _alpha_steps(reports)
+    active = (a0 > floor) | (a1 > floor)
+    worst = np.fmax.reduce((a1 - a0) / dt + c_fit * m * a0, axis=0, initial=-np.inf, where=active)
+    return {int(k): float(w) if w > -np.inf else 0.0 for k, w in zip(ks, worst)}
 
 
 def envelopes_nonincreasing(reports: list[EnergyReport], rtol: float = 1e-10) -> bool:

@@ -39,9 +39,7 @@ class ExperimentResult:
 
 
 def _consts(cfg: RunConfig) -> energy.EstimateConstants:
-    return energy.compute_constants(
-        cfg.params, K=cfg.k_weight, A=cfg.bound_A, c_tilde=cfg.bound_c_tilde
-    )
+    return energy.compute_constants(cfg.params, A=cfg.bound_A, c_tilde=cfg.bound_c_tilde)
 
 
 def _finish(name: str, out_dir, summary: dict, assertions: list[tuple[str, bool, str]], do_assert: bool) -> ExperimentResult:

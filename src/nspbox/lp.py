@@ -9,9 +9,10 @@ telescopes and the partition of unity holds to round-off on every nonzero
 lattice point.
 
 A hybrid norm weights low shells (k <= 0) by 2^{ks} and high shells by
-2^{kt}, so every index (s, t) reads off one DyadicSpectrum of block norms:
-compute the spectrum of a field once and call its `hybrid` method for each
-index.
+2^{kt}, so every index, a plain pair (s, t), reads off one DyadicSpectrum of
+block norms: compute the spectrum of a field once and call its `hybrid`
+method for each index.  `hybrid_norm` and `besov_norm`, the field-level
+entry points, reject non-finite exponents.
 
 The cutoffs are radial, so `shell_filters` evaluates the profile once per
 distinct |xi| of the grid (`Grid.radii`) and keeps those (shells, radii)
@@ -36,7 +37,6 @@ __all__ = [
     "CutoffProfile",
     "DEFAULT_PROFILE",
     "DyadicSpectrum",
-    "HybridIndex",
     "PLATEAU_EDGES",
     "ANNULUS_SUPPORT",
     "shell_range",
@@ -111,25 +111,6 @@ class CutoffProfile:
 DEFAULT_PROFILE = CutoffProfile()
 
 
-@dataclass(frozen=True)
-class HybridIndex:
-    """Regularity exponents: s on low shells (k <= 0), t on high shells (k > 0)."""
-
-    s: float
-    t: float
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.s) and np.isfinite(self.t)):
-            raise ValueError(f"non-finite hybrid index ({self.s}, {self.t})")
-
-
-def _as_index(idx) -> HybridIndex:
-    if isinstance(idx, HybridIndex):
-        return idx
-    s, t = idx
-    return HybridIndex(float(s), float(t))
-
-
 @dataclass
 class DyadicSpectrum:
     """Per-shell L2 block norms over the grid's full shell range."""
@@ -142,11 +123,11 @@ class DyadicSpectrum:
     def ks(self) -> np.ndarray:
         return np.arange(self.k_min, self.k_max + 1)
 
-    def hybrid(self, idx) -> float:
-        """Low shells weighted by 2^{ks}, high shells by 2^{kt}, split at k = 0."""
-        hidx = _as_index(idx)
+    def hybrid(self, idx: tuple[float, float]) -> float:
+        """Low shells weighted by 2^{ks}, high shells by 2^{kt}, split at k = 0; idx = (s, t)."""
+        s, t = idx
         ks = self.ks
-        return 2.0 ** (ks * np.where(ks <= 0, hidx.s, hidx.t)) @ self.block_norms
+        return 2.0 ** (ks * np.where(ks <= 0, s, t)) @ self.block_norms
 
 
 def shell_range(grid: Grid) -> tuple[int, int]:
@@ -223,8 +204,11 @@ def besov_norm(f: SpectralField, s: float) -> float:
     return dyadic_spectrum(f).hybrid((s, s))
 
 
-def hybrid_norm(f: SpectralField, idx) -> float:
-    """Low shells weighted by 2^{ks}, high shells by 2^{kt}, split at k = 0."""
+def hybrid_norm(f: SpectralField, idx: tuple[float, float]) -> float:
+    """Low shells weighted by 2^{ks}, high shells by 2^{kt}, split at k = 0; idx = (s, t)."""
+    s, t = idx
+    if not (np.isfinite(s) and np.isfinite(t)):
+        raise ValueError(f"non-finite hybrid index ({s}, {t})")
     return dyadic_spectrum(f).hybrid(idx)
 
 
@@ -245,12 +229,11 @@ def product_estimate_ratio(f: SpectralField, g: SpectralField, idx) -> float:
     """
     if not (f.is_scalar and g.is_scalar):
         raise ValueError("product estimate expects scalar fields")
-    hidx = _as_index(idx)
     fg = transform_to_spectral(f.grid, f.to_physical() * g.to_physical())
-    den = linf_norm(f) * hybrid_norm(g, hidx) + hybrid_norm(f, hidx) * linf_norm(g)
+    den = linf_norm(f) * hybrid_norm(g, idx) + hybrid_norm(f, idx) * linf_norm(g)
     if den == 0.0:
         raise ValueError("zero denominator in product estimate")
-    return hybrid_norm(fg, hidx) / den
+    return hybrid_norm(fg, idx) / den
 
 
 def product_convolution_ratio(f: SpectralField, g: SpectralField, idx_f, idx_g) -> float:
@@ -260,16 +243,15 @@ def product_convolution_ratio(f: SpectralField, g: SpectralField, idx_f, idx_g) 
     that makes the inequality dimensionally consistent; the unshifted -1
     variant sometimes quoted alongside it is not implemented.
     """
-    i1, i2 = _as_index(idx_f), _as_index(idx_g)
+    (s1, t1), (s2, t2) = idx_f, idx_g
     half_n = 0.5 * f.grid.dim
-    if min(i1.s + i2.s, i1.t + i2.t) <= 0 or max(i1.s, i1.t, i2.s, i2.t) > half_n:
+    if min(s1 + s2, t1 + t2) <= 0 or max(s1, t1, s2, t2) > half_n:
         raise ValueError("indices outside the admissible product range")
     fg = transform_to_spectral(f.grid, f.to_physical() * g.to_physical())
-    den = hybrid_norm(f, i1) * hybrid_norm(g, i2)
+    den = hybrid_norm(f, idx_f) * hybrid_norm(g, idx_g)
     if den == 0.0:
         raise ValueError("zero denominator in product estimate")
-    out_idx = HybridIndex(i1.s + i2.s - half_n, i1.t + i2.t - half_n)
-    return hybrid_norm(fg, out_idx) / den
+    return hybrid_norm(fg, (s1 + s2 - half_n, t1 + t2 - half_n)) / den
 
 
 def composition_check(f: SpectralField, s: float, rho_bar: float) -> float:

@@ -14,6 +14,10 @@ the momentum flux (u.grad u = grad(|u|^2/2) - sum_j u_j omega_ij, with
 the vorticity omega_ij = d_i u_j - d_j u_i).  Both identities are exact on
 the dealiased modes, which it transforms and forms on the two-thirds-rule
 band alone (`spectral.BandTransform`).
+
+Initial data enter as physical (density, velocity) pairs, `PrimitiveState`,
+through `from_primitive`; the electrostatic potential is slaved to the
+density by the Poisson coupling and is never formed.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ __all__ = [
     "PrimitiveState",
     "zeta",
     "from_primitive",
-    "to_primitive",
     "explicit_rhs",
     "RhsDiagnostics",
 ]
@@ -133,18 +136,12 @@ class NspState:
 
 @dataclass
 class PrimitiveState:
-    """Physical-space density, velocity and electrostatic potential.
-
-    The potential is slaved to the density through the Poisson coupling;
-    omit it to have it computed, or supply it and it is checked against
-    the density to 1e-10.
-    """
+    """Physical-space density and velocity, the input of `from_primitive`."""
 
     grid: Grid
     rho: np.ndarray
     u: np.ndarray
     rho_bar: float
-    phi: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.rho = np.asarray(self.rho, dtype=np.float64)
@@ -153,17 +150,6 @@ class PrimitiveState:
             raise ValueError("density shape does not match grid")
         if self.u.shape != (self.grid.dim,) + self.grid.shape:
             raise ValueError("velocity shape does not match grid")
-        contrast = sp.transform_to_spectral(self.grid, self.rho - float(np.mean(self.rho)))
-        if self.phi is None:
-            self.phi = sp.poisson_solve(contrast).to_physical()[0]
-        else:
-            self.phi = np.asarray(self.phi, dtype=np.float64)
-            if self.phi.shape != self.grid.shape:
-                raise ValueError("potential shape does not match grid")
-            residual = sp.laplacian(sp.transform_to_spectral(self.grid, self.phi)) - contrast
-            scale = max(sp.l2_norm(contrast), 1e-300)
-            if sp.l2_norm(residual) > 1e-10 * scale:
-                raise ValueError("potential does not solve the density Poisson coupling")
 
 
 def zeta(x, rho_bar: float):
@@ -200,10 +186,6 @@ def _hermite(x, a, b, fa, fb, da, db):
     return fa * h00 + fb * h01 + (b - a) * (da * h10 + db * h11)
 
 
-# ---------------------------------------------------------------------------
-# primitive-variable conversions
-
-
 def from_primitive(p: PrimitiveState, params: FluidParams) -> NspState:
     grid = p.grid
     if np.min(p.rho) <= 0.0:
@@ -217,33 +199,13 @@ def from_primitive(p: PrimitiveState, params: FluidParams) -> NspState:
     return NspState(h=h, c=pair.c, I=pair.I)
 
 
-def to_primitive(s: NspState, params: FluidParams) -> PrimitiveState:
-    grid = s.grid
-    theta = s.theta()
-    rho = params.rho_bar + theta.to_physical()[0]
-    u = s.velocity().to_physical()
-    phi = sp.poisson_solve(theta).to_physical()[0]
-    return PrimitiveState(grid=grid, rho=rho, u=u, phi=phi, rho_bar=params.rho_bar)
-
-
 # ---------------------------------------------------------------------------
 # nonlinearities: the explicit right-hand side for the stepper
 
 
-def _viscous_quotient(
-    theta_phys: np.ndarray, params: FluidParams, guarded: bool
-) -> np.ndarray:
-    den = theta_phys + params.rho_bar
-    if guarded:
-        den = zeta(den, params.rho_bar)
-    else:
-        lowest = float(np.min(den))
-        if lowest < 0.5 * params.rho_bar:
-            raise ValueError(
-                "unguarded viscous quotient outside the admissible band: "
-                f"min density {lowest:.6e} < rho_bar/2 = {0.5 * params.rho_bar:.6e}"
-            )
-    return theta_phys / (params.rho_bar * den)
+def _viscous_quotient(theta_phys: np.ndarray, params: FluidParams) -> np.ndarray:
+    """theta / (rho_bar * rho) with the density clamped by `zeta`."""
+    return theta_phys / (params.rho_bar * zeta(theta_phys + params.rho_bar, params.rho_bar))
 
 
 @dataclass
@@ -358,7 +320,7 @@ def explicit_rhs(
     theta_u, kinetic, flux = np.split(prod, (dim, dim + 1))
     np.multiply(u_p, theta_p, out=theta_u)
     np.multiply(speed_sq, 0.5, out=kinetic[0])
-    np.multiply(_viscous_quotient(theta_raw_p, params, guarded=True), visc_p, out=flux)
+    np.multiply(_viscous_quotient(theta_raw_p, params), visc_p, out=flux)
     for p, (i, j) in enumerate(pairs):
         flux[i] -= u_p[j] * omega_p[p]
         flux[j] += u_p[i] * omega_p[p]

@@ -54,7 +54,6 @@ __all__ = [
     "divergence",
     "laplacian",
     "curl",
-    "antisym_divergence",
     "poisson_solve",
     "helmholtz_decompose",
     "helmholtz_recompose",
@@ -63,7 +62,6 @@ __all__ = [
     "l2_norm",
     "linf_norm",
     "inner",
-    "hermitian_defect",
     "BandTransform",
     "random_field",
     "MEAN_FREE_RTOL",
@@ -375,20 +373,6 @@ def _negate_indices(arr: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     return np.roll(np.flip(arr, axis=axes), shift=1, axis=axes)
 
 
-def hermitian_defect(f: SpectralField) -> float:
-    """Relative departure from coef(-xi) == conj(coef(xi)) on the last-axis zero plane.
-
-    That plane is the only stored one holding both xi and -xi, so elsewhere
-    the symmetry holds by construction.
-    """
-    plane = f.coef[..., 0]
-    mirror = np.conj(_negate_indices(plane, _lead_axes(f.grid)))
-    scale = np.max(np.abs(f.coef))
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(plane - mirror)) / scale)
-
-
 def _symmetrize_zero_plane(grid: Grid, coef: np.ndarray) -> np.ndarray:
     """Average the last-axis zero plane of `coef` with its conjugate mirror, in place."""
     plane = coef[..., 0]
@@ -492,20 +476,6 @@ def curl(u: SpectralField) -> SpectralField:
     xi = grid.wavenumbers
     comps = [1j * (xi[j] * u.coef[i] - xi[i] * u.coef[j]) for i, j in antisym_pairs(grid.dim)]
     return SpectralField(grid, np.stack(comps))
-
-
-def antisym_divergence(I: SpectralField) -> SpectralField:
-    """Row divergence (div I)_i = sum_j d_j I_{ij} of the full antisymmetric matrix."""
-    grid = I.grid
-    pairs = antisym_pairs(grid.dim)
-    if I.ncomp != len(pairs):
-        raise ValueError("antisymmetric field has wrong component count")
-    xi = grid.wavenumbers
-    out = np.zeros((grid.dim,) + grid.spectral_shape, dtype=np.complex128)
-    for comp, (i, j) in enumerate(pairs):
-        out[i] += 1j * xi[j] * I.coef[comp]
-        out[j] -= 1j * xi[i] * I.coef[comp]
-    return SpectralField(grid, out)
 
 
 def _require_mean_free(f: SpectralField, what: str) -> None:

@@ -86,14 +86,12 @@ class LinearBlock:
     exponential and the first two phi-functions are read off one augmented
     6x6 exponential per distinct |xi|^2 of the grid's radial table
     (`Grid.radii_sq`), which avoids cancellation at small arguments, and
-    gathered onto the lattice with `Grid.radial_index`.
+    gathered onto the lattice with `Grid.radial_index` as three stacks `exp`,
+    `phi1` and `phi2` of shape (2, 2, *spectral_shape), each 2x2 entry a
+    contiguous per-mode array.
     """
 
     def __init__(self, grid: Grid, params: FluidParams, dt: float):
-        self.grid = grid
-        self.params = params
-        self.dt = dt
-
         q = grid.radii_sq
         A = params.pair_matrix(q)
         worst = float(np.max(np.linalg.eigvals(A[q > 0]).real, initial=-np.inf))
@@ -114,23 +112,19 @@ class LinearBlock:
         P2[0] = 0.5 * dt * eye
 
         at = grid.radial_index
-        self.e00, self.e01, self.e10, self.e11 = E[at, 0, 0], E[at, 0, 1], E[at, 1, 0], E[at, 1, 1]
-        self.p1_00, self.p1_01, self.p1_10, self.p1_11 = P1[at, 0, 0], P1[at, 0, 1], P1[at, 1, 0], P1[at, 1, 1]
-        self.p2_00, self.p2_01, self.p2_10, self.p2_11 = P2[at, 0, 0], P2[at, 0, 1], P2[at, 1, 0], P2[at, 1, 1]
+        self.exp, self.phi1, self.phi2 = (
+            np.ascontiguousarray(np.moveaxis(M[at], (-2, -1), (0, 1))) for M in (E, P1, P2)
+        )
 
         z = -params.nu_i * grid.lam_sq * dt
         self.heat_e = np.exp(z)
         self.heat_p1 = dt * _phi1(z)
         self.heat_p2 = dt * _phi2(z)
 
-    def apply_exp(self, h: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.e00 * h + self.e01 * c, self.e10 * h + self.e11 * c
 
-    def apply_phi1(self, h: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.p1_00 * h + self.p1_01 * c, self.p1_10 * h + self.p1_11 * c
-
-    def apply_phi2(self, h: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.p2_00 * h + self.p2_01 * c, self.p2_10 * h + self.p2_11 * c
+def _apply(m: np.ndarray, h: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The per-mode 2x2 product of a `LinearBlock` stack with the pair (h, c)."""
+    return m[0, 0] * h + m[0, 1] * c, m[1, 0] * h + m[1, 1] * c
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -226,19 +220,19 @@ class FriedrichsStepper:
         """
         blocks, t_new = self.blocks, s.t + self.cfg.dt
         if self.linear_only:
-            h_new, c_new = blocks.apply_exp(s.h.coef[0], s.c.coef[0])
+            h_new, c_new = _apply(blocks.exp, s.h.coef[0], s.c.coef[0])
             out = self._wrap(h_new, c_new, blocks.heat_e * s.I.coef, t_new)
         else:
             n0 = self._tendencies(s)
 
-            eh, ec = blocks.apply_exp(s.h.coef[0], s.c.coef[0])
-            ph, pc = blocks.apply_phi1(n0[0][0], n0[1][0])
+            eh, ec = _apply(blocks.exp, s.h.coef[0], s.c.coef[0])
+            ph, pc = _apply(blocks.phi1, n0[0][0], n0[1][0])
             h_mid, c_mid = eh + ph, ec + pc
             i_mid = blocks.heat_e * s.I.coef + blocks.heat_p1 * n0[2]
 
             n1 = self._tendencies(self._wrap(h_mid, c_mid, i_mid, t_new))
 
-            dh, dc = blocks.apply_phi2(n1[0][0] - n0[0][0], n1[1][0] - n0[1][0])
+            dh, dc = _apply(blocks.phi2, n1[0][0] - n0[0][0], n1[1][0] - n0[1][0])
             i_new = i_mid + blocks.heat_p2 * (n1[2] - n0[2])
             out = self._wrap(h_mid + dh, c_mid + dc, i_new, t_new)
         # a non-finite or mean-carrying input gives such an output, so `prepare`

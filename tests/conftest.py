@@ -1,11 +1,18 @@
-"""Shared grids and field builders for the test suite."""
+"""Shared grids, field builders and lattice checks for the test suite."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from nspbox.spectral import Grid, SpectralField, transform_to_spectral
+from nspbox.spectral import (
+    Grid,
+    SpectralField,
+    _lead_axes,
+    _negate_indices,
+    antisym_pairs,
+    transform_to_spectral,
+)
 
 
 @pytest.fixture(scope="session")
@@ -37,3 +44,31 @@ def wave(grid: Grid, nvec, kind: str = "cos", amp: float = 1.0) -> SpectralField
 
 def constant(grid: Grid, value: float = 1.0) -> SpectralField:
     return transform_to_spectral(grid, np.full(grid.shape, value))
+
+
+def hermitian_defect(f: SpectralField) -> float:
+    """Relative departure from coef(-xi) == conj(coef(xi)) on the last-axis zero plane.
+
+    That plane is the only stored one holding both xi and -xi, so elsewhere
+    the symmetry holds by construction.
+    """
+    plane = f.coef[..., 0]
+    mirror = np.conj(_negate_indices(plane, _lead_axes(f.grid)))
+    scale = np.max(np.abs(f.coef))
+    if scale == 0.0:
+        return 0.0
+    return float(np.max(np.abs(plane - mirror)) / scale)
+
+
+def antisym_divergence(I: SpectralField) -> SpectralField:
+    """Row divergence (div I)_i = sum_j d_j I_{ij} of the full antisymmetric matrix."""
+    grid = I.grid
+    pairs = antisym_pairs(grid.dim)
+    if I.ncomp != len(pairs):
+        raise ValueError("antisymmetric field has wrong component count")
+    xi = grid.wavenumbers
+    out = np.zeros((grid.dim,) + grid.spectral_shape, dtype=np.complex128)
+    for comp, (i, j) in enumerate(pairs):
+        out[i] += 1j * xi[j] * I.coef[comp]
+        out[j] -= 1j * xi[i] * I.coef[comp]
+    return SpectralField(grid, out)

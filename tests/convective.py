@@ -17,6 +17,20 @@ from nspbox.spectral import Grid, SpectralField
 __all__ = ["nonlinear_F", "nonlinear_J", "nonlinear_G", "nonlinear_H"]
 
 
+def _quotient(theta_phys: np.ndarray, params: FluidParams, guarded: bool) -> np.ndarray:
+    """The solver's clamped viscous quotient, or the raw theta / (rho_bar * rho) inside the band."""
+    if guarded:
+        return _viscous_quotient(theta_phys, params)
+    den = theta_phys + params.rho_bar
+    lowest = float(np.min(den))
+    if lowest < 0.5 * params.rho_bar:
+        raise ValueError(
+            "unguarded viscous quotient outside the admissible band: "
+            f"min density {lowest:.6e} < rho_bar/2 = {0.5 * params.rho_bar:.6e}"
+        )
+    return theta_phys / (params.rho_bar * den)
+
+
 def _masked_phys(f: SpectralField) -> np.ndarray:
     return SpectralField(f.grid, f.coef * f.grid.dealias_mask).to_physical()
 
@@ -40,7 +54,7 @@ def nonlinear_J(s: NspState, params: FluidParams, guarded: bool = True) -> Spect
     u = s.velocity()
     u_phys = _masked_phys(u)
     divu = sp.divergence(u)
-    quot = _viscous_quotient(s.theta().to_physical()[0], params, guarded)
+    quot = _quotient(s.theta().to_physical()[0], params, guarded)
     out = np.zeros((grid.dim,) + grid.spectral_shape, dtype=np.complex128)
     for i in range(grid.dim):
         adv = np.zeros(grid.shape)

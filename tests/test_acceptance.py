@@ -27,7 +27,6 @@ from nspbox.lp import dyadic_block, bernstein_ratio, hybrid_norm, shell_filters
 from nspbox.model import FluidParams, NspState
 from nspbox.spectral import (
     SpectralField,
-    antisym_divergence,
     divergence,
     helmholtz_decompose,
     helmholtz_recompose,
@@ -37,6 +36,7 @@ from nspbox.spectral import (
 )
 from nspbox.stepper import FriedrichsStepper, StepperConfig
 
+from conftest import antisym_divergence
 from frozen import FROZEN
 from test_model import small_state
 

@@ -16,7 +16,16 @@ from nspbox.stepper import save_checkpoint
 from nspbox.model import FluidParams
 
 
+FLOAT_KEYS = [key for key, (caster, _, _) in DEFAULTS.items() if caster is float]
+
+
 class TestParseConfig:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float_rejected_with_line(self, key, value):
+        with pytest.raises(ConfigError, match=f"^line 2: invalid value for {key}: non-finite value '{value}'$"):
+            parse_config(f"# comment\n{key} = {value}\n")
+
     def test_empty_input_gives_documented_defaults(self):
         cfg = parse_config("")
         assert cfg.grid.dim == 3

@@ -6,7 +6,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh
 
 from nspbox.energy import (
+    ALPHA_FLOOR,
     EnergyMonitor,
+    EnergyReport,
+    ShellEnergy,
+    _alpha_matrix,
     accumulate_v,
     all_shell_energies,
     compute_constants,
@@ -108,17 +112,16 @@ class TestShellEnergy:
     def test_equivalence_sandwich(self, grid3):
         consts = compute_constants(PARAMS)
         s = random_pair_state(grid3, seed=60)
+        # the summed squared block norms, straight from the lattice: sum of mask^2 * weight * (z* B z)
+        Ph, Pc, lam = np.abs(s.h.coef[0]) ** 2, np.abs(s.c.coef[0]) ** 2, grid3.lam
+        filters = shell_filters(grid3)
         for sh in all_shell_energies(s, consts, PARAMS):
             c1, c2 = equivalence_bounds(grid3, sh.k, consts, PARAMS)
+            w = filters.mask(sh.k) ** 2 * grid3.hermitian_weight
             if sh.k <= 0:
-                total = sh.norm_h**2 + sh.weighted["lam_h"] ** 2 + sh.norm_c**2
+                total = np.sum(w * ((1.0 + lam**2) * Ph + Pc))
             else:
-                total = (
-                    sh.weighted["lam12_h"] ** 2
-                    + sh.weighted["lam32_h"] ** 2
-                    + sh.weighted["lam52_h"] ** 2
-                    + sh.weighted["lam12_c"] ** 2
-                )
+                total = np.sum(w * ((lam + lam**3 + lam**5) * Ph + lam * Pc))
             assert c1 * sh.alpha_sq - 1e-10 <= total <= c2 * sh.alpha_sq + 1e-10
             assert 0.0 < c1 <= c2
 
@@ -151,16 +154,13 @@ class TestShellEnergy:
             w = filters.mask(sh.k) ** 2 * grid.hermitian_weight
             if sh.k <= 0:
                 p_hh, p_hc, p_cc = (1.0 + lam**2) / rho, -consts.K1 * lam**2, 1.0
-                keys = {"lam_h", "cross"}
             else:
                 p_hh = (lam + lam**3) / rho + params.beta * consts.K2 / rho**2 * lam**5
                 p_hc, p_cc = -consts.K2 * lam**3, lam
-                keys = {"lam12_h", "lam32_h", "lam52_h", "lam12_c", "cross"}
             alpha_sq = np.sum(w * (p_hh * Ph + 2.0 * p_hc * X + p_cc * Pc))
             assert abs(sh.alpha_sq - alpha_sq) <= 1e-13 * alpha_sq
             assert abs(sh.norm_h - np.sqrt(np.sum(w * Ph))) <= 1e-13 * sh.norm_h
             assert abs(sh.norm_c - np.sqrt(np.sum(w * Pc))) <= 1e-13 * sh.norm_c
-            assert set(sh.weighted) == keys
 
     def test_empty_shell_rejected_in_bounds(self, grid3):
         consts = compute_constants(PARAMS)
@@ -232,7 +232,82 @@ def linear_traj(grid3):
     return FriedrichsStepper(grid3, PARAMS, cfg, linear_only=True).run(s0, monitor=monitor, stride=25)
 
 
+def reference_fit_damping_constant(reports):
+    """The per-shell, per-step loop `fit_damping_constant` vectorizes, kept as its exact reference."""
+    times, ks, alphas = _alpha_matrix(reports)
+    scale = float(alphas.max(initial=0.0))
+    c_fit = np.inf
+    for j, k in enumerate(ks):
+        m = min(2.0 ** (2 * k), 1.0)
+        for i in range(len(times) - 1):
+            a0, a1 = alphas[i, j], alphas[i + 1, j]
+            if a0 <= ALPHA_FLOOR * max(scale, 1.0):
+                continue
+            dt = times[i + 1] - times[i]
+            c_fit = min(c_fit, -(a1 - a0) / (dt * m * a0))
+    if not np.isfinite(c_fit):
+        raise ValueError("trajectory has no active shells to fit")
+    return float(c_fit)
+
+
+def reference_damping_margins(reports, c_fit):
+    """The per-shell, per-step loop `damping_margins` vectorizes, kept as its exact reference."""
+    times, ks, alphas = _alpha_matrix(reports)
+    scale = float(alphas.max(initial=0.0))
+    margins = {}
+    for j, k in enumerate(ks):
+        m = min(2.0 ** (2 * k), 1.0)
+        worst = -np.inf
+        for i in range(len(times) - 1):
+            a0, a1 = alphas[i, j], alphas[i + 1, j]
+            if a0 <= ALPHA_FLOOR * max(scale, 1.0) and a1 <= ALPHA_FLOOR * max(scale, 1.0):
+                continue
+            dt = times[i + 1] - times[i]
+            worst = max(worst, (a1 - a0) / dt + c_fit * m * a0)
+        margins[int(k)] = float(worst) if worst > -np.inf else 0.0
+    return margins
+
+
+def hand_reports(times, alphas, ks=(-1, 0, 1, 2)) -> list[EnergyReport]:
+    """Reports carrying only times and shell alphas (rows: instants, columns: shells)."""
+    scalars = ("hybrid_h", "hybrid_c", "hybrid_I", "hybrid_u", "besov_u_high", "v_accum")
+    scalars += ("e_value", "e_ratio", "prim_norm", "prim_ratio")
+    shells = [[ShellEnergy(k, a * a, 0.0, 0.0) for k, a in zip(ks, row)] for row in alphas]
+    return [EnergyReport(t=t, shells=row, **dict.fromkeys(scalars, 0.0)) for t, row in zip(times, shells)]
+
+
 class TestDamping:
+    def test_vectorized_fits_equal_loops_on_linear_run(self, linear_traj):
+        c_fit = fit_damping_constant(linear_traj.records)
+        assert c_fit == reference_fit_damping_constant(linear_traj.records)
+        assert damping_margins(linear_traj.records, c_fit) == reference_damping_margins(linear_traj.records, c_fit)
+
+    def test_vectorized_fits_equal_loops_with_empty_shells(self):
+        # k = 0 empties mid-run, k = 1 starts empty, k = 2 never holds energy and reads the 0.0 default
+        times = [0.0, 0.1, 0.25, 0.4]
+        alphas = [[1.0, 0.5, 0.0, 0.0], [0.9, 0.45, 0.3, 0.0], [0.8, 0.0, 0.2, 0.0], [0.75, 0.0, 0.1, 0.0]]
+        reports = hand_reports(times, alphas)
+        c_fit = fit_damping_constant(reports)
+        assert c_fit == reference_fit_damping_constant(reports)
+        margins = damping_margins(reports, c_fit)
+        assert margins == reference_damping_margins(reports, c_fit)
+        assert margins[2] == 0.0
+        rng = np.random.default_rng(64)
+        for _ in range(20):
+            alphas = rng.uniform(0.0, 2.0, (6, 4)) * (rng.uniform(size=(6, 4)) < 0.7)
+            reports = hand_reports(np.cumsum(rng.uniform(0.01, 0.1, 6)), alphas)
+            c_fit = fit_damping_constant(reports)
+            assert c_fit == reference_fit_damping_constant(reports)
+            assert damping_margins(reports, c_fit) == reference_damping_margins(reports, c_fit)
+
+    def test_no_active_shells_rejected_like_the_loop(self):
+        reports = hand_reports([0.0, 0.1, 0.2], np.zeros((3, 4)))
+        for fit in (fit_damping_constant, reference_fit_damping_constant):
+            with pytest.raises(ValueError, match="no active shells"):
+                fit(reports)
+        expected = dict.fromkeys((-1, 0, 1, 2), 0.0)
+        assert damping_margins(reports, 1.0) == reference_damping_margins(reports, 1.0) == expected
+
     def test_fit_is_positive_and_margins_close(self, grid3, linear_traj):
         c_fit = fit_damping_constant(linear_traj.records)
         assert c_fit > 0.0

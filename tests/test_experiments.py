@@ -180,6 +180,15 @@ class TestCli:
         cfg.write_text("params.mu = -2\n")
         assert main(["run", "--config", str(cfg)]) == 2
 
+    def test_infinite_end_time_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("grid.M = 16\nstepper.t_end = inf\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: line 2: invalid value for stepper.t_end") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_numerical_abort_exit_code(self, tmp_path):
         # a checkpoint poisoned with NaN propagates into the first step
         from nspbox.initial_data import make_initial_data

@@ -8,7 +8,6 @@ from scipy.integrate import quad
 from nspbox.lp import (
     ANNULUS_SUPPORT,
     DEFAULT_PROFILE,
-    HybridIndex,
     PLATEAU_EDGES,
     bernstein_ratio,
     besov_norm,
@@ -213,10 +212,11 @@ class TestHybridNorm:
 
     def test_index_validation(self, grid3):
         f = random_field(grid3, 1, np.random.default_rng(21))
-        with pytest.raises(ValueError):
-            hybrid_norm(f, (np.nan, 1.0))
-        idx = HybridIndex(0.5, 1.5)
-        assert hybrid_norm(f, idx) == hybrid_norm(f, (0.5, 1.5))
+        for bad in ((np.nan, 1.0), (0.5, np.inf), (-np.inf, 1.0)):
+            with pytest.raises(ValueError, match="non-finite"):
+                hybrid_norm(f, bad)
+        # an index is any (s, t) pair: numpy scalars and lists read the same weights
+        assert hybrid_norm(f, [np.float64(0.5), np.float64(1.5)]) == hybrid_norm(f, (0.5, 1.5))
 
     def test_norm_axioms_on_random_triples(self, grid3):
         rng = np.random.default_rng(27)

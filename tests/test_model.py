@@ -11,7 +11,6 @@ from nspbox.model import (
     _hermite,
     explicit_rhs,
     from_primitive,
-    to_primitive,
     zeta,
 )
 from nspbox.spectral import (
@@ -20,14 +19,14 @@ from nspbox.spectral import (
     divergence,
     helmholtz_decompose,
     helmholtz_recompose,
-    hermitian_defect,
     l2_norm,
     random_field,
     transform_to_spectral,
 )
 
-from conftest import wave
+from conftest import hermitian_defect, wave
 from convective import nonlinear_F, nonlinear_G, nonlinear_H, nonlinear_J
+from primitive import check_potential, potential, to_primitive
 
 PARAMS3 = FluidParams(mu=1.0, lam=0.0, rho_bar=1.0, dim=3)
 
@@ -142,7 +141,7 @@ class TestConversions:
     def test_equilibrium_maps_to_zero_state(self, grid3):
         rho = np.full(grid3.shape, PARAMS3.rho_bar)
         u = np.zeros((3,) + grid3.shape)
-        prim = PrimitiveState(grid=grid3, rho=rho, u=u, phi=np.zeros(grid3.shape), rho_bar=1.0)
+        prim = PrimitiveState(grid=grid3, rho=rho, u=u, rho_bar=1.0)
         s = from_primitive(prim, PARAMS3)
         assert l2_norm(s.h) == 0.0 and l2_norm(s.c) == 0.0 and l2_norm(s.I) == 0.0
 
@@ -169,14 +168,14 @@ class TestConversions:
         assert l2_norm(s.I) < 1e-12 * l2_norm(s.c)
 
     def test_zero_state_to_primitive(self, grid3):
-        prim = to_primitive(NspState.zeros(grid3), PARAMS3)
+        prim, phi = to_primitive(NspState.zeros(grid3), PARAMS3)
         assert np.allclose(prim.rho, PARAMS3.rho_bar)
         assert np.max(np.abs(prim.u)) == 0.0
-        assert np.max(np.abs(prim.phi)) == 0.0
+        assert np.max(np.abs(phi)) == 0.0
 
     def test_round_trip(self, grid3):
         s = small_state(grid3, seed=31)
-        prim = to_primitive(s, PARAMS3)
+        prim, _ = to_primitive(s, PARAMS3)
         back = from_primitive(prim, PARAMS3)
         for a, b in ((s.h, back.h), (s.c, back.c), (s.I, back.I)):
             assert np.max(np.abs(a.coef - b.coef)) < 1e-10 * max(np.max(np.abs(a.coef)), 1e-30)
@@ -184,10 +183,10 @@ class TestConversions:
     def test_potential_of_single_mode(self, grid3):
         h = wave(grid3, (2, 0, 0), amp=0.01)
         s = NspState(h=h, c=SpectralField.zeros(grid3), I=SpectralField.zeros(grid3, 3))
-        prim = to_primitive(s, PARAMS3)
+        _, phi = to_primitive(s, PARAMS3)
         # phi-hat = -h-hat / |xi|, here |xi| = 2
         expected = wave(grid3, (2, 0, 0), amp=-0.005)
-        got = transform_to_spectral(grid3, prim.phi)
+        got = transform_to_spectral(grid3, phi)
         assert np.max(np.abs(got.coef - expected.coef)) < 1e-14
 
     def test_nonpositive_density_rejected(self, grid3):
@@ -202,18 +201,15 @@ class TestConversions:
         eps = 1e-2
         x1 = grid3.coordinates()[0]
         rho = 1.0 + eps * np.cos(x1)
-        kwargs = dict(grid=grid3, rho=rho, u=np.zeros((3,) + grid3.shape), rho_bar=1.0)
-        derived = PrimitiveState(**kwargs)
-        assert np.max(np.abs(derived.phi + eps * np.cos(x1))) < 1e-12
-        PrimitiveState(**kwargs, phi=-eps * np.cos(x1))  # consistent, accepted
+        prim = PrimitiveState(grid=grid3, rho=rho, u=np.zeros((3,) + grid3.shape), rho_bar=1.0)
+        assert np.max(np.abs(potential(prim) + eps * np.cos(x1))) < 1e-12
+        check_potential(prim, -eps * np.cos(x1))  # consistent, accepted
         with pytest.raises(ValueError, match="Poisson"):
-            PrimitiveState(**kwargs, phi=np.zeros(grid3.shape))
+            check_potential(prim, np.zeros(grid3.shape))
 
     def test_mean_density_mismatch_rejected(self, grid3):
         rho = np.full(grid3.shape, 1.5)
-        prim = PrimitiveState(
-            grid=grid3, rho=rho, u=np.zeros((3,) + grid3.shape), phi=np.zeros(grid3.shape), rho_bar=1.5
-        )
+        prim = PrimitiveState(grid=grid3, rho=rho, u=np.zeros((3,) + grid3.shape), rho_bar=1.5)
         with pytest.raises(ValueError, match="rho_bar"):
             from_primitive(prim, PARAMS3)
 

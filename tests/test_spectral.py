@@ -14,7 +14,6 @@ from nspbox.spectral import (
     gradient,
     helmholtz_decompose,
     helmholtz_recompose,
-    hermitian_defect,
     inner,
     l2_norm,
     poisson_solve,
@@ -23,7 +22,7 @@ from nspbox.spectral import (
     transform_to_spectral,
 )
 
-from conftest import constant, wave
+from conftest import antisym_divergence, constant, hermitian_defect, wave
 
 
 def keep_mask(grid: Grid) -> np.ndarray:
@@ -273,8 +272,6 @@ class TestHelmholtz:
         assert ip < 1e-10 * l2_norm(grad_part) * l2_norm(sol_part)
 
     def test_div_div_antisymmetric_vanishes(self, grid3):
-        from nspbox.spectral import antisym_divergence
-
         u = random_field(grid3, 3, np.random.default_rng(9))
         pair = helmholtz_decompose(u)
         dd = divergence(antisym_divergence(pair.I))

@@ -80,12 +80,7 @@ class TestLinearBlock:
             if idx.size == 0:
                 continue
             i = tuple(idx[0])
-            exact = np.array(
-                [
-                    blocks.e00[i] * z0[0] + blocks.e01[i] * z0[1],
-                    blocks.e10[i] * z0[0] + blocks.e11[i] * z0[1],
-                ]
-            )
+            exact = blocks.exp[(slice(None), slice(None)) + i] @ z0
             assert np.max(np.abs(exact - sol.y[:, -1])) < 1e-10 * max(1.0, np.max(np.abs(z0)))
 
     @pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
@@ -107,10 +102,16 @@ class TestLinearBlock:
                 aug[2:4, 4:6] = eye
                 big = expm(dt * aug)
                 E, P1, P2 = big[0:2, 0:2], big[0:2, 2:4], big[0:2, 4:6] / dt
-            for prefix, M in (("e", E), ("p1_", P1), ("p2_", P2)):
+            for stack, M in ((blocks.exp, E), (blocks.phi1, P1), (blocks.phi2, P2)):
                 for i in range(2):
                     for j in range(2):
-                        assert np.all(getattr(blocks, f"{prefix}{i}{j}")[where] == M[i, j])
+                        assert np.all(stack[i, j][where] == M[i, j])
+
+    def test_stacks_are_contiguous_per_entry(self, grid3):
+        blocks = LinearBlock(grid3, PARAMS, 0.1)
+        for stack in (blocks.exp, blocks.phi1, blocks.phi2):
+            assert stack.shape == (2, 2) + grid3.spectral_shape
+            assert all(stack[i, j].flags.c_contiguous for i in range(2) for j in range(2))
 
     def test_dissipative(self, grid3):
         blocks = LinearBlock(grid3, PARAMS, 0.1)

@@ -140,8 +140,9 @@ def parse_config(text: str) -> RunConfig:
         raise fail("init.band_hi", "band_hi must be >= band_lo")
     if values["monitor.stride"] < 1:
         raise fail("monitor.stride", "stride must be >= 1")
-    if values["energy.A"] <= 0 or values["energy.c_tilde"] <= 0:
-        raise fail("energy.A", "bound factors must be positive")
+    for key in ("energy.A", "energy.c_tilde"):
+        if values[key] <= 0:
+            raise fail(key, "bound factor must be positive")
     if values["perturb.delta"] < 0:
         raise fail("perturb.delta", "delta must be >= 0")
 

@@ -13,7 +13,9 @@ dealiased products, in conservative form for the mass transport
 the momentum flux (u.grad u = grad(|u|^2/2) - sum_j u_j omega_ij, with
 the vorticity omega_ij = d_i u_j - d_j u_i).  Both identities are exact on
 the dealiased modes, which it transforms and forms on the two-thirds-rule
-band alone (`spectral.BandTransform`).
+band alone (`spectral.BandTransform`).  It returns one tendency stack in
+(h, c, I) row order and knows nothing of the Friedrichs truncation, which
+lives in the stepper's propagators.
 
 Initial data enter as physical (density, velocity) pairs, `PrimitiveState`,
 through `from_primitive`; the electrostatic potential is slaved to the
@@ -211,6 +213,7 @@ def _viscous_quotient(theta_phys: np.ndarray, params: FluidParams) -> np.ndarray
 @dataclass
 class RhsDiagnostics:
     min_density: float
+    max_density: float
     max_speed: float
 
 
@@ -234,20 +237,6 @@ class _RhsMultipliers:
         # product fixes the signed zeros, so the tendencies equal the full-lattice ones bit for bit
         self.tend_j = grid.to_band(-grid.riesz * grid.dealias_mask)
         self.band = sp.BandTransform(grid, max(2 * grid.dim + 1, grid.dim + 1 + len(sp.antisym_pairs(grid.dim))))
-        self._projected: tuple | None = None
-
-    def tendency(self, project_mask: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-        """`lam_m` and `tend_j`, times `project_mask` on the band when one is given.
-
-        The products for the last mask are kept, keyed by the identity of the
-        mask array, which a stepper passes unchanged on every call.
-        """
-        if project_mask is None:
-            return self.lam_m, self.tend_j
-        if self._projected is None or self._projected[0] is not project_mask:
-            mask = self.band.grid.to_band(project_mask)
-            self._projected = (project_mask, self.lam_m * mask, self.tend_j * mask)
-        return self._projected[1], self._projected[2]
 
 
 @lru_cache(maxsize=4)
@@ -255,12 +244,11 @@ def _rhs_multipliers(grid: Grid, params: FluidParams) -> _RhsMultipliers:
     return _RhsMultipliers(grid, params)
 
 
-def explicit_rhs(
-    s: NspState,
-    params: FluidParams,
-    project_mask: np.ndarray | None = None,
-) -> tuple[SpectralField, SpectralField, SpectralField, RhsDiagnostics]:
+def explicit_rhs(s: NspState, params: FluidParams) -> tuple[np.ndarray, RhsDiagnostics]:
     """Convection plus forcing tendencies for (h, c, I) in three batched transforms.
+
+    Returns one fresh (2 + N(N-1)/2, *spectral_shape) stack in (h, c, I) row
+    order, untruncated (the stepper's propagators carry the cutoff).
 
     The advection of c cancels exactly between the left-hand convection term
     and the forcing G, so the net c tendency is -Lambda^-1 div J and the I
@@ -312,6 +300,7 @@ def explicit_rhs(
 
     diag = RhsDiagnostics(
         min_density=float(np.min(theta_raw_p)) + params.rho_bar,
+        max_density=float(np.max(theta_raw_p)) + params.rho_bar,
         max_speed=float(np.sqrt(np.max(speed_sq))),
     )
 
@@ -327,14 +316,8 @@ def explicit_rhs(
     theta_u, kinetic, flux = np.split(mult.band.to_spectral(prod), (dim, dim + 1))
 
     # tendencies on the band: -Lambda^-1 div(theta u), -Lambda^-1 div J and -Lambda^-1 curl J
-    lam_m, tend_j = mult.tendency(project_mask)
+    tend_j = mult.tend_j
     tend_h = np.sum(tend_j * theta_u, axis=0, keepdims=True)
-    tend_c = np.sum(tend_j * flux, axis=0, keepdims=True) + lam_m * kinetic
+    tend_c = np.sum(tend_j * flux, axis=0, keepdims=True) + mult.lam_m * kinetic
     tend_I = np.stack([tend_j[j] * flux[i] - tend_j[i] * flux[j] for i, j in pairs])
-    tend_h, tend_c, tend_I = np.split(grid.from_band(np.concatenate([tend_h, tend_c, tend_I])), (1, 2))
-    return (
-        SpectralField(grid, tend_h),
-        SpectralField(grid, tend_c),
-        SpectralField(grid, tend_I),
-        diag,
-    )
+    return grid.from_band(np.concatenate([tend_h, tend_c, tend_I])), diag

@@ -69,6 +69,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line 2: unknown key 'stepper.scheme'"):
             parse_config("grid.M = 16\nstepper.scheme = etdrk2\n")
 
+    @pytest.mark.parametrize("key", ["energy.A", "energy.c_tilde"])
+    def test_non_positive_bound_factor_named_with_line(self, key):
+        # each factor is checked on its own, so the message names the key that is wrong
+        with pytest.raises(ConfigError, match=f"^line 2: {key}: bound factor must be positive$") as err:
+            parse_config(f"grid.M = 16\n{key} = -1\n")
+        assert err.value.line == 2
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config("grid.M = 16\ngrid.M = 32\n")

@@ -27,6 +27,11 @@ from test_model import small_state
 PARAMS = FluidParams(mu=1.0, lam=0.0, rho_bar=1.0, dim=3)
 
 
+def unmasked(grid) -> np.ndarray:
+    """A truncation mask that keeps every mode, the zero mode included."""
+    return np.ones(grid.spectral_shape)
+
+
 def pair_state(grid, h_amp=0.01, c_amp=0.02, nvec=(1, 0, 0)) -> NspState:
     return NspState(
         h=wave(grid, nvec, amp=h_amp),
@@ -68,7 +73,7 @@ class TestProjector:
 class TestLinearBlock:
     def test_pair_propagator_against_high_order_integration(self, grid3):
         dt = 0.37
-        blocks = LinearBlock(grid3, PARAMS, dt)
+        blocks = LinearBlock(grid3, PARAMS, dt, unmasked(grid3))
         rng = np.random.default_rng(42)
         for q in (1.0, 2.0, 5.0, 48.0, 147.0):
             A = PARAMS.pair_matrix(q)
@@ -85,11 +90,20 @@ class TestLinearBlock:
 
     @pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
     def test_arrays_equal_per_radius_expm(self, grid_name, request):
-        # reference: one 6x6 augmented exponential per distinct |xi|^2, read off entry by entry
+        # reference: one 6x6 augmented exponential per distinct |xi|^2, read off entry by entry;
+        # the truncation zeroes the tendency factors off the annulus 1/n <= |xi| <= n and nothing else
         grid = request.getfixturevalue(grid_name)
         params = FluidParams(mu=0.7, lam=0.2, rho_bar=1.3, dim=grid.dim)
         dt = 0.37
-        blocks = LinearBlock(grid, params, dt)
+        mask = FriedrichsProjector(grid, 4.0).mask
+        inside = (grid.lam >= 0.25) & (grid.lam <= 4.0)
+        assert inside.any() and not inside.all()
+        blocks = LinearBlock(grid, params, dt, mask)
+        full = LinearBlock(grid, params, dt, unmasked(grid))
+        assert np.array_equal(blocks.heat_e, full.heat_e)
+        for heat, heat_full in ((blocks.heat_p1, full.heat_p1), (blocks.heat_p2, full.heat_p2)):
+            assert np.all(heat[~inside] == 0.0)
+            assert np.array_equal(heat[inside], heat_full[inside])
         eye = np.eye(2)
         for q in np.unique(grid.lam_sq):
             where = grid.lam_sq == q
@@ -102,23 +116,25 @@ class TestLinearBlock:
                 aug[2:4, 4:6] = eye
                 big = expm(dt * aug)
                 E, P1, P2 = big[0:2, 0:2], big[0:2, 2:4], big[0:2, 4:6] / dt
-            for stack, M in ((blocks.exp, E), (blocks.phi1, P1), (blocks.phi2, P2)):
-                for i in range(2):
-                    for j in range(2):
-                        assert np.all(stack[i, j][where] == M[i, j])
+            for i in range(2):
+                for j in range(2):
+                    assert np.all(blocks.exp[i, j][where] == E[i, j])
+                    for stack, M in ((blocks.phi1, P1), (blocks.phi2, P2)):
+                        assert np.all(stack[i, j][where & inside] == M[i, j])
+                        assert np.all(stack[i, j][where & ~inside] == 0.0)
 
     def test_stacks_are_contiguous_per_entry(self, grid3):
-        blocks = LinearBlock(grid3, PARAMS, 0.1)
+        blocks = LinearBlock(grid3, PARAMS, 0.1, unmasked(grid3))
         for stack in (blocks.exp, blocks.phi1, blocks.phi2):
             assert stack.shape == (2, 2) + grid3.spectral_shape
             assert all(stack[i, j].flags.c_contiguous for i in range(2) for j in range(2))
 
     def test_dissipative(self, grid3):
-        blocks = LinearBlock(grid3, PARAMS, 0.1)
+        blocks = LinearBlock(grid3, PARAMS, 0.1, unmasked(grid3))
         assert blocks.spectral_abscissa <= 0.0
 
     def test_heat_weights_match_series(self, grid3):
-        blocks = LinearBlock(grid3, PARAMS, 1e-3)
+        blocks = LinearBlock(grid3, PARAMS, 1e-3, unmasked(grid3))
         z = -PARAMS.nu_i * grid3.lam_sq * 1e-3
         phi1_ref = np.where(z == 0, 1.0, np.expm1(np.where(z == 0, 1.0, z)) / np.where(z == 0, 1.0, z))
         assert np.allclose(blocks.heat_p1, 1e-3 * phi1_ref, rtol=1e-10)
@@ -167,11 +183,10 @@ class TestStep:
         stepper = FriedrichsStepper(grid3, PARAMS, cfg)
         s0 = stepper.prepare(small_state(grid3, seed=44, amp=1e-2))
         out = stepper.step(s0)
-        projected = NspState(
-            stepper.projector(out.h), stepper.projector(out.c), stepper.projector(out.I), t=out.t
-        )
-        for a, b in ((out.h, projected.h), (out.c, projected.c), (out.I, projected.I)):
-            assert np.max(np.abs(a.coef - b.coef)) < 1e-12 * max(np.max(np.abs(a.coef)), 1e-30)
+        off = stepper.projector.mask == 0.0
+        for f in (out.h, out.c, out.I):
+            assert not f.coef[:, off].any()
+            assert np.array_equal(stepper.projector(f).coef, f.coef)
 
     def test_density_mean_is_conserved(self, grid3):
         cfg = StepperConfig(dt=1e-3, n=8.0, t_end=1.0)
@@ -253,11 +268,11 @@ class TestStep:
         calls = []
 
         def rhs(*args, **kwargs):
-            th, tc, ti, diag = plain_rhs(*args, **kwargs)
+            tend, diag = plain_rhs(*args, **kwargs)
             calls.append(1)
             if len(calls) in (9, 10):  # both ETDRK2 stages of step 5
                 diag.max_speed = too_fast
-            return th, tc, ti, diag
+            return tend, diag
 
         monkeypatch.setattr(model, "explicit_rhs", rhs)
         with pytest.raises(NumericalAbort, match=f"at t = {5 * cfg.dt:.6g}"):
@@ -271,8 +286,7 @@ class TestStep:
         general = FriedrichsStepper(grid3, PARAMS, cfg)
 
         def zero_rhs(s, *args, **kwargs):
-            zero = SpectralField.zeros(s.grid)
-            return zero, zero, SpectralField.zeros(s.grid, 3), model.RhsDiagnostics(1.0, 0.0)
+            return np.zeros((5,) + s.grid.spectral_shape, complex), model.RhsDiagnostics(1.0, 1.0, 0.0)
 
         monkeypatch.setattr(model, "explicit_rhs", zero_rhs)
         a = b = fast.prepare(small_state(grid3, seed=56, amp=1e-2))
@@ -287,6 +301,46 @@ class TestStep:
             StepperConfig(dt=0.0, n=8.0, t_end=1.0)
         with pytest.raises(ValueError):
             StepperConfig(dt=1e-3, n=8.0, t_end=-1.0)
+
+
+class TestInterleaving:
+    @pytest.mark.parametrize("n_b", [8.0, 4.0], ids=["refine", "perturb"])
+    def test_alternating_steppers_match_solo_runs(self, grid3, n_b):
+        # `refine` steps radii n and 2n in turn, `perturb` two steppers of one n with separate
+        # projectors; sharing a (grid, params) must leave each stepper's states as they are alone
+        cfg_a, cfg_b = (StepperConfig(dt=2e-3, n=n, t_end=0.01) for n in (4.0, n_b))
+        s0_a, s0_b = small_state(grid3, seed=63, amp=1e-2), small_state(grid3, seed=64, amp=1e-2)
+
+        def solo(cfg, s0):
+            return list(FriedrichsStepper(grid3, PARAMS, cfg).iterate(s0))
+
+        alone_a, alone_b = solo(cfg_a, s0_a), solo(cfg_b, s0_b)
+        a, b = FriedrichsStepper(grid3, PARAMS, cfg_a), FriedrichsStepper(grid3, PARAMS, cfg_b)
+        sa, sb = a.prepare(s0_a), b.prepare(s0_b)
+        assert len(alone_a) == len(alone_b) == 6
+        for i, (want_a, want_b) in enumerate(zip(alone_a, alone_b)):
+            if i:
+                sa, sb = a.step(sa), b.step(sb)
+            for got, want in ((sa, want_a), (sb, want_b)):
+                assert got.t == want.t
+                for name in ("h", "c", "I"):
+                    assert np.array_equal(getattr(got, name).coef, getattr(want, name).coef)
+
+
+class TestGuardFlag:
+    @pytest.mark.parametrize(
+        "amp, guarded", [(0.8, True), (-0.8, True), (0.4, False)], ids=["peak", "dip", "inside"]
+    )
+    def test_flag_marks_either_clamp_edge(self, grid3, amp, guarded):
+        # a Gaussian density bump at rest: the peak reaches 1.79 rho_bar with its minimum near
+        # rho_bar, the dip 0.21 rho_bar with its maximum near rho_bar; `zeta` clamps both
+        x = np.stack(grid3.coordinates())
+        bump = np.exp(-np.sum((x - np.pi) ** 2, axis=0) / 0.5)
+        rho = 1.0 + amp * (bump - bump.mean())
+        s0 = model.from_primitive(model.PrimitiveState(grid3, rho, np.zeros((3,) + grid3.shape), 1.0), PARAMS)
+        stepper = FriedrichsStepper(grid3, PARAMS, StepperConfig(dt=1e-2, n=16.0, t_end=1e-2))
+        stepper.step(stepper.prepare(s0))
+        assert stepper.flags.guard_active is guarded
 
 
 def advance(grid, dt, t_end, seed=51, amp=0.05):

@@ -4,13 +4,16 @@ Each dyadic shell carries a quadratic form alpha_k^2 mixing the density
 variable h and the gradient-part velocity c with a carefully signed cross
 term; with the constants chosen below the form is positive semidefinite and
 its decay rate along the linear flow is bounded below by min(2^{2k}, 1)
-times a positive constant.  The monitor evaluates these forms along runs and
-accumulates the convection weight V(t) and the mixed sup/integral norm
-E(h, u, t), all from one set of radial powers per sample (`state_powers`;
-u from an identity of 2-forms, not recomposed).  A `ShellEnergy` keeps a
-shell's alpha_k^2 and its h and c block norms, nothing else.  The damping
-and smoothing margins the acceptance suite checks are computed post hoc from
-the monitor's reports (`damping_margins`, `fit_damping_constant`,
+times a positive constant.  `_form_matrices` defines the form per |xi|; the
+bounds read it, and alpha_k^2 sums it against z = (h, c) under the squared
+shell mask (`_shell_forms`, built once per monitor).  The monitor evaluates
+these forms along runs and accumulates the convection weight V(t) and the
+mixed sup/integral norm E(h, u, t), all from one set of radial powers
+(`state_powers`; u from an identity of 2-forms, not recomposed) and one
+shell spectrum per field a sample.  A `ShellEnergy` keeps a shell's
+alpha_k^2 and its h and c block norms, nothing else.  The damping and
+smoothing margins the acceptance suite checks are computed post hoc from the
+monitor's reports (`damping_margins`, `fit_damping_constant`,
 `smoothing_integral`); the two damping fits read one (steps, shells) table
 of consecutive alpha pairs.
 """
@@ -47,6 +50,7 @@ __all__ = [
     "global_bound_check",
     "convection_weighted",
     "initial_energy",
+    "e0_indices",
     "ALPHA_FLOOR",
 ]
 
@@ -68,8 +72,8 @@ class EstimateConstants:
     M2: float
     K2: float
     M3: float
-    A: float = 16.0
-    c_tilde: float = 1.0
+    A: float
+    c_tilde: float
 
 
 def compute_constants(params: FluidParams, A: float = 16.0, c_tilde: float = 1.0) -> EstimateConstants:
@@ -170,32 +174,30 @@ def state_powers(s: NspState) -> np.ndarray:
     return powers
 
 
-def _shell_energies(grid: Grid, power_h, power_c, cross, consts: EstimateConstants, params: FluidParams):
-    """Every shell's `ShellEnergy` from the h, c and cross rows of `state_powers`, as (shells, radii) products."""
-    rho, beta = params.rho_bar, params.beta
+def _shell_forms(grid: Grid, consts: EstimateConstants, params: FluidParams) -> np.ndarray:
+    """alpha_k^2 as a (shells, 3 * radii) matrix against the flattened h, c and cross rows of `state_powers`.
+
+    Row k is the squared mask of shell k times (P_hh, P_cc, P_hc + P_ch) of `_form_matrices` per radius.
+    """
     filters = lp.shell_filters(grid)
-    w, r = filters.radial_masks**2, grid.radii
+    rows = []
+    for k, mask in zip(filters.ks, filters.radial_masks):
+        P, _ = _form_matrices(grid.radii, k, consts, params)
+        rows.append((mask**2 * np.array([P[:, 0, 0], P[:, 1, 1], P[:, 0, 1] + P[:, 1, 0]])).ravel())
+    return np.array(rows)
 
-    def red(power, quad):
-        return w @ (r**power * quad)
 
-    norm_h, norm_c = np.sqrt(w @ power_h), np.sqrt(w @ power_c)
-    # low-shell terms
-    lam_h_sq, cross_low = red(2, power_h), red(2, cross)
-    alpha_low = (norm_h**2 + lam_h_sq) / rho + norm_c**2 - 2.0 * consts.K1 * cross_low
-    # high-shell terms
-    lam12_h, lam32_h, lam52_h = red(1, power_h), red(3, power_h), red(5, power_h)
-    lam12_c, cross_high = red(1, power_c), red(3, cross)
-    alpha_high = (
-        (lam12_h + lam32_h) / rho + beta * consts.K2 / rho**2 * lam52_h + lam12_c - 2.0 * consts.K2 * cross_high
-    )
-    alpha_sq = np.where(np.array(filters.ks) <= 0, alpha_low, alpha_high)
-    rows = zip(filters.ks, alpha_sq, norm_h, norm_c)
-    return [ShellEnergy(k, float(a), float(nh), float(nc)) for k, a, nh, nc in rows]
+def _shell_energies(forms: np.ndarray, powers: np.ndarray, spec_h: lp.DyadicSpectrum, spec_c: lp.DyadicSpectrum):
+    """Every shell's `ShellEnergy`: alpha_k^2 from the `_shell_forms` matrix, block norms from the caller's spectra."""
+    alpha_sq = forms @ powers[:3].ravel()
+    rows = zip(spec_h.ks, alpha_sq, spec_h.block_norms, spec_c.block_norms)
+    return [ShellEnergy(int(k), float(a), float(nh), float(nc)) for k, a, nh, nc in rows]
 
 
 def all_shell_energies(s: NspState, consts: EstimateConstants, params: FluidParams) -> list[ShellEnergy]:
-    return _shell_energies(s.grid, *state_powers(s)[:3], consts, params)
+    powers = state_powers(s)
+    spec_h, spec_c = map(lp.shell_filters(s.grid).spectrum, powers[:2])
+    return _shell_energies(_shell_forms(s.grid, consts, params), powers, spec_h, spec_c)
 
 
 def _shell_lams(grid: Grid, k: int) -> np.ndarray:
@@ -285,11 +287,17 @@ class GlobalBoundVerdict:
     threshold_ratio: float
 
 
+def e0_indices(dim: int) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The hybrid indices of h and u in E(0): (N/2 - 3/2, N/2 + 1) and (N/2 - 3/2, N/2 - 1)."""
+    n2 = 0.5 * dim
+    return (n2 - 1.5, n2 + 1.0), (n2 - 1.5, n2 - 1.0)
+
+
 def initial_energy(s: NspState) -> float:
     """E(0): hybrid norm of h at the sup indices plus that of u, from `state_powers`."""
-    n2 = 0.5 * s.grid.dim
+    idx_h, idx_u = e0_indices(s.grid.dim)
     spec_h, spec_u = map(lp.shell_filters(s.grid).spectrum, state_powers(s)[[0, 4]])
-    return spec_h.hybrid((n2 - 1.5, n2 + 1.0)) + spec_u.hybrid((n2 - 1.5, n2 - 1.0))
+    return spec_h.hybrid(idx_h) + spec_u.hybrid(idx_u)
 
 
 class EnergyMonitor:
@@ -304,6 +312,8 @@ class EnergyMonitor:
         self.params = params
         self.consts = consts if consts is not None else compute_constants(params)
         self._prev: dict | None = None
+        self._grid: Grid | None = None  # the grid `_forms` (see `_shell_forms`) was built for
+        self._forms: np.ndarray | None = None
         self.sup_h = 0.0
         self.sup_u = 0.0
         self.int_h = 0.0
@@ -318,22 +328,26 @@ class EnergyMonitor:
         # one pass over the half lattice gives every radial power, u without recomposition; each norm
         # below weights one shell spectrum.  theta = Lambda h and phi = -Lambda^-1 h reuse that of h.
         grid, filters = s.grid, lp.shell_filters(s.grid)
-        power_h, power_c, cross, power_I, power_u = state_powers(s)
+        if grid != self._grid:
+            self._grid, self._forms = grid, _shell_forms(grid, self.consts, self.params)
+        power_h, power_c, _, power_I, power_u = powers = state_powers(s)
         r_sq = grid.radii_sq
         inv_r_sq = np.divide(1.0, r_sq, out=np.zeros_like(r_sq), where=r_sq > 0)
         spec_h, spec_c, spec_I, spec_u, spec_theta, spec_phi = map(
             filters.spectrum, (power_h, power_c, power_I, power_u, r_sq * power_h, inv_r_sq * power_h)
         )
 
-        hybrid_h = spec_h.hybrid((n2 - 1.5, n2 + 1.0))
-        hybrid_u = spec_u.hybrid((n2 - 1.5, n2 - 1.0))
-        hybrid_c = spec_c.hybrid((n2 - 1.5, n2 - 1.0))
-        hybrid_I = spec_I.hybrid((n2 - 1.5, n2 - 1.0))
+        # c and I are the two parts of u and are weighted at its index
+        idx_h, idx_u = e0_indices(grid.dim)
+        hybrid_h = spec_h.hybrid(idx_h)
+        hybrid_u = spec_u.hybrid(idx_u)
+        hybrid_c = spec_c.hybrid(idx_u)
+        hybrid_I = spec_I.hybrid(idx_u)
         int_h_now = spec_h.hybrid((n2 + 0.5, n2 + 1.0))
         int_u_now = spec_u.hybrid((n2 + 0.5, n2 + 1.0))
         besov_u_high = spec_u.hybrid((n2 + 1.0, n2 + 1.0))
 
-        shells = _shell_energies(grid, power_h, power_c, cross, self.consts, self.params)
+        shells = _shell_energies(self._forms, powers, spec_h, spec_c)
 
         prim_sup_now = np.array(
             [

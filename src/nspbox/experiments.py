@@ -38,10 +38,6 @@ class ExperimentResult:
     summary: dict
 
 
-def _consts(cfg: RunConfig) -> energy.EstimateConstants:
-    return energy.compute_constants(cfg.params, A=cfg.bound_A, c_tilde=cfg.bound_c_tilde)
-
-
 def _finish(name: str, out_dir, summary: dict, assertions: list[tuple[str, bool, str]], do_assert: bool) -> ExperimentResult:
     summary["assertions"] = {label: bool(ok) for label, ok, _ in assertions}
     os.makedirs(out_dir, exist_ok=True)
@@ -61,23 +57,34 @@ def _announce(name: str, labels: list[str], do_assert: bool) -> None:
     print(f"{name}: assertions ({mode}): {', '.join(labels)}")
 
 
-class _RecordingMonitor:
-    """Wraps an EnergyMonitor, snapshotting the stepper flags per instant."""
+def _monitored_run(cfg: RunConfig, out_dir, linear_only: bool):
+    """Run the stepper under an energy monitor, writing each sample's record to records.ndjson.
 
-    def __init__(self, energy_monitor: energy.EnergyMonitor):
-        self.energy_monitor = energy_monitor
-        self.norm_records: list[rec.NormRecord] = []
+    Returns the constants, the initial data, the monitor and the trajectory.
+    """
+    consts = energy.compute_constants(cfg.params, A=cfg.bound_A, c_tilde=cfg.bound_c_tilde)
+    state0 = make_initial_data(cfg)
+    monitor = energy.EnergyMonitor(cfg.params, consts)
+    norm_records: list[rec.NormRecord] = []
 
-    def __call__(self, state: NspState, flags=None) -> energy.EnergyReport:
-        report = self.energy_monitor(state)
-        positivity = bool(flags.positivity_ok) if flags is not None else True
-        guarded = bool(flags.guard_active) if flags is not None else False
-        self.norm_records.append(rec.record_from_report(report, positivity=positivity, guarded=guarded))
+    def record(state: NspState, flags) -> energy.EnergyReport:
+        report = monitor(state)
+        norm_records.append(rec.record_from_report(report, flags.positivity_ok, flags.guard_active))
         return report
 
-    def write(self, out_dir) -> None:
-        os.makedirs(out_dir, exist_ok=True)
-        rec.write_records(self.norm_records, os.path.join(out_dir, "records.ndjson"))
+    stepper = FriedrichsStepper(cfg.grid, cfg.params, cfg.stepper, linear_only=linear_only)
+    traj = stepper.run(state0, monitor=record, stride=cfg.monitor_stride)
+    os.makedirs(out_dir, exist_ok=True)
+    rec.write_records(norm_records, os.path.join(out_dir, "records.ndjson"))
+    return consts, state0, monitor, traj
+
+
+def _write_rows(out_dir, name: str, rows: list[dict]) -> None:
+    """Write `rows` to `name` under `out_dir`, one JSON object per line."""
+    os.makedirs(out_dir, exist_ok=True)
+    with rec.atomic_open(os.path.join(out_dir, name)) as fh:
+        for row in rows:
+            fh.write(json.dumps(row) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -87,13 +94,7 @@ def experiment_nonlinear(cfg: RunConfig, out_dir, do_assert: bool = False) -> Ex
     labels = ["mass_conservation", "density_positive", "v_nondecreasing", "global_bound"]
     _announce("nonlinear", labels, do_assert)
 
-    consts = _consts(cfg)
-    state0 = make_initial_data(cfg)
-    monitor = energy.EnergyMonitor(cfg.params, consts)
-    recording = _RecordingMonitor(monitor)
-    stepper = FriedrichsStepper(cfg.grid, cfg.params, cfg.stepper)
-    traj = stepper.run(state0, monitor=recording, stride=cfg.monitor_stride)
-    recording.write(out_dir)
+    consts, state0, monitor, traj = _monitored_run(cfg, out_dir, linear_only=False)
 
     mass_defect = max(
         float(np.max(np.abs(state0.theta().zero_mode()))),
@@ -124,13 +125,7 @@ def experiment_linear(cfg: RunConfig, out_dir, do_assert: bool = False) -> Exper
     labels = ["c_fit_positive", "damping_margins", "envelopes"]
     _announce("linear", labels, do_assert)
 
-    consts = _consts(cfg)
-    state0 = make_initial_data(cfg)
-    monitor = energy.EnergyMonitor(cfg.params, consts)
-    recording = _RecordingMonitor(monitor)
-    stepper = FriedrichsStepper(cfg.grid, cfg.params, cfg.stepper, linear_only=True)
-    traj = stepper.run(state0, monitor=recording, stride=cfg.monitor_stride)
-    recording.write(out_dir)
+    consts, _, _, traj = _monitored_run(cfg, out_dir, linear_only=True)
 
     c_fit = energy.fit_damping_constant(traj.records)
     margins = energy.damping_margins(traj.records, c_fit)
@@ -156,11 +151,6 @@ def experiment_linear(cfg: RunConfig, out_dir, do_assert: bool = False) -> Exper
     return _finish("linear", out_dir, summary, assertions, do_assert)
 
 
-def _distance_indices(dim: int) -> tuple[tuple[float, float], tuple[float, float]]:
-    n2 = 0.5 * dim
-    return (n2 - 1.5, n2 + 1.0), (n2 - 1.5, n2 - 1.0)
-
-
 def experiment_refine(cfg: RunConfig, out_dir, do_assert: bool = False) -> ExperimentResult:
     labels = ["distances_finite"]
     _announce("refine", labels, do_assert)
@@ -171,7 +161,7 @@ def experiment_refine(cfg: RunConfig, out_dir, do_assert: bool = False) -> Exper
     state_a = make_initial_data(cfg)
     state_b = make_initial_data(cfg_fine)
 
-    idx_h, idx_u = _distance_indices(cfg.grid.dim)
+    idx_h, idx_u = energy.e0_indices(cfg.grid.dim)
     stepper_a = FriedrichsStepper(cfg.grid, cfg.params, cfg.stepper)
     stepper_b = FriedrichsStepper(cfg_fine.grid, cfg_fine.params, cfg_fine.stepper)
     rows = []
@@ -180,20 +170,10 @@ def experiment_refine(cfg: RunConfig, out_dir, do_assert: bool = False) -> Exper
     for sa, sb in zip(
         stepper_a.iterate(state_a, cfg.monitor_stride), stepper_b.iterate(state_b, cfg.monitor_stride)
     ):
-        du = sb.velocity() - sa.velocity()
-        dh = sb.h - sa.h
-        rows.append(
-            {
-                "t": sa.t,
-                "dist_h": lp.hybrid_norm(dh, idx_h),
-                "dist_u": lp.hybrid_norm(du, idx_u),
-            }
-        )
+        dh, du = sb.h - sa.h, sb.velocity() - sa.velocity()
+        rows.append({"t": sa.t, "dist_h": lp.hybrid_norm(dh, idx_h), "dist_u": lp.hybrid_norm(du, idx_u)})
 
-    os.makedirs(out_dir, exist_ok=True)
-    with rec.atomic_open(os.path.join(out_dir, "distance.ndjson")) as fh:
-        for row in rows:
-            fh.write(json.dumps(row) + "\n")
+    _write_rows(out_dir, "distance.ndjson", rows)
 
     max_u = max(row["dist_u"] for row in rows)
     max_h = max(row["dist_h"] for row in rows)
@@ -215,7 +195,7 @@ def experiment_perturb(cfg: RunConfig, out_dir, do_assert: bool = False) -> Expe
     else:
         state_b = state_a.copy()
 
-    diff_monitor = energy.EnergyMonitor(cfg.params, _consts(cfg))
+    diff_monitor = energy.EnergyMonitor(cfg.params)  # the bound factors A and c~ play no part in its reports
     stepper_a = FriedrichsStepper(cfg.grid, cfg.params, cfg.stepper)
     stepper_b = FriedrichsStepper(cfg.grid, cfg.params, cfg.stepper)
     rows = []
@@ -223,19 +203,10 @@ def experiment_perturb(cfg: RunConfig, out_dir, do_assert: bool = False) -> Expe
         stepper_a.iterate(state_a, cfg.monitor_stride), stepper_b.iterate(state_b, cfg.monitor_stride)
     ):
         diff = NspState(sb.h - sa.h, sb.c - sa.c, sb.I - sa.I, t=sa.t)
-        report = diff_monitor(diff)
-        rows.append(
-            {
-                "t": sa.t,
-                "diff_e": report.e_value,
-                "normalized": report.e_value / delta if delta > 0 else report.e_value,
-            }
-        )
+        diff_e = diff_monitor(diff).e_value
+        rows.append({"t": sa.t, "diff_e": diff_e, "normalized": diff_e / delta if delta > 0 else diff_e})
 
-    os.makedirs(out_dir, exist_ok=True)
-    with rec.atomic_open(os.path.join(out_dir, "difference.ndjson")) as fh:
-        for row in rows:
-            fh.write(json.dumps(row) + "\n")
+    _write_rows(out_dir, "difference.ndjson", rows)
 
     max_diff = max(row["diff_e"] for row in rows)
     max_norm = max(row["normalized"] for row in rows)

@@ -37,6 +37,7 @@ __all__ = [
     "NspState",
     "PrimitiveState",
     "zeta",
+    "CLAMP_BAND",
     "from_primitive",
     "explicit_rhs",
     "RhsDiagnostics",
@@ -154,10 +155,13 @@ class PrimitiveState:
             raise ValueError("velocity shape does not match grid")
 
 
+CLAMP_BAND = (0.5, 1.5)  # `zeta` is the identity on this band times rho_bar and clamps outside it
+
+
 def zeta(x, rho_bar: float):
     """Smooth even clamp of the density argument onto [rho_bar/4, 7*rho_bar/4].
 
-    Identity on rho_bar/2 <= |x| <= 3*rho_bar/2, constant plateaus outside
+    Identity on `CLAMP_BAND` * rho_bar, constant plateaus outside
     [rho_bar/4, 7*rho_bar/4], monotone cubic Hermite ramps between (zero
     slope at the clamped ends, unit slope at the identity ends).  Reading
     the middle branch through |x| is what keeps the clamp >= rho_bar/4 for
@@ -165,15 +169,16 @@ def zeta(x, rho_bar: float):
     """
     if rho_bar <= 0:
         raise ValueError("rho_bar must be positive")
+    band_lo, band_hi = CLAMP_BAND
     r = np.abs(np.asarray(x, dtype=np.float64))
     scalar = r.ndim == 0
     r = np.atleast_1d(r) / rho_bar
     # plateaus and the identity branch; the ramps overwrite the two gaps
     out = np.clip(r, 0.25, 1.75)
-    lo = (r > 0.25) & (r < 0.5)
-    out[lo] = _hermite(r[lo], 0.25, 0.5, 0.25, 0.5, 0.0, 1.0)
-    hi = (r > 1.5) & (r < 1.75)
-    out[hi] = _hermite(r[hi], 1.5, 1.75, 1.5, 1.75, 1.0, 0.0)
+    lo = (r > 0.25) & (r < band_lo)
+    out[lo] = _hermite(r[lo], 0.25, band_lo, 0.25, band_lo, 0.0, 1.0)
+    hi = (r > band_hi) & (r < 1.75)
+    out[hi] = _hermite(r[hi], band_hi, 1.75, band_hi, 1.75, 1.0, 0.0)
 
     out *= rho_bar
     return float(out[0]) if scalar else out

@@ -45,7 +45,7 @@ class NormRecord:
 _FIELDS = tuple(f.name for f in fields(NormRecord))  # NDJSON key order
 
 
-def record_from_report(report: EnergyReport, positivity: bool = True, guarded: bool = False) -> NormRecord:
+def record_from_report(report: EnergyReport, positivity: bool, guarded: bool) -> NormRecord:
     alpha = [[sh.k, sh.alpha_sq] for sh in report.shells if sh.alpha_sq > ALPHA_CUTOFF]
     return NormRecord(
         t=report.t,

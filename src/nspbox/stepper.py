@@ -202,8 +202,8 @@ class FriedrichsStepper:
         self.flags.max_speed = diag.max_speed
         if diag.min_density <= 0.0:
             self.flags.positivity_ok = False
-        # `model.zeta` clamps the density outside this band, on either side
-        if diag.min_density < 0.5 * self.params.rho_bar or diag.max_density > 1.5 * self.params.rho_bar:
+        band_lo, band_hi = model.CLAMP_BAND
+        if diag.min_density < band_lo * self.params.rho_bar or diag.max_density > band_hi * self.params.rho_bar:
             self.flags.guard_active = True
         return tend
 

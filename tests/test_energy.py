@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh
 
+from nspbox import energy
 from nspbox.energy import (
     ALPHA_FLOOR,
     EnergyMonitor,
@@ -161,6 +162,22 @@ class TestShellEnergy:
             assert abs(sh.alpha_sq - alpha_sq) <= 1e-13 * alpha_sq
             assert abs(sh.norm_h - np.sqrt(np.sum(w * Ph))) <= 1e-13 * sh.norm_h
             assert abs(sh.norm_c - np.sqrt(np.sum(w * Pc))) <= 1e-13 * sh.norm_c
+
+    def test_energies_evaluate_the_bounded_form(self, grid3, monkeypatch):
+        # the evaluated alpha_k^2 and the three bound functions read one form, `_form_matrices`
+        consts = compute_constants(PARAMS)
+        s = random_pair_state(grid3, seed=62)
+        plain = all_shell_energies(s, consts, PARAMS)
+        form_matrices = energy._form_matrices
+
+        def doubled_p(*args):
+            P, B = form_matrices(*args)
+            return 2.0 * P, B
+
+        monkeypatch.setattr(energy, "_form_matrices", doubled_p)
+        doubled = all_shell_energies(s, consts, PARAMS)
+        assert [sh.alpha_sq for sh in doubled] == [2.0 * sh.alpha_sq for sh in plain]
+        assert any(sh.alpha_sq > 0.0 for sh in plain)
 
     def test_empty_shell_rejected_in_bounds(self, grid3):
         consts = compute_constants(PARAMS)
@@ -503,6 +520,10 @@ class TestMonitor:
         assert report.hybrid_I == hybrid_norm(s0.I, (n2 - 1.5, n2 - 1.0))
         assert report.hybrid_u == spec_u.hybrid((n2 - 1.5, n2 - 1.0))
         assert report.besov_u_high == spec_u.hybrid((n2 + 1.0, n2 + 1.0))
+        # each shell's block norms are those of the one h and c spectrum a sample computes
+        spec_h, spec_c = map(shell_filters(grid3).spectrum, state_powers(s0)[:2])
+        assert [sh.norm_h for sh in report.shells] == list(spec_h.block_norms)
+        assert [sh.norm_c for sh in report.shells] == list(spec_c.block_norms)
 
     def test_primitive_norm_reads_theta_and_phi_spectra(self, grid3):
         # theta = Lambda h and phi = -Lambda^-1 h are weighted from the radial power of h
@@ -526,6 +547,16 @@ class TestMonitor:
         all_shell_energies(s0, compute_constants(PARAMS), PARAMS)
         EnergyMonitor(PARAMS)(s0)
         assert shell_filters.cache_info().misses == 1
+
+    def test_form_coefficients_built_once_per_monitor(self, grid3, monkeypatch):
+        calls = []
+        shell_forms = energy._shell_forms
+        monkeypatch.setattr(energy, "_shell_forms", lambda *args: calls.append(args) or shell_forms(*args))
+        monitor = EnergyMonitor(PARAMS)
+        s0 = small_state(grid3, seed=77, amp=1e-3)
+        for t in (0.0, 0.1, 0.2):
+            monitor(NspState(s0.h, s0.c, s0.I, t=t))
+        assert len(calls) == 1
 
     def test_decreasing_time_rejected(self, grid3):
         consts = compute_constants(PARAMS)

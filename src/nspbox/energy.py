@@ -6,13 +6,18 @@ term; with the constants chosen below the form is positive semidefinite and
 its decay rate along the linear flow is bounded below by min(2^{2k}, 1)
 times a positive constant.  `_form_matrices` defines the form per |xi|; the
 bounds read it, and alpha_k^2 sums it against z = (h, c) under the squared
-shell mask (`_shell_forms`, built once per monitor).  The monitor evaluates
-these forms along runs and accumulates the convection weight V(t) and the
-mixed sup/integral norm E(h, u, t), all from one set of radial powers
-(`state_powers`; u from an identity of 2-forms, not recomposed) and one
-shell spectrum per field a sample.  A `ShellEnergy` keeps a shell's
-alpha_k^2 and its h and c block norms, nothing else.  The damping and
-smoothing margins the acceptance suite checks are computed post hoc from the
+shell mask (`_shell_forms`).  A `ShellEnergy` keeps a shell's alpha_k^2 and
+its h and c block norms, nothing else.
+
+The monitor evaluates the mixed norm E(h, u, t), the convection weight V(t)
+and the primitive-variable norm along runs, all from one table of hybrid
+norms (`_norm_table`): each row names a shell spectrum (h, c, I, u,
+theta = Lambda h or phi = -Lambda^-1 h) and an index (s, t).  A sample takes
+one spectrum per field from one set of radial powers (`state_powers`; u from
+an identity of 2-forms, not recomposed), reduces each row with a weight
+vector built once per grid, and folds the sup rows into running maxima and
+the integrand rows into trapezoidal integrals.  The damping and smoothing
+margins the acceptance suite checks are computed post hoc from the
 monitor's reports (`damping_margins`, `fit_damping_constant`,
 `smoothing_integral`); the two damping fits read one (steps, shells) table
 of consecutive alpha pairs.
@@ -300,107 +305,83 @@ def initial_energy(s: NspState) -> float:
     return spec_h.hybrid(idx_h) + spec_u.hybrid(idx_u)
 
 
+def _norm_table(dim: int) -> tuple[tuple[str, tuple[float, float]], ...]:
+    """The monitor's hybrid norms as (spectrum, (s, t)) rows, sup terms first, then the integrands.
+
+    Rows 0-3 are the sup terms of h, u, theta and phi; rows 4-5 are c and I at u's index, reported
+    only; rows 6-10 are the integrands of h, u, u at (N/2 + 1, N/2 + 1) (that of V), theta and phi.
+    """
+    n2 = 0.5 * dim
+    idx_h, idx_u = e0_indices(dim)
+    return (
+        ("h", idx_h), ("u", idx_u), ("theta", (n2 - 2.5, n2)), ("phi", (n2 - 0.5, n2 + 2.0)),
+        ("c", idx_u), ("I", idx_u),
+        ("h", (n2 + 0.5, n2 + 1.0)), ("u", (n2 + 0.5, n2 + 1.0)), ("u", (n2 + 1.0, n2 + 1.0)),
+        ("theta", (n2 - 0.5, n2)), ("phi", (n2 + 1.5, n2 + 2.0)),
+    )
+
+
 class EnergyMonitor:
     """Stateful per-run monitor; call it with successive states.
 
-    Sup-in-time norms are running maxima over the monitored instants and
-    time integrals are trapezoidal, so E(h, u, t) is the discretization of
-    the mixed norm on the sample times.
+    Each row of `_norm_table` is one dot product of its weights with its spectrum's block norms.
+    Running maxima of the sup rows (h, u, theta, phi) and trapezoidal integrals of the integrand
+    rows (h, u, u-high, theta, phi) discretize E(h, u, t), V(t) and the primitive norm on the sample
+    times; E and the primitive norm read the same u entries.  `_build` sets up the weights, the shell
+    forms, the shell filters and 1/|xi|^2 once per grid.
     """
 
     def __init__(self, params: FluidParams, consts: EstimateConstants | None = None):
         self.params = params
         self.consts = consts if consts is not None else compute_constants(params)
-        self._prev: dict | None = None
-        self._grid: Grid | None = None  # the grid `_forms` (see `_shell_forms`) was built for
-        self._forms: np.ndarray | None = None
-        self.sup_h = 0.0
-        self.sup_u = 0.0
-        self.int_h = 0.0
-        self.int_u = 0.0
-        self.v_accum = 0.0
         self.e0: float | None = None
-        self._prim_sup = np.zeros(3)
-        self._prim_int = np.zeros(3)
+        self._grid: Grid | None = None  # the grid of the last `_build`
+        self._sup, self._integral = np.zeros(4), np.zeros(5)
+        self._t = self._integrand = None  # time and integrands of the last sample
+
+    def _build(self, grid: Grid) -> None:
+        self._filters, r_sq = lp.shell_filters(grid), grid.radii_sq
+        ks = np.arange(self._filters.k_min, self._filters.k_max + 1)
+        self._grid, self._forms = grid, _shell_forms(grid, self.consts, self.params)
+        self._weights = [(name, lp.hybrid_weights(ks, idx)) for name, idx in _norm_table(grid.dim)]
+        self._inv_r_sq = np.divide(1.0, r_sq, out=np.zeros_like(r_sq), where=r_sq > 0)
 
     def __call__(self, s: NspState, flags=None) -> EnergyReport:
-        n2 = 0.5 * s.grid.dim
-        # one pass over the half lattice gives every radial power, u without recomposition; each norm
-        # below weights one shell spectrum.  theta = Lambda h and phi = -Lambda^-1 h reuse that of h.
-        grid, filters = s.grid, lp.shell_filters(s.grid)
-        if grid != self._grid:
-            self._grid, self._forms = grid, _shell_forms(grid, self.consts, self.params)
+        if s.grid != self._grid:
+            self._build(s.grid)
+        # one pass over the half lattice gives every radial power, u without recomposition; theta =
+        # Lambda h and phi = -Lambda^-1 h reuse that of h
         power_h, power_c, _, power_I, power_u = powers = state_powers(s)
-        r_sq = grid.radii_sq
-        inv_r_sq = np.divide(1.0, r_sq, out=np.zeros_like(r_sq), where=r_sq > 0)
-        spec_h, spec_c, spec_I, spec_u, spec_theta, spec_phi = map(
-            filters.spectrum, (power_h, power_c, power_I, power_u, r_sq * power_h, inv_r_sq * power_h)
-        )
+        fields = (power_h, power_c, power_I, power_u, s.grid.radii_sq * power_h, self._inv_r_sq * power_h)
+        spectra = dict(zip(("h", "c", "I", "u", "theta", "phi"), map(self._filters.spectrum, fields)))
+        norms = np.array([w @ spectra[name].block_norms for name, w in self._weights])
+        sup_now, integrand = norms[:4], norms[6:]
 
-        # c and I are the two parts of u and are weighted at its index
-        idx_h, idx_u = e0_indices(grid.dim)
-        hybrid_h = spec_h.hybrid(idx_h)
-        hybrid_u = spec_u.hybrid(idx_u)
-        hybrid_c = spec_c.hybrid(idx_u)
-        hybrid_I = spec_I.hybrid(idx_u)
-        int_h_now = spec_h.hybrid((n2 + 0.5, n2 + 1.0))
-        int_u_now = spec_u.hybrid((n2 + 0.5, n2 + 1.0))
-        besov_u_high = spec_u.hybrid((n2 + 1.0, n2 + 1.0))
-
-        shells = _shell_energies(self._forms, powers, spec_h, spec_c)
-
-        prim_sup_now = np.array(
-            [
-                spec_theta.hybrid((n2 - 2.5, n2)),
-                hybrid_u,
-                spec_phi.hybrid((n2 - 0.5, n2 + 2.0)),
-            ]
-        )
-        prim_int_now = np.array(
-            [
-                spec_theta.hybrid((n2 - 0.5, n2)),
-                int_u_now,
-                spec_phi.hybrid((n2 + 1.5, n2 + 2.0)),
-            ]
-        )
-
-        if self._prev is None:
-            self.e0 = hybrid_h + hybrid_u
+        if self._t is None:
+            self.e0 = sup_now[0] + sup_now[1]
         else:
-            dt = s.t - self._prev["t"]
+            dt = s.t - self._t
             if dt < 0:
                 raise ValueError("monitor called with decreasing time")
-            self.int_h += 0.5 * dt * (self._prev["int_h"] + int_h_now)
-            self.int_u += 0.5 * dt * (self._prev["int_u"] + int_u_now)
-            self.v_accum += 0.5 * dt * (self._prev["besov_u"] + besov_u_high)
-            self._prim_int += 0.5 * dt * (self._prev["prim_int"] + prim_int_now)
+            self._integral += 0.5 * dt * (self._integrand + integrand)
+        self._sup = np.maximum(self._sup, sup_now)
+        self._t, self._integrand = s.t, integrand
 
-        self.sup_h = max(self.sup_h, hybrid_h)
-        self.sup_u = max(self.sup_u, hybrid_u)
-        self._prim_sup = np.maximum(self._prim_sup, prim_sup_now)
-
-        e_value = self.sup_h + self.sup_u + self.int_h + self.int_u
+        sup, integral = self._sup, self._integral
+        e_value = sup[0] + sup[1] + integral[0] + integral[1]
         e_ratio = e_value / self.e0 if self.e0 and self.e0 > 0 else 0.0
-        prim_norm = float(np.sum(self._prim_sup) + np.sum(self._prim_int))
+        # theta, u, phi: the summation order of the primitive norm's terms
+        prim_norm = float(np.sum(sup[[2, 1, 3]]) + np.sum(integral[[3, 1, 4]]))
         prim_ratio = prim_norm / self.e0 if self.e0 and self.e0 > 0 else 0.0
-
-        self._prev = {
-            "t": s.t,
-            "int_h": int_h_now,
-            "int_u": int_u_now,
-            "besov_u": besov_u_high,
-            "prim_int": prim_int_now,
-        }
-
         return EnergyReport(
             t=s.t,
-            shells=shells,
-            hybrid_h=hybrid_h,
-            hybrid_c=hybrid_c,
-            hybrid_I=hybrid_I,
-            hybrid_u=hybrid_u,
-            besov_u_high=besov_u_high,
-            v_accum=self.v_accum,
+            shells=_shell_energies(self._forms, powers, spectra["h"], spectra["c"]),
+            hybrid_h=norms[0],
+            hybrid_c=norms[4],
+            hybrid_I=norms[5],
+            hybrid_u=norms[1],
+            besov_u_high=norms[8],
+            v_accum=integral[2],
             e_value=e_value,
             e_ratio=e_ratio,
             prim_norm=prim_norm,

@@ -65,19 +65,17 @@ def make_initial_data(cfg: RunConfig) -> NspState:
     projector = FriedrichsProjector(grid, cfg.stepper.n)
 
     if cfg.init_kind == "file":
-        state, saved_params, _ = load_checkpoint(cfg.init_file)
-        if state.grid != grid:
+        raw, saved_params, _ = load_checkpoint(cfg.init_file)
+        if raw.grid != grid:
             raise ValueError(
-                f"checkpoint grid {state.grid} does not match configured grid {grid}"
+                f"checkpoint grid {raw.grid} does not match configured grid {grid}"
             )
         if saved_params != cfg.params:
             raise ValueError("checkpoint fluid parameters do not match the configuration")
-        projected = NspState(projector(state.h), projector(state.c), projector(state.I), t=0.0)
     else:
         rho, u = _primitive_fields(cfg)
-        prim = PrimitiveState(grid=grid, rho=rho, u=u, rho_bar=cfg.params.rho_bar)
-        raw = from_primitive(prim, cfg.params)
-        projected = NspState(projector(raw.h), projector(raw.c), projector(raw.I), t=0.0)
+        raw = from_primitive(PrimitiveState(grid=grid, rho=rho, u=u, rho_bar=cfg.params.rho_bar), cfg.params)
+    projected = NspState(projector(raw.h), projector(raw.c), projector(raw.I), t=0.0)
 
     if cfg.amplitude == 0.0:
         return NspState.zeros(grid)

@@ -11,8 +11,9 @@ lattice point.
 A hybrid norm weights low shells (k <= 0) by 2^{ks} and high shells by
 2^{kt}, so every index, a plain pair (s, t), reads off one DyadicSpectrum of
 block norms: compute the spectrum of a field once and call its `hybrid`
-method for each index.  `hybrid_norm` and `besov_norm`, the field-level
-entry points, reject non-finite exponents.
+method for each index, or dot `hybrid_weights` with its block norms.
+`hybrid_norm` and `besov_norm`, the field-level entry points, reject
+non-finite exponents.
 
 The cutoffs are radial, so `shell_filters` evaluates the profile once per
 distinct |xi| of the grid (`Grid.radii`) and keeps those (shells, radii)
@@ -125,9 +126,13 @@ class DyadicSpectrum:
 
     def hybrid(self, idx: tuple[float, float]) -> float:
         """Low shells weighted by 2^{ks}, high shells by 2^{kt}, split at k = 0; idx = (s, t)."""
-        s, t = idx
-        ks = self.ks
-        return 2.0 ** (ks * np.where(ks <= 0, s, t)) @ self.block_norms
+        return hybrid_weights(self.ks, idx) @ self.block_norms
+
+
+def hybrid_weights(ks: np.ndarray, idx: tuple[float, float]) -> np.ndarray:
+    """The hybrid weights of shells `ks` at idx = (s, t): 2^{ks} for k <= 0, 2^{kt} above."""
+    s, t = idx
+    return 2.0 ** (ks * np.where(ks <= 0, s, t))
 
 
 def shell_range(grid: Grid) -> tuple[int, int]:

@@ -258,6 +258,8 @@ class FriedrichsStepper:
     # -- driving ---------------------------------------------------------------
 
     def prepare(self, s0: NspState) -> NspState:
+        """The projected, checked start of a run; the run's flags start afresh."""
+        self.flags = StepFlags()
         s = NspState(self.projector(s0.h), self.projector(s0.c), self.projector(s0.I), t=s0.t)
         self._check_health(s)
         if not self.linear_only:

@@ -611,3 +611,58 @@ class TestMonitor:
         weights = damped / plain
         assert weights[0] == 1.0
         assert np.all(np.diff(weights) <= 0.0)
+
+
+class TestNormTable:
+    TIMES = (0.0, 0.1, 0.35)  # uneven steps, so each trapezoid weighs its own dt
+
+    def states(self, grid):
+        for i, t in enumerate(self.TIMES):
+            s = small_state(grid, seed=80 + i, amp=1e-3 * (2, 3, 1)[i])  # the sup moves once
+            yield NspState(s.h, s.c, s.I, t=t)
+
+    def test_mixed_norms_equal_sup_and_trapezoid_of_standalone_norms(self, grid3):
+        from nspbox.spectral import apply_lambda
+
+        n2 = 0.5 * grid3.dim
+        idx_h, idx_u = energy.e0_indices(grid3.dim)
+        monitor, rows = EnergyMonitor(PARAMS), []
+        for i, s in enumerate(self.states(grid3)):
+            report = monitor(s)
+            h, u, theta, phi = s.h, s.velocity(), s.theta(), -apply_lambda(s.h, -1.0)
+            rows.append(
+                [
+                    hybrid_norm(h, idx_h),
+                    hybrid_norm(u, idx_u),
+                    hybrid_norm(theta, (n2 - 2.5, n2)),
+                    hybrid_norm(phi, (n2 - 0.5, n2 + 2.0)),
+                    hybrid_norm(h, (n2 + 0.5, n2 + 1.0)),
+                    hybrid_norm(u, (n2 + 0.5, n2 + 1.0)),
+                    hybrid_norm(u, (n2 + 1.0, n2 + 1.0)),
+                    hybrid_norm(theta, (n2 - 0.5, n2)),
+                    hybrid_norm(phi, (n2 + 1.5, n2 + 2.0)),
+                ]
+            )
+            table = np.array(rows)
+            sup = table[:, :4].max(axis=0)
+            integral = np.trapezoid(table[:, 4:], self.TIMES[: i + 1], axis=0)
+            expected = {
+                "e_value": sup[0] + sup[1] + integral[0] + integral[1],
+                "v_accum": integral[2],
+                "prim_norm": sup[1:].sum() + integral[1] + integral[3:].sum(),
+            }
+            for name, want in expected.items():
+                got = getattr(report, name)
+                assert abs(got - want) <= 1e-14 * want, (i, name)
+
+    def test_weights_built_once_per_grid(self, grid3, monkeypatch):
+        from nspbox import lp
+
+        calls = []
+        weights = lp.hybrid_weights
+        monkeypatch.setattr(lp, "hybrid_weights", lambda *args: calls.append(args) or weights(*args))
+        monitor, per_sample = EnergyMonitor(PARAMS), []
+        for s in self.states(grid3):
+            monitor(s)
+            per_sample.append(len(calls) - sum(per_sample))
+        assert per_sample == [11, 0, 0]

@@ -342,6 +342,17 @@ class TestGuardFlag:
         stepper.step(stepper.prepare(s0))
         assert stepper.flags.guard_active is guarded
 
+    def test_each_run_starts_with_fresh_flags(self, grid3):
+        # a stepper reused for a second run reports that run's flags, not the first one's
+        cfg = StepperConfig(dt=1e-3, n=8.0, t_end=5e-3)
+        reused = FriedrichsStepper(grid3, PARAMS, cfg)
+        reused.run(small_state(grid3, seed=52, amp=0.2))
+        quiet, fresh = small_state(grid3, seed=53, amp=1e-3), FriedrichsStepper(grid3, PARAMS, cfg)
+        again, alone = reused.run(quiet), fresh.run(quiet)
+        assert again.min_density == alone.min_density > 0.99
+        assert again.guard_ever_active is alone.guard_ever_active
+        assert reused.flags == fresh.flags
+
 
 def advance(grid, dt, t_end, seed=51, amp=0.05):
     cfg = StepperConfig(dt=dt, n=float(grid.size), t_end=t_end)

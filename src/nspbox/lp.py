@@ -97,11 +97,12 @@ class CutoffProfile:
         """
         r = np.asarray(r, dtype=np.float64)
         lo, hi = PLATEAU_EDGES
-        tau = np.clip((r - lo) / (hi - lo), 0.0, 1.0)
-        ramp = _bump_integral(tau) / _BUMP_NORM
+        out = np.where(r <= lo, 1.0, 0.0)
+        inside = (r > lo) & (r < hi)  # the quadrature runs on the ramp only
+        ramp = _bump_integral((r[inside] - lo) / (hi - lo)) / _BUMP_NORM
         # the GL-128 quotient rounds above 1 near tau ~ 0.97, so clamp
-        transition = np.clip(1.0 - ramp, 0.0, 1.0)
-        return np.where(r <= lo, 1.0, np.where(r >= hi, 0.0, transition))
+        out[inside] = np.clip(1.0 - ramp, 0.0, 1.0)
+        return out
 
     def phi(self, r: np.ndarray) -> np.ndarray:
         """Annular cutoff psi(r/2) - psi(r): in [0, 1], zero outside [3/4, 8/3]."""
@@ -177,10 +178,14 @@ class ShellFilters:
 
 @lru_cache(maxsize=8)
 def shell_filters(grid: Grid) -> ShellFilters:
-    """Annular masks of every shell; the profile runs once per distinct |xi|."""
+    """Annular masks of every shell; the profile runs once per distinct |xi|.
+
+    Row k is phi(2^-k r) = psi(2^-(k+1) r) - psi(2^-k r), so adjacent shells
+    share one psi row (halving is exact) and psi runs k_max - k_min + 2 times.
+    """
     k_min, k_max = shell_range(grid)
-    radial = np.stack([DEFAULT_PROFILE.phi(grid.radii * 2.0 ** (-k)) for k in range(k_min, k_max + 1)])
-    return ShellFilters(grid=grid, k_min=k_min, k_max=k_max, radial_masks=radial)
+    psi = np.stack([DEFAULT_PROFILE.psi(grid.radii * 2.0 ** (-k)) for k in range(k_min, k_max + 2)])
+    return ShellFilters(grid=grid, k_min=k_min, k_max=k_max, radial_masks=psi[1:] - psi[:-1])
 
 
 def dyadic_block(f: SpectralField, k: int) -> SpectralField:

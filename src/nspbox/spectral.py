@@ -10,7 +10,10 @@ Half-lattice storage: every field is the spectrum of a real field, so only
 the ``rfftn`` half of the lattice is stored, shape
 ``Grid.spectral_shape == (M,)*(dim-1) + (M//2+1,)``: the last axis keeps the
 wavenumbers 0..M/2 and every other xi is the conjugate mirror of a stored
-one.  The transforms are ``rfftn``/``irfftn`` on that layout.  Hermitian
+one.  The transforms are ``numpy.fft`` passes on that layout: ``rfft``
+along the last axis, then c2c ``fft`` over the other spatial axes in
+ascending order, in place (``out=``); the inverse runs the ``ifft``
+passes in the same order, then ``irfft``.  Hermitian
 symmetry coef(-xi) == conj(coef(xi)) then holds by construction except on
 the last-axis zero plane, the one stored plane that holds both xi and -xi;
 the forward transform symmetrizes it.  Sums over the full lattice become
@@ -28,7 +31,7 @@ modes of a 3D M=32 grid) and gathered with ``Grid.radial_index``;
 Dealiased band: the two-thirds rule keeps |k_i| <= size/3 on every axis,
 the box ``Grid.band_shape`` (2m+1 lead wavenumbers [0..m, -m..-1], 0..m
 last, m = size // 3).  `BandTransform` maps it to and from physical space
-with the pocketfft passes of the full transforms, less the all-zero ones.
+with the passes of the full transforms, less the all-zero ones.
 
 Zero-mode convention: fractional powers of the Laplacian and every inverse
 operator (Poisson solve, Lambda^-1 gradients/divergences) annihilate the
@@ -42,7 +45,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft
+# numpy >= 2 loads fft and random on first use; load them with the package, not inside a driver
+import numpy.fft  # noqa: F401
+import numpy.random  # noqa: F401
 
 __all__ = [
     "Grid",
@@ -136,7 +141,8 @@ class Grid:
     @cached_property
     def radii_sq(self) -> np.ndarray:
         """Distinct |xi|^2 on the half lattice, ascending: ``radii_sq[radial_index] == lam_sq``."""
-        return np.unique(self.lam_sq)
+        flat = np.sort(self.lam_sq, axis=None)  # np.unique would import numpy.ma on first use
+        return flat[np.r_[True, flat[1:] != flat[:-1]]]
 
     @cached_property
     def radial_index(self) -> np.ndarray:
@@ -274,6 +280,17 @@ class SpectralField:
         return self.ncomp == 1
 
     @classmethod
+    def nyquist_free(cls, grid: Grid, coef: np.ndarray) -> "SpectralField":
+        """A field on `coef` without the constructor's shape check and Nyquist scan.
+
+        `coef` must be a complex (ncomp, *spectral_shape) array whose Nyquist
+        planes are zero; it is neither scanned nor copied.
+        """
+        f = cls.__new__(cls)
+        f.grid, f.coef = grid, coef
+        return f
+
+    @classmethod
     def zeros(cls, grid: Grid, ncomp: int = 1) -> "SpectralField":
         return cls(grid, np.zeros((ncomp,) + grid.spectral_shape, dtype=np.complex128))
 
@@ -322,10 +339,6 @@ class HelmholtzPair:
 # transforms and norms
 
 
-def _spatial_axes(grid: Grid) -> tuple[int, ...]:
-    return tuple(range(1, grid.dim + 1))
-
-
 def _lead_axes(grid: Grid) -> tuple[int, ...]:
     """Spatial axes of the last-axis zero plane ``coef[..., 0]``."""
     return tuple(range(1, grid.dim))
@@ -334,7 +347,8 @@ def _lead_axes(grid: Grid) -> tuple[int, ...]:
 def transform_to_spectral(grid: Grid, values: np.ndarray) -> SpectralField:
     """Forward real-to-complex transform of one or more real component arrays.
 
-    ``rfftn`` gives the half lattice; its last-axis zero plane is
+    ``rfft`` along the last axis gives the half lattice, and in-place c2c
+    passes transform the other axes; its last-axis zero plane is
     symmetrized, so the result is exactly Hermitian.
     """
     values = np.asarray(values, dtype=np.float64)
@@ -342,16 +356,27 @@ def transform_to_spectral(grid: Grid, values: np.ndarray) -> SpectralField:
         values = values[None]
     if values.shape[1:] != grid.shape:
         raise ValueError(f"physical shape {values.shape} does not match grid {grid.shape}")
-    coef = _symmetrize_zero_plane(grid, scipy.fft.rfftn(values, axes=_spatial_axes(grid), norm="forward"))
+    coef = np.fft.rfft(values, axis=-1, norm="forward")
+    for axis in _lead_axes(grid):
+        np.fft.fft(coef, axis=axis, norm="forward", out=coef)
+    coef = _symmetrize_zero_plane(grid, coef)
     for nyquist in grid._nyquist_planes:  # zeroed here, the field need not copy
         coef[nyquist] = 0.0
     return SpectralField(grid, coef)
 
 
 def transform_to_physical(f: SpectralField) -> np.ndarray:
-    """Inverse real-to-complex transform; returns real arrays of shape (ncomp, *grid.shape)."""
+    """Inverse real-to-complex transform; returns real arrays of shape (ncomp, *grid.shape).
+
+    c2c passes over the lead axes, the first into a fresh buffer and the
+    rest in place, then ``irfft`` along the last axis.
+    """
     grid = f.grid
-    return scipy.fft.irfftn(f.coef, s=grid.shape, axes=_spatial_axes(grid), norm="forward")
+    first, *rest = _lead_axes(grid)
+    work = np.fft.ifft(f.coef, axis=first, norm="forward")
+    for axis in rest:
+        np.fft.ifft(work, axis=axis, norm="forward", out=work)
+    return np.fft.irfft(work, n=grid.size, axis=-1, norm="forward")
 
 
 def l2_norm(f: SpectralField) -> float:
@@ -390,12 +415,17 @@ class BandTransform:
     transforms in their order, less all-zero or discarded columns, so on
     band-limited data the results are the full ones on the band, bitwise
     (1/size^dim as 1/size a pass is exact for a power-of-two size).  The
-    inverse's buffer holds up to `ncomp` components; a call re-zeroes all it reads.
+    c2c passes run in place (``out=``) in two half-lattice buffers of up to
+    `ncomp` components that the transform owns, so a step does not refault
+    fresh pages for them: the inverse's input, which a call re-zeroes as far
+    as it reads it, and the forward's ``rfft`` output.  The results are
+    fresh arrays.
     """
 
     def __init__(self, grid: Grid, ncomp: int):
         self.grid = grid
         self._half = np.zeros((ncomp,) + grid.spectral_shape, dtype=np.complex128)
+        self._spec = np.empty((ncomp,) + grid.spectral_shape, dtype=np.complex128)
 
     def _corner(self, coef: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
         """The view coef[:, :lead[0], ..., :lead[-1], :m + 1]."""
@@ -411,16 +441,16 @@ class BandTransform:
             box, pre = self._corner(half, (size,) * a + grid.band_shape[a:-1]), (slice(None),) * a
             box[pre + (slice(size - m, None),)] = box[pre + (slice(m + 1, 2 * m + 1),)]
             box[pre + (slice(m + 1, size - m),)] = 0.0
-            scipy.fft.ifft(box, axis=a, norm="forward", overwrite_x=True)  # in place: scipy keeps aligned views
-        return scipy.fft.irfft(half, n=size, axis=-1, norm="forward")
+            np.fft.ifft(box, axis=a, norm="forward", out=box)
+        return np.fft.irfft(half, n=size, axis=-1, norm="forward")
 
     def to_spectral(self, values: np.ndarray) -> np.ndarray:
         """Real (ncomp, *grid.shape) values to (ncomp, *band_shape) coefficients."""
         grid, size, m = self.grid, self.grid.size, self.grid.size // 3
-        coef = scipy.fft.rfft(values, axis=-1, norm="forward")
+        coef = np.fft.rfft(values, axis=-1, norm="forward", out=self._spec[: len(values)])
         for a in range(1, grid.dim):
             box, pre = self._corner(coef, grid.band_shape[: a - 1] + (size,) * (grid.dim - a)), (slice(None),) * a
-            scipy.fft.fft(box, axis=a, norm="forward", overwrite_x=True)
+            np.fft.fft(box, axis=a, norm="forward", out=box)
             box[pre + (slice(m + 1, 2 * m + 1),)] = box[pre + (slice(size - m, None),)]
         return _symmetrize_zero_plane(grid, self._corner(coef, grid.band_shape[:-1]).copy())
 
@@ -539,19 +569,25 @@ def random_field(
     """
     if xi_hi is None:
         xi_hi = grid.xi_max
-    full = np.meshgrid(*([grid._freq1d] * grid.dim), indexing="ij")
-    lam = np.sqrt(sum(x * x for x in full))
+    size, half = grid.size, grid.size // 2 + 1
+    # |xi| on the stored half from broadcast 1-D frequencies; band and spectrum are even in xi
+    freqs = [grid._freq1d] * (grid.dim - 1) + [grid._freq1d[:half]]
+    axes = [x.reshape((-1,) + (1,) * (grid.dim - 1 - i)) for i, x in enumerate(freqs)]
+    lam = np.sqrt(sum(x * x for x in axes))
     band = (lam > xi_lo) & (lam <= xi_hi)
-    for x in full:  # no Nyquist plane
-        band &= x != grid._freq1d[grid.size // 2]
+    for x in axes:  # no Nyquist plane
+        band &= x != grid._freq1d[size // 2]
     band[(0,) * grid.dim] = False
     if not band.any():
         raise ValueError(f"band ({xi_lo}, {xi_hi}] is empty on this grid")
     shape = (ncomp,) + grid.shape
     coef = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    coef *= band
+    # the Hermitian part of the full draw on the stored half: coef(xi) and coef(-xi), each masked
+    mirror = _negate_indices(coef[..., -np.arange(half) % size], _lead_axes(grid))
+    coef = coef[..., :half] * band
+    mirror *= band
     if spectrum is not None:
-        coef *= spectrum(lam)
-    # the Hermitian part of the full draw, then its stored half
-    coef = 0.5 * (coef + np.conj(_negate_indices(coef, _spatial_axes(grid))))
-    return SpectralField(grid, coef[..., : grid.size // 2 + 1])
+        weight = spectrum(lam)
+        coef *= weight
+        mirror *= weight
+    return SpectralField(grid, 0.5 * (coef + np.conj(mirror)))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
 from nspbox.model import FluidParams, NspState
 from nspbox.spectral import Grid, SpectralField, helmholtz_decompose, l2_norm, random_field
@@ -16,6 +15,7 @@ from nspbox.stepper import (
     LinearBlock,
     NumericalAbort,
     StepperConfig,
+    expm,
     load_checkpoint,
     save_checkpoint,
 )
@@ -90,8 +90,9 @@ class TestLinearBlock:
 
     @pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
     def test_arrays_equal_per_radius_expm(self, grid_name, request):
-        # reference: one 6x6 augmented exponential per distinct |xi|^2, read off entry by entry;
-        # the truncation zeroes the tendency factors off the annulus 1/n <= |xi| <= n and nothing else
+        # reference: one 6x6 augmented exponential per distinct |xi|^2, from the package's `expm` on
+        # that radius alone (scipy's is a separate test), read off entry by entry; the truncation
+        # zeroes the tendency factors off the annulus 1/n <= |xi| <= n and nothing else
         grid = request.getfixturevalue(grid_name)
         params = FluidParams(mu=0.7, lam=0.2, rho_bar=1.3, dim=grid.dim)
         dt = 0.37
@@ -122,6 +123,24 @@ class TestLinearBlock:
                     for stack, M in ((blocks.phi1, P1), (blocks.phi2, P2)):
                         assert np.all(stack[i, j][where & inside] == M[i, j])
                         assert np.all(stack[i, j][where & ~inside] == 0.0)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("size", [16, 32, 64, 128])
+    def test_expm_matches_scipy(self, dim, size):
+        # the forward error of scaling and squaring grows with the 2^s squarings (s ~ log2 of the
+        # 1-norm): within 3e-13 of each result's largest entry up to M = 64, 2e-12 at M = 128 (s <= 12)
+        from scipy.linalg import expm as scipy_expm
+
+        grid = Grid(dim=dim, size=size)
+        q = grid.radii_sq
+        aug = np.zeros((q.size, 6, 6))
+        aug[:, 0:2, 0:2] = FluidParams(mu=0.7, lam=0.2, rho_bar=1.3, dim=dim).pair_matrix(q)
+        aug[:, 0:2, 2:4] = aug[:, 2:4, 4:6] = np.eye(2)
+        tol = 3e-13 if size <= 64 else 2e-12
+        for dt in (1e-3, 0.02, 0.37, 0.5):
+            ours, ref = expm(dt * aug), scipy_expm(dt * aug)
+            err = np.max(np.abs(ours - ref), axis=(1, 2)) / np.max(np.abs(ref), axis=(1, 2))
+            assert np.max(err) <= tol, (dt, np.max(err))
 
     def test_stacks_are_contiguous_per_entry(self, grid3):
         blocks = LinearBlock(grid3, PARAMS, 0.1, unmasked(grid3))
@@ -187,6 +206,22 @@ class TestStep:
         for f in (out.h, out.c, out.I):
             assert not f.coef[:, off].any()
             assert np.array_equal(stepper.projector(f).coef, f.coef)
+
+    @pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
+    @pytest.mark.parametrize("linear_only", [True, False], ids=["linear", "nonlinear"])
+    def test_stepped_nyquist_planes_are_zero(self, grid_name, linear_only, request):
+        # stepped fields skip the Nyquist scan of `SpectralField`, so a step must leave nothing there;
+        # n = M keeps Nyquist modes inside the annulus, so the propagators do not zero them
+        grid = request.getfixturevalue(grid_name)
+        params = FluidParams(mu=1.0, lam=0.25, rho_bar=1.0, dim=grid.dim)
+        cfg = StepperConfig(dt=1e-3, n=float(grid.size), t_end=1.0)
+        stepper = FriedrichsStepper(grid, params, cfg, linear_only)
+        assert stepper.projector.mask[grid.nyquist_mask].all()
+        s = stepper.prepare(small_state(grid, seed=46, amp=0.3))
+        for _ in range(3):
+            s = stepper.step(s)
+            for f in (s.h, s.c, s.I):
+                assert not any(f.coef[plane].any() for plane in grid._nyquist_planes)
 
     def test_density_mean_is_conserved(self, grid3):
         cfg = StepperConfig(dt=1e-3, n=8.0, t_end=1.0)

@@ -214,18 +214,25 @@ def _shell_lams(grid: Grid, k: int) -> np.ndarray:
     return r[(filters.radial_masks[k - filters.k_min] > 0) & (r > 0)]
 
 
+def _shell_sandwich(grid: Grid, k: int, consts: EstimateConstants, params: FluidParams, weights=None) -> tuple[float, float]:
+    """Extreme eigenvalues of the block norms, or of diagonal (h, c) `weights`, against alpha_k^2."""
+    lams = _shell_lams(grid, k)
+    if lams.size == 0:
+        raise ValueError(f"shell {k} contains no lattice modes")
+    P, B = _form_matrices(lams, k, consts, params)
+    if weights is not None:
+        B = np.broadcast_to(np.diag(weights), P.shape)
+    vals = _generalized_eigvalsh(B, P)
+    return float(vals[:, 0].min()), float(vals[:, -1].max())
+
+
 def equivalence_bounds(grid: Grid, k: int, consts: EstimateConstants, params: FluidParams) -> tuple[float, float]:
     """(c1, c2) with c1 * alpha_k^2 <= sum of squared block norms <= c2 * alpha_k^2.
 
     Computed as extreme generalized eigenvalues of the two per-mode forms
     over the lattice wavenumbers the shell actually contains.
     """
-    lams = _shell_lams(grid, k)
-    if lams.size == 0:
-        raise ValueError(f"shell {k} contains no lattice modes")
-    P, B = _form_matrices(lams, k, consts, params)
-    vals = _generalized_eigvalsh(B, P)
-    return float(vals[:, 0].min()), float(vals[:, -1].max())
+    return _shell_sandwich(grid, k, consts, params)
 
 
 def display_equivalence_bounds(grid: Grid, k: int, consts: EstimateConstants, params: FluidParams) -> tuple[float, float]:
@@ -234,13 +241,7 @@ def display_equivalence_bounds(grid: Grid, k: int, consts: EstimateConstants, pa
     These are the squared versions of the first-power weights appearing in
     the summed norm displays.
     """
-    lams = _shell_lams(grid, k)
-    if lams.size == 0:
-        raise ValueError(f"shell {k} contains no lattice modes")
-    P, _ = _form_matrices(lams, k, consts, params)
-    D = np.diag([max(1.0, 2.0 ** (5 * k)), max(1.0, 2.0**k)])
-    vals = _generalized_eigvalsh(np.broadcast_to(D, P.shape), P)
-    return float(vals[:, 0].min()), float(vals[:, -1].max())
+    return _shell_sandwich(grid, k, consts, params, (max(1.0, 2.0 ** (5 * k)), max(1.0, 2.0**k)))
 
 
 def linear_decay_rate_bound(grid: Grid, consts: EstimateConstants, params: FluidParams) -> float:

@@ -1,7 +1,9 @@
 """Time integration of the frequency-truncated system.
 
 The stiff linear coupling of (h, c) and the heat flow of I are advanced by
-exact per-mode propagators precomputed once per (grid, params, dt); only the
+exact per-mode propagators precomputed once per (grid, params, dt), each
+block's exp, phi1 and phi2 from one augmented matrix exponential per distinct
+|xi|^2 (the heat block is the 1x1 case of the pair's 2x2); only the
 convection and forcing terms are treated explicitly, by second-order
 exponential time differencing (ETDRK2, Cox & Matthews 2002).  The Friedrichs
 cutoff J_n commutes with the per-mode linear flow, so it is a factor of the
@@ -81,16 +83,16 @@ class LinearBlock:
     """Exact dt-propagators for the per-mode linear system, truncated by `mask`.
 
     On each mode the pair (h, c) obeys z' = A z with
-    A = [[0, -rho_bar], [|xi|^2 + 1, -nu_c |xi|^2]] and the solenoidal part
-    decays at rate nu_i |xi|^2.  A depends on |xi| alone, so the matrix
-    exponential and the first two phi-functions are read off one augmented
-    6x6 exponential (`expm`, one batch) per distinct |xi|^2 of the grid's
-    radial table (`Grid.radii_sq`), which avoids cancellation at small
-    arguments, and gathered onto the lattice with `Grid.radial_index` as
-    three stacks `exp`, `phi1` and `phi2` of shape (2, 2, *spectral_shape),
-    each 2x2 entry a contiguous per-mode array; `heat_e`, `heat_p1` and
-    `heat_p2` are those of I.  The factors that multiply tendencies, `phi1`,
-    `phi2`, `heat_p1` and `heat_p2`, carry the projector's `mask`: they are 0
+    A = [[0, -rho_bar], [|xi|^2 + 1, -nu_c |xi|^2]] and I obeys the heat flow
+    I' = -nu_i |xi|^2 I, a 1x1 generator.  Both depend on |xi| alone, so each
+    block's exponential and first two phi-functions are read off one augmented
+    exponential (`_phi_table`: 6x6 for the pair, 3x3 for the heat) per
+    distinct |xi|^2 of the grid's radial table (`Grid.radii_sq`) and gathered
+    onto the lattice with `Grid.radial_index`: three stacks `exp`, `phi1` and
+    `phi2` of shape (2, 2, *spectral_shape), each 2x2 entry a contiguous
+    per-mode array, and `heat_e`, `heat_p1` and `heat_p2` of shape
+    `spectral_shape`.  The factors that multiply tendencies, `phi1`, `phi2`,
+    `heat_p1` and `heat_p2`, carry the projector's `mask`: they are 0
     off its annulus.
     """
 
@@ -102,29 +104,33 @@ class LinearBlock:
             raise NumericalAbort(f"linear pair block is not dissipative: max Re eig = {worst:.3e}")
         self.spectral_abscissa = worst
 
-        eye = np.eye(2)
-        aug = np.zeros((q.size, 6, 6))
-        aug[:, 0:2, 0:2] = A
-        aug[:, 0:2, 2:4] = eye
-        aug[:, 2:4, 4:6] = eye
-        big = expm(dt * aug)
-        E, P1, P2 = big[:, 0:2, 0:2], big[:, 0:2, 2:4], big[:, 0:2, 4:6] / dt
-        # q[0] == 0 is the zero mode, which carries no state; keep it inert
-        E[0] = eye
-        P1[0] = dt * eye
-        P2[0] = 0.5 * dt * eye
-
         at = grid.radial_index
         self.exp, self.phi1, self.phi2 = (
-            np.ascontiguousarray(np.moveaxis(M[at], (-2, -1), (0, 1))) for M in (E, P1, P2)
+            np.ascontiguousarray(np.moveaxis(M[at], (-2, -1), (0, 1))) for M in _phi_table(A, dt)
         )
-        self.phi1 *= mask
-        self.phi2 *= mask
+        heat = -params.nu_i * q[:, None, None]
+        self.heat_e, self.heat_p1, self.heat_p2 = (M[:, 0, 0][at] for M in _phi_table(heat, dt))
+        for stack in (self.phi1, self.phi2, self.heat_p1, self.heat_p2):
+            stack *= mask
 
-        z = -params.nu_i * grid.lam_sq * dt
-        self.heat_e = np.exp(z)
-        self.heat_p1 = dt * _phi1(z) * mask
-        self.heat_p2 = dt * _phi2(z) * mask
+
+def _phi_table(gen: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """exp(dt G), dt phi1(dt G) and dt phi2(dt G) of an (R, k, k) stack G over `Grid.radii_sq`.
+
+    All three are read off one augmented (3k, 3k) exponential per radius, one
+    `expm` batch, which avoids cancellation at small arguments.  Row 0 is the
+    zero mode, which carries no state; it is kept inert.
+    """
+    k = gen.shape[-1]
+    eye = np.eye(k)
+    aug = np.zeros((len(gen), 3 * k, 3 * k))
+    aug[:, :k, :k] = gen
+    aug[:, :k, k : 2 * k] = eye
+    aug[:, k : 2 * k, 2 * k :] = eye
+    big = expm(dt * aug)
+    E, P1, P2 = big[:, :k, :k], big[:, :k, k : 2 * k], big[:, :k, 2 * k :] / dt
+    E[0], P1[0], P2[0] = eye, dt * eye, 0.5 * dt * eye
+    return E, P1, P2
 
 
 # [13/13] Pade numerator coefficients b_0..b_13, and the 1-norm up to which the
@@ -175,20 +181,6 @@ def _apply(pair: np.ndarray, heat: np.ndarray, rows) -> np.ndarray:
         out[i : i + 1] += pair[i, 1] * c
     np.multiply(heat, I, out=out[2:])
     return out
-
-
-def _phi1(z: np.ndarray) -> np.ndarray:
-    small = np.abs(z) < 1e-4
-    safe = np.where(small, 1.0, z)
-    series = 1.0 + z / 2.0 + z * z / 6.0
-    return np.where(small, series, np.expm1(safe) / safe)
-
-
-def _phi2(z: np.ndarray) -> np.ndarray:
-    small = np.abs(z) < 1e-4
-    safe = np.where(small, 1.0, z)
-    series = 0.5 + z / 6.0 + z * z / 24.0
-    return np.where(small, series, (np.expm1(safe) - safe) / (safe * safe))
 
 
 @dataclass
@@ -252,14 +244,11 @@ class FriedrichsStepper:
         if drift > 1e-12 * scale:
             raise NumericalAbort(f"state acquired a mean at t = {s.t:.6g} (drift {drift:.3e})")
 
-    def _check_cfl(self, speed: float, when: str) -> None:
-        if speed <= 0.0:
-            return
+    def _check_cfl(self, speed: float, error: type[Exception], what: str) -> None:
+        """Raise `error` when the convective number dt*|u|/dx exceeds `CFL_MARGIN`."""
         number = self.cfg.dt * speed / self.grid.spacing
         if number > CFL_MARGIN:
-            raise NumericalAbort(
-                f"convective stability violated {when}: dt*|u|/dx = {number:.3f} > {CFL_MARGIN}"
-            )
+            raise error(f"{what}: dt*|u|/dx = {number:.3f} > {CFL_MARGIN}")
 
     # -- stepping ------------------------------------------------------------
 
@@ -282,7 +271,7 @@ class FriedrichsStepper:
         out = self._state(x, t_new)
         # a non-finite or mean-carrying input gives such an output, so `prepare`
         # and the output check below cover every state of a run
-        self._check_cfl(self.flags.max_speed, f"at t = {out.t:.6g}")
+        self._check_cfl(self.flags.max_speed, NumericalAbort, f"convective stability violated at t = {out.t:.6g}")
         self._check_health(out)
         return out
 
@@ -304,11 +293,7 @@ class FriedrichsStepper:
         if not self.linear_only:
             u_phys = s.velocity().to_physical()
             speed = float(np.max(np.sqrt(np.sum(u_phys**2, axis=0))))
-            number = self.cfg.dt * speed / self.grid.spacing
-            if number > CFL_MARGIN:
-                raise ValueError(
-                    f"initial data violates the stability bound: dt*|u|/dx = {number:.3f}"
-                )
+            self._check_cfl(speed, ValueError, "initial data violates the stability bound")
         return s
 
     def iterate(self, s0: NspState, stride: int = 1):

@@ -15,6 +15,7 @@ from nspbox.stepper import (
     LinearBlock,
     NumericalAbort,
     StepperConfig,
+    _phi_table,
     expm,
     load_checkpoint,
     save_checkpoint,
@@ -90,9 +91,10 @@ class TestLinearBlock:
 
     @pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
     def test_arrays_equal_per_radius_expm(self, grid_name, request):
-        # reference: one 6x6 augmented exponential per distinct |xi|^2, from the package's `expm` on
-        # that radius alone (scipy's is a separate test), read off entry by entry; the truncation
-        # zeroes the tendency factors off the annulus 1/n <= |xi| <= n and nothing else
+        # reference: one 6x6 (pair) and one 3x3 (heat) augmented exponential per distinct |xi|^2,
+        # from the package's `expm` on that radius alone (scipy's is a separate test), read off
+        # entry by entry; the truncation zeroes the tendency factors off the annulus
+        # 1/n <= |xi| <= n and nothing else
         grid = request.getfixturevalue(grid_name)
         params = FluidParams(mu=0.7, lam=0.2, rho_bar=1.3, dim=grid.dim)
         dt = 0.37
@@ -110,6 +112,7 @@ class TestLinearBlock:
             where = grid.lam_sq == q
             if q == 0.0:  # the inert zero mode
                 E, P1, P2 = eye, dt * eye, 0.5 * dt * eye
+                he, hp1, hp2 = 1.0, dt, 0.5 * dt
             else:
                 aug = np.zeros((6, 6))
                 aug[0:2, 0:2] = [[0.0, -params.rho_bar], [q + 1.0, -params.nu_c * q]]
@@ -117,6 +120,15 @@ class TestLinearBlock:
                 aug[2:4, 4:6] = eye
                 big = expm(dt * aug)
                 E, P1, P2 = big[0:2, 0:2], big[0:2, 2:4], big[0:2, 4:6] / dt
+                heat = np.zeros((3, 3))
+                heat[0, 0] = -params.nu_i * q
+                heat[0, 1] = heat[1, 2] = 1.0
+                big = expm(dt * heat)
+                he, hp1, hp2 = big[0, 0], big[0, 1], big[0, 2] / dt
+            assert np.all(blocks.heat_e[where] == he)
+            for stack, value in ((blocks.heat_p1, hp1), (blocks.heat_p2, hp2)):
+                assert np.all(stack[where & inside] == value)
+                assert np.all(stack[where & ~inside] == 0.0)
             for i in range(2):
                 for j in range(2):
                     assert np.all(blocks.exp[i, j][where] == E[i, j])
@@ -151,6 +163,30 @@ class TestLinearBlock:
     def test_dissipative(self, grid3):
         blocks = LinearBlock(grid3, PARAMS, 0.1, unmasked(grid3))
         assert blocks.spectral_abscissa <= 0.0
+
+    def test_heat_factors_match_mpmath(self):
+        # the heat block's 3x3 augmented exponential against exp(z), (e^z - 1)/z and
+        # (e^z - 1 - z)/z^2 at 40 digits, as a fraction of the largest of the three: round-off
+        # for |z| <= 10; above that the 2^s squarings of `expm` (s ~ log2 |z|) grow the error
+        import mpmath
+
+        z = -np.logspace(-8, 4, 121)
+
+        def exact(x):
+            x = mpmath.mpf(float(x))
+            e = mpmath.exp(x)
+            return [float(e), float((e - 1) / x), float((e - 1 - x) / x**2)]
+
+        with mpmath.workdps(40):
+            ref = np.array([exact(x) for x in z])
+        # row 0 stands for the zero mode, which the table keeps inert
+        table = _phi_table(np.r_[0.0, z][:, None, None], 1.0)
+        ours = np.stack([M[1:, 0, 0] for M in table], axis=1)
+        err = np.max(np.abs(ours - ref), axis=1) / np.max(np.abs(ref), axis=1)
+        small = np.abs(z) <= 10.0
+        assert np.max(err[small]) <= 2e-15
+        assert np.max(err) <= 5e-13
+        assert [M[0, 0, 0] for M in table] == [1.0, 1.0, 0.5]
 
     def test_heat_weights_match_series(self, grid3):
         blocks = LinearBlock(grid3, PARAMS, 1e-3, unmasked(grid3))

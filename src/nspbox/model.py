@@ -14,8 +14,8 @@ the momentum flux (u.grad u = grad(|u|^2/2) - sum_j u_j omega_ij, with
 the vorticity omega_ij = d_i u_j - d_j u_i).  Both identities are exact on
 the dealiased modes, which it transforms and forms on the two-thirds-rule
 band alone (`spectral.BandTransform`).  It returns one tendency stack in
-(h, c, I) row order and knows nothing of the Friedrichs truncation, which
-lives in the stepper's propagators.
+(h, c, I) row order on that band and knows nothing of the Friedrichs
+truncation, which lives in the stepper's propagators.
 
 Initial data enter as physical (density, velocity) pairs, `PrimitiveState`,
 through `from_primitive`; the electrostatic potential is slaved to the
@@ -238,9 +238,7 @@ class _RhsMultipliers:
         self.visc_grad = (params.mu + params.lam) * ixi * lam  # (mu + lambda) grad div u, from c
         self.ixi = grid.to_band(ixi)
         self.lam_m = grid.to_band(lam)  # -Lambda^-1 div grad of |u|^2/2
-        # rows of -Lambda^-1 div and -Lambda^-1 curl of the fluxes; the mask is 1 on the band, but the
-        # product fixes the signed zeros, so the tendencies equal the full-lattice ones bit for bit
-        self.tend_j = grid.to_band(-grid.riesz * grid.dealias_mask)
+        self.tend_j = grid.to_band(-grid.riesz)  # rows of -Lambda^-1 div and -Lambda^-1 curl of the fluxes
         self.band = sp.BandTransform(grid, max(2 * grid.dim + 1, grid.dim + 1 + len(sp.antisym_pairs(grid.dim))))
 
 
@@ -252,7 +250,7 @@ def _rhs_multipliers(grid: Grid, params: FluidParams) -> _RhsMultipliers:
 def explicit_rhs(s: NspState, params: FluidParams) -> tuple[np.ndarray, RhsDiagnostics]:
     """Convection plus forcing tendencies for (h, c, I) in three batched transforms.
 
-    Returns one fresh (2 + N(N-1)/2, *spectral_shape) stack in (h, c, I) row
+    Returns one fresh (2 + N(N-1)/2, *band_shape) stack in (h, c, I) row
     order, untruncated (the stepper's propagators carry the cutoff).
 
     The advection of c cancels exactly between the left-hand convection term
@@ -275,7 +273,7 @@ def explicit_rhs(s: NspState, params: FluidParams) -> tuple[np.ndarray, RhsDiagn
     and the N(N-1)/2 vorticity components, gathered onto the band: N + 1 +
     N(N-1)/2 components, 7 in 3D.  A band forward takes theta u, |u|^2/2 and
     the remaining flux: 2N + 1 components, 7 in 3D.  The tendencies are
-    formed on the band and are exactly zero off it.
+    formed and returned on the band.
     """
     grid = s.grid
     dim = grid.dim
@@ -325,4 +323,4 @@ def explicit_rhs(s: NspState, params: FluidParams) -> tuple[np.ndarray, RhsDiagn
     tend_h = np.sum(tend_j * theta_u, axis=0, keepdims=True)
     tend_c = np.sum(tend_j * flux, axis=0, keepdims=True) + mult.lam_m * kinetic
     tend_I = np.stack([tend_j[j] * flux[i] - tend_j[i] * flux[j] for i, j in pairs])
-    return grid.from_band(np.concatenate([tend_h, tend_c, tend_I])), diag
+    return np.concatenate([tend_h, tend_c, tend_I]), diag

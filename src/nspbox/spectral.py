@@ -30,8 +30,11 @@ modes of a 3D M=32 grid) and gathered with ``Grid.radial_index``;
 
 Dealiased band: the two-thirds rule keeps |k_i| <= size/3 on every axis,
 the box ``Grid.band_shape`` (2m+1 lead wavenumbers [0..m, -m..-1], 0..m
-last, m = size // 3).  `BandTransform` maps it to and from physical space
-with the passes of the full transforms, less the all-zero ones.
+last, m = size // 3).  `Grid.to_band` gathers a half-lattice array onto it
+and `Grid.add_band` adds a band array into one.  `BandTransform` maps it
+to and from physical space with the passes of the full transforms, less
+the all-zero ones, in two buffers it owns: the band's m + 1 last-axis
+columns for the inverse, the half lattice for the forward.
 
 Zero-mode convention: fractional powers of the Laplacian and every inverse
 operator (Poisson solve, Lambda^-1 gradients/divergences) annihilate the
@@ -181,13 +184,6 @@ class Grid:
         return (2 * m + 1,) * (self.dim - 1) + (m + 1,)
 
     @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        """Two-thirds-rule mask: 1 on the band (integer modes with every |k_i| <= size/3), else 0."""
-        mask = np.zeros(self.spectral_shape)
-        mask.flat[self._band_flat] = 1.0
-        return mask
-
-    @cached_property
     def _band_flat(self) -> np.ndarray:
         m = self.size // 3
         lead = np.r_[0 : m + 1, self.size - m : self.size]
@@ -197,11 +193,9 @@ class Grid:
         """Gather a (..., *spectral_shape) array onto the band, shape (..., *band_shape)."""
         return coef.reshape(coef.shape[: coef.ndim - self.dim] + (-1,))[..., self._band_flat]
 
-    def from_band(self, band: np.ndarray) -> np.ndarray:
-        """Scatter (ncomp, *band_shape) coefficients into a fresh half lattice, zero off the band."""
-        out = np.zeros((len(band),) + self.spectral_shape, dtype=np.complex128)
-        out.reshape(len(band), -1)[:, self._band_flat] = band
-        return out
+    def add_band(self, coef: np.ndarray, band: np.ndarray) -> None:
+        """Add (ncomp, *band_shape) coefficients into a C-contiguous (ncomp, *spectral_shape) array, in place."""
+        coef.reshape(len(coef), -1)[:, self._band_flat] += band
 
     @cached_property
     def riesz(self) -> np.ndarray:
@@ -408,23 +402,24 @@ def _symmetrize_zero_plane(grid: Grid, coef: np.ndarray) -> np.ndarray:
 class BandTransform:
     """Transforms between the two-thirds-rule band (`Grid.band_shape`) and physical space.
 
-    The inverse puts the band in the low corner of a zeroed half lattice and
-    per lead axis moves the rows -m..-1 into place and runs an in-place c2c
-    pass, then `irfft`s the last axis; the forward runs `rfft`, then per lead
-    axis a c2c pass and the reverse move.  These are the passes of the full
-    transforms in their order, less all-zero or discarded columns, so on
-    band-limited data the results are the full ones on the band, bitwise
-    (1/size^dim as 1/size a pass is exact for a power-of-two size).  The
-    c2c passes run in place (``out=``) in two half-lattice buffers of up to
-    `ncomp` components that the transform owns, so a step does not refault
-    fresh pages for them: the inverse's input, which a call re-zeroes as far
-    as it reads it, and the forward's ``rfft`` output.  The results are
-    fresh arrays.
+    The inverse puts the band in the low corner of a zeroed buffer and per
+    lead axis moves the rows -m..-1 into place and runs an in-place c2c
+    pass, then `irfft`s the last axis, which zero-pads the columns past m;
+    the forward runs `rfft`, then per lead axis a c2c pass and the reverse
+    move.  These are the passes of the full transforms in their order, less
+    all-zero or discarded columns, so on band-limited data the results are
+    the full ones on the band, bitwise (1/size^dim as 1/size a pass is exact
+    for a power-of-two size).  The c2c passes run in place (``out=``) in two
+    buffers of up to `ncomp` components that the transform owns, so a step
+    does not refault fresh pages for them: the inverse's input, the band's
+    m + 1 last-axis columns of the half lattice, which a call re-zeroes as
+    far as it reads it, and the forward's half-lattice ``rfft`` output.  The
+    results are fresh arrays.
     """
 
     def __init__(self, grid: Grid, ncomp: int):
         self.grid = grid
-        self._half = np.zeros((ncomp,) + grid.spectral_shape, dtype=np.complex128)
+        self._half = np.zeros((ncomp,) + grid.spectral_shape[:-1] + grid.band_shape[-1:], dtype=np.complex128)
         self._spec = np.empty((ncomp,) + grid.spectral_shape, dtype=np.complex128)
 
     def _corner(self, coef: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
@@ -435,7 +430,6 @@ class BandTransform:
         """(ncomp, *band_shape) coefficients to real (ncomp, *grid.shape) values."""
         grid, size, m = self.grid, self.grid.size, self.grid.size // 3
         half = self._half[: len(band)]
-        half[..., m + 1 :] = 0.0
         self._corner(half, grid.band_shape[:-1])[...] = band
         for a in range(1, grid.dim):
             box, pre = self._corner(half, (size,) * a + grid.band_shape[a:-1]), (slice(None),) * a

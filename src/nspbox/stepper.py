@@ -8,7 +8,9 @@ convection and forcing terms are treated explicitly, by second-order
 exponential time differencing (ETDRK2, Cox & Matthews 2002).  The Friedrichs
 cutoff J_n commutes with the per-mode linear flow, so it is a factor of the
 phi-propagators, and projected states stay exactly zero off its annulus.  A
-step works on (h, c, I) row stacks, the layout of `model.explicit_rhs`.
+step works on (h, c, I) row stacks: the state on the half lattice, the
+tendencies of `model.explicit_rhs` and their phi-stages on the
+two-thirds-rule band, which `Grid.add_band` adds into the state.
 """
 
 from __future__ import annotations
@@ -88,30 +90,28 @@ class LinearBlock:
     block's exponential and first two phi-functions are read off one augmented
     exponential (`_phi_table`: 6x6 for the pair, 3x3 for the heat) per
     distinct |xi|^2 of the grid's radial table (`Grid.radii_sq`) and gathered
-    onto the lattice with `Grid.radial_index`: three stacks `exp`, `phi1` and
-    `phi2` of shape (2, 2, *spectral_shape), each 2x2 entry a contiguous
-    per-mode array, and `heat_e`, `heat_p1` and `heat_p2` of shape
-    `spectral_shape`.  The factors that multiply tendencies, `phi1`, `phi2`,
-    `heat_p1` and `heat_p2`, carry the projector's `mask`: they are 0
-    off its annulus.
+    with `Grid.radial_index`: the state's factors `exp`, of shape (2, 2,
+    *spectral_shape), and `heat_e` onto the half lattice, the tendencies'
+    factors `phi1` and `phi2`, of shape (2, 2, *band_shape), and `heat_p1`
+    and `heat_p2` onto the band, where `model.explicit_rhs` returns the
+    tendencies.  Each 2x2 entry is a contiguous per-mode array.  The
+    tendencies' factors carry the projector's `mask`: they are 0 off its
+    annulus.
     """
 
     def __init__(self, grid: Grid, params: FluidParams, dt: float, mask: np.ndarray):
         q = grid.radii_sq
-        A = params.pair_matrix(q)
-        worst = float(np.max(np.linalg.eigvals(A[q > 0]).real, initial=-np.inf))
-        if worst > 1e-12:
-            raise NumericalAbort(f"linear pair block is not dissipative: max Re eig = {worst:.3e}")
-        self.spectral_abscissa = worst
-
-        at = grid.radial_index
+        band = grid.to_band(grid.radial_index)
+        at = (grid.radial_index, band, band)  # exp on the half lattice, phi1 and phi2 on the band
+        pair = _phi_table(params.pair_matrix(q), dt)
         self.exp, self.phi1, self.phi2 = (
-            np.ascontiguousarray(np.moveaxis(M[at], (-2, -1), (0, 1))) for M in _phi_table(A, dt)
+            np.ascontiguousarray(np.moveaxis(M[i], (-2, -1), (0, 1))) for M, i in zip(pair, at)
         )
-        heat = -params.nu_i * q[:, None, None]
-        self.heat_e, self.heat_p1, self.heat_p2 = (M[:, 0, 0][at] for M in _phi_table(heat, dt))
+        heat = _phi_table(-params.nu_i * q[:, None, None], dt)
+        self.heat_e, self.heat_p1, self.heat_p2 = (M[:, 0, 0][i] for M, i in zip(heat, at))
+        band_mask = grid.to_band(mask)
         for stack in (self.phi1, self.phi2, self.heat_p1, self.heat_p2):
-            stack *= mask
+            stack *= band_mask
 
 
 def _phi_table(gen: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -262,12 +262,10 @@ class FriedrichsStepper:
         x = _apply(blocks.exp, blocks.heat_e, (s.h.coef, s.c.coef, s.I.coef))
         if not self.linear_only:
             n0 = self._tendencies(s)
-            x += _apply(blocks.phi1, blocks.heat_p1, _rows(n0))
+            self.grid.add_band(x, _apply(blocks.phi1, blocks.heat_p1, _rows(n0)))
             n1 = self._tendencies(self._state(x, t_new))
             n1 -= n0
-            # the new state reuses n1's buffer, the last one the RHS allocated; a fresh buffer lets
-            # glibc trim the heap every step (3D M=32: ~2500 minor page faults a step, not ~450)
-            x = np.add(x, _apply(blocks.phi2, blocks.heat_p2, _rows(n1)), out=n1)
+            self.grid.add_band(x, _apply(blocks.phi2, blocks.heat_p2, _rows(n1)))
         out = self._state(x, t_new)
         # a non-finite or mean-carrying input gives such an output, so `prepare`
         # and the output check below cover every state of a run

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,19 @@ def wave(grid: Grid, nvec, kind: str = "cos", amp: float = 1.0) -> SpectralField
 
 def constant(grid: Grid, value: float = 1.0) -> SpectralField:
     return transform_to_spectral(grid, np.full(grid.shape, value))
+
+
+def from_band(grid: Grid, band: np.ndarray) -> np.ndarray:
+    """(ncomp, *band_shape) coefficients scattered into a fresh half lattice, zero off the band."""
+    out = np.zeros((len(band),) + grid.spectral_shape, dtype=np.complex128)
+    grid.add_band(out, band)
+    return out
+
+
+@lru_cache(maxsize=8)
+def dealias_mask(grid: Grid) -> np.ndarray:
+    """Two-thirds-rule mask: 1 on the band (integer modes with every |k_i| <= size/3), else 0."""
+    return from_band(grid, np.ones((1,) + grid.band_shape))[0].real
 
 
 def hermitian_defect(f: SpectralField) -> float:

@@ -14,6 +14,8 @@ from nspbox import spectral as sp
 from nspbox.model import FluidParams, NspState, _viscous_quotient
 from nspbox.spectral import Grid, SpectralField
 
+from conftest import dealias_mask
+
 __all__ = ["nonlinear_F", "nonlinear_J", "nonlinear_G", "nonlinear_H"]
 
 
@@ -32,11 +34,11 @@ def _quotient(theta_phys: np.ndarray, params: FluidParams, guarded: bool) -> np.
 
 
 def _masked_phys(f: SpectralField) -> np.ndarray:
-    return SpectralField(f.grid, f.coef * f.grid.dealias_mask).to_physical()
+    return SpectralField(f.grid, f.coef * dealias_mask(f.grid)).to_physical()
 
 
 def _spectralize(grid: Grid, phys: np.ndarray) -> SpectralField:
-    return SpectralField(grid, sp.transform_to_spectral(grid, phys).coef * grid.dealias_mask)
+    return SpectralField(grid, sp.transform_to_spectral(grid, phys).coef * dealias_mask(grid))
 
 
 def nonlinear_F(s: NspState) -> SpectralField:

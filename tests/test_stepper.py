@@ -104,12 +104,16 @@ class TestLinearBlock:
         blocks = LinearBlock(grid, params, dt, mask)
         full = LinearBlock(grid, params, dt, unmasked(grid))
         assert np.array_equal(blocks.heat_e, full.heat_e)
+        # the tendency factors live on the two-thirds-rule band, the layout of the tendencies
+        band_inside = grid.to_band(inside)
+        assert band_inside.any() and not band_inside.all()
         for heat, heat_full in ((blocks.heat_p1, full.heat_p1), (blocks.heat_p2, full.heat_p2)):
-            assert np.all(heat[~inside] == 0.0)
-            assert np.array_equal(heat[inside], heat_full[inside])
+            assert np.all(heat[~band_inside] == 0.0)
+            assert np.array_equal(heat[band_inside], heat_full[band_inside])
         eye = np.eye(2)
         for q in np.unique(grid.lam_sq):
             where = grid.lam_sq == q
+            band_where = grid.to_band(where)
             if q == 0.0:  # the inert zero mode
                 E, P1, P2 = eye, dt * eye, 0.5 * dt * eye
                 he, hp1, hp2 = 1.0, dt, 0.5 * dt
@@ -127,14 +131,14 @@ class TestLinearBlock:
                 he, hp1, hp2 = big[0, 0], big[0, 1], big[0, 2] / dt
             assert np.all(blocks.heat_e[where] == he)
             for stack, value in ((blocks.heat_p1, hp1), (blocks.heat_p2, hp2)):
-                assert np.all(stack[where & inside] == value)
-                assert np.all(stack[where & ~inside] == 0.0)
+                assert np.all(stack[band_where & band_inside] == value)
+                assert np.all(stack[band_where & ~band_inside] == 0.0)
             for i in range(2):
                 for j in range(2):
                     assert np.all(blocks.exp[i, j][where] == E[i, j])
                     for stack, M in ((blocks.phi1, P1), (blocks.phi2, P2)):
-                        assert np.all(stack[i, j][where & inside] == M[i, j])
-                        assert np.all(stack[i, j][where & ~inside] == 0.0)
+                        assert np.all(stack[i, j][band_where & band_inside] == M[i, j])
+                        assert np.all(stack[i, j][band_where & ~band_inside] == 0.0)
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("size", [16, 32, 64, 128])
@@ -156,13 +160,20 @@ class TestLinearBlock:
 
     def test_stacks_are_contiguous_per_entry(self, grid3):
         blocks = LinearBlock(grid3, PARAMS, 0.1, unmasked(grid3))
-        for stack in (blocks.exp, blocks.phi1, blocks.phi2):
-            assert stack.shape == (2, 2) + grid3.spectral_shape
+        shapes = (grid3.spectral_shape, grid3.band_shape, grid3.band_shape)
+        for stack, shape in zip((blocks.exp, blocks.phi1, blocks.phi2), shapes):
+            assert stack.shape == (2, 2) + shape
             assert all(stack[i, j].flags.c_contiguous for i in range(2) for j in range(2))
+        assert blocks.heat_e.shape == grid3.spectral_shape
+        assert blocks.heat_p1.shape == blocks.heat_p2.shape == grid3.band_shape
 
     def test_dissipative(self, grid3):
-        blocks = LinearBlock(grid3, PARAMS, 0.1, unmasked(grid3))
-        assert blocks.spectral_abscissa <= 0.0
+        # the pair generator has trace -nu_c |xi|^2 <= 0 and determinant rho_bar (|xi|^2 + 1) > 0,
+        # also at the viscosity limit 2 mu + N lambda = 0 that `FluidParams` admits
+        q = grid3.radii_sq[1:]
+        for lam in (0.0, -2.0 / 3.0):
+            params = FluidParams(mu=1.0, lam=lam, rho_bar=1.0, dim=3)
+            assert np.max(np.linalg.eigvals(params.pair_matrix(q)).real) <= 0.0
 
     def test_heat_factors_match_mpmath(self):
         # the heat block's 3x3 augmented exponential against exp(z), (e^z - 1)/z and
@@ -192,7 +203,7 @@ class TestLinearBlock:
         blocks = LinearBlock(grid3, PARAMS, 1e-3, unmasked(grid3))
         z = -PARAMS.nu_i * grid3.lam_sq * 1e-3
         phi1_ref = np.where(z == 0, 1.0, np.expm1(np.where(z == 0, 1.0, z)) / np.where(z == 0, 1.0, z))
-        assert np.allclose(blocks.heat_p1, 1e-3 * phi1_ref, rtol=1e-10)
+        assert np.allclose(blocks.heat_p1, grid3.to_band(1e-3 * phi1_ref), rtol=1e-10)
 
 
 class TestStep:
@@ -357,7 +368,7 @@ class TestStep:
         general = FriedrichsStepper(grid3, PARAMS, cfg)
 
         def zero_rhs(s, *args, **kwargs):
-            return np.zeros((5,) + s.grid.spectral_shape, complex), model.RhsDiagnostics(1.0, 1.0, 0.0)
+            return np.zeros((5,) + s.grid.band_shape, complex), model.RhsDiagnostics(1.0, 1.0, 0.0)
 
         monkeypatch.setattr(model, "explicit_rhs", zero_rhs)
         a = b = fast.prepare(small_state(grid3, seed=56, amp=1e-2))
@@ -372,6 +383,34 @@ class TestStep:
             StepperConfig(dt=0.0, n=8.0, t_end=1.0)
         with pytest.raises(ValueError):
             StepperConfig(dt=1e-3, n=8.0, t_end=-1.0)
+
+
+class TestMemory:
+    def test_warm_nonlinear_step_peak(self):
+        # one warmed step of the criterion-08 configuration (3D, M = 32), as `nonlinear3d` runs it: the
+        # tracemalloc peak of its fresh allocations, in half-lattice complex components (0.266 MiB);
+        # 38.0 measured, with the tendencies and their phi-stages on the two-thirds-rule band
+        import tracemalloc
+
+        from nspbox.config import parse_config
+        from nspbox.initial_data import make_initial_data
+
+        cfg = parse_config(
+            "grid.N = 3\ngrid.M = 32\nstepper.dt = 0.02\n"
+            "init.kind = random-band\ninit.amplitude = 1e-3\ninit.band_lo = 0\ninit.band_hi = 2\n"
+        )
+        stepper = FriedrichsStepper(cfg.grid, cfg.params, cfg.stepper)
+        s = stepper.step(stepper.prepare(make_initial_data(cfg)))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            stepper.step(s)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        component = 16 * np.prod(cfg.grid.spectral_shape)
+        assert peak / component <= 39.0
 
 
 class TestInterleaving:

@@ -51,7 +51,6 @@ __all__ = [
     "damping_margins",
     "envelopes_nonincreasing",
     "smoothing_integral",
-    "accumulate_v",
     "global_bound_check",
     "convection_weighted",
     "initial_energy",
@@ -458,18 +457,6 @@ def smoothing_integral(reports: list[EnergyReport], reg_index: float) -> float:
         [sum(2.0 ** (sh.k * (reg_index + 1.5)) * sh.norm_c for sh in r.shells if sh.k > 0) for r in reports]
     )
     return float(np.trapezoid(vals, times))
-
-
-def accumulate_v(times, besov_vals) -> np.ndarray:
-    """Running trapezoidal integral of ||u||_{B^{N/2+1}}; non-decreasing."""
-    times = np.asarray(times, dtype=np.float64)
-    vals = np.asarray(besov_vals, dtype=np.float64)
-    if np.any(vals < 0):
-        raise ValueError("norm series must be nonnegative")
-    out = np.zeros_like(times)
-    if len(times) > 1:
-        out[1:] = np.cumsum(0.5 * np.diff(times) * (vals[1:] + vals[:-1]))
-    return out
 
 
 def convection_weighted(reports: list[EnergyReport], K: float, attr: str) -> np.ndarray:

@@ -44,6 +44,8 @@ def _finish(name: str, out_dir, summary: dict, assertions: list[tuple[str, bool,
     with rec.atomic_open(os.path.join(out_dir, "summary.json")) as fh:
         json.dump({"experiment": name, **summary}, fh, indent=2, default=float)
         fh.write("\n")
+    mode = "enforced" if do_assert else "reported"
+    print(f"{name}: assertions ({mode}): {', '.join(summary['assertions'])}")
     failures = [(label, detail) for label, ok, detail in assertions if not ok]
     for label, detail in failures:
         print(f"FAIL {name}:{label}: {detail}")
@@ -52,15 +54,10 @@ def _finish(name: str, out_dir, summary: dict, assertions: list[tuple[str, bool,
     return ExperimentResult(exit_code=0, summary=summary)
 
 
-def _announce(name: str, labels: list[str], do_assert: bool) -> None:
-    mode = "enforced" if do_assert else "reported"
-    print(f"{name}: assertions ({mode}): {', '.join(labels)}")
-
-
 def _monitored_run(cfg: RunConfig, out_dir, linear_only: bool):
     """Run the stepper under an energy monitor, writing each sample's record to records.ndjson.
 
-    Returns the constants, the initial data, the monitor and the trajectory.
+    Returns the monitor, whose `consts` are the run's bound constants, and the trajectory.
     """
     consts = energy.compute_constants(cfg.params, A=cfg.bound_A, c_tilde=cfg.bound_c_tilde)
     state0 = make_initial_data(cfg)
@@ -69,14 +66,14 @@ def _monitored_run(cfg: RunConfig, out_dir, linear_only: bool):
 
     def record(state: NspState, flags) -> energy.EnergyReport:
         report = monitor(state)
-        norm_records.append(rec.record_from_report(report, flags.positivity_ok, flags.guard_active))
+        norm_records.append(rec.record_from_report(report, flags.min_density > 0, flags.guard_active))
         return report
 
     stepper = FriedrichsStepper(cfg.grid, cfg.params, cfg.stepper, linear_only=linear_only)
     traj = stepper.run(state0, monitor=record, stride=cfg.monitor_stride)
     os.makedirs(out_dir, exist_ok=True)
     rec.write_records(norm_records, os.path.join(out_dir, "records.ndjson"))
-    return consts, state0, monitor, traj
+    return monitor, traj
 
 
 def _write_rows(out_dir, name: str, rows: list[dict]) -> None:
@@ -91,30 +88,25 @@ def _write_rows(out_dir, name: str, rows: list[dict]) -> None:
 
 
 def experiment_nonlinear(cfg: RunConfig, out_dir, do_assert: bool = False) -> ExperimentResult:
-    labels = ["mass_conservation", "density_positive", "v_nondecreasing", "global_bound"]
-    _announce("nonlinear", labels, do_assert)
+    monitor, traj = _monitored_run(cfg, out_dir, linear_only=False)
 
-    consts, state0, monitor, traj = _monitored_run(cfg, out_dir, linear_only=False)
-
-    mass_defect = max(
-        float(np.max(np.abs(state0.theta().zero_mode()))),
-        float(np.max(np.abs(traj.final_state.theta().zero_mode()))),
-    )
+    # the initial data carry no mean (their zero mode lies outside the truncation annulus)
+    mass_defect = float(np.max(np.abs(traj.final_state.theta().zero_mode())))
     v_series = [r.v_accum for r in traj.records]
-    verdict = energy.global_bound_check(traj.records, monitor.e0, consts)
+    verdict = energy.global_bound_check(traj.records, monitor.e0, monitor.consts)
 
     summary = {
         "e0": monitor.e0,
         "max_e_ratio": verdict.max_ratio,
         "bound_ratio": verdict.threshold_ratio,
         "m_empirical": traj.records[-1].prim_ratio,
-        "min_density": traj.min_density,
-        "guard_ever_active": traj.guard_ever_active,
+        "min_density": traj.flags.min_density,
+        "guard_ever_active": traj.flags.guard_active,
         "mass_defect": mass_defect,
     }
     assertions = [
         ("mass_conservation", mass_defect <= 1e-12, f"defect {mass_defect:.3e}"),
-        ("density_positive", traj.min_density > 0, f"min density {traj.min_density:.3e}"),
+        ("density_positive", traj.flags.min_density > 0, f"min density {traj.flags.min_density:.3e}"),
         ("v_nondecreasing", all(b >= a for a, b in zip(v_series, v_series[1:])), "V decreased"),
         ("global_bound", verdict.passed, f"ratio {verdict.max_ratio:.3f} > {verdict.threshold_ratio:.3f}"),
     ]
@@ -122,16 +114,13 @@ def experiment_nonlinear(cfg: RunConfig, out_dir, do_assert: bool = False) -> Ex
 
 
 def experiment_linear(cfg: RunConfig, out_dir, do_assert: bool = False) -> ExperimentResult:
-    labels = ["c_fit_positive", "damping_margins", "envelopes"]
-    _announce("linear", labels, do_assert)
-
-    consts, _, _, traj = _monitored_run(cfg, out_dir, linear_only=True)
+    monitor, traj = _monitored_run(cfg, out_dir, linear_only=True)
 
     c_fit = energy.fit_damping_constant(traj.records)
     margins = energy.damping_margins(traj.records, c_fit)
     max_margin = max(margins.values())
     envelopes_ok = energy.envelopes_nonincreasing(traj.records)
-    rate_bound = energy.linear_decay_rate_bound(cfg.grid, consts, cfg.params)
+    rate_bound = energy.linear_decay_rate_bound(cfg.grid, monitor.consts, cfg.params)
 
     summary = {
         "c_fit": c_fit,
@@ -152,9 +141,6 @@ def experiment_linear(cfg: RunConfig, out_dir, do_assert: bool = False) -> Exper
 
 
 def experiment_refine(cfg: RunConfig, out_dir, do_assert: bool = False) -> ExperimentResult:
-    labels = ["distances_finite"]
-    _announce("refine", labels, do_assert)
-
     cfg_fine = dataclasses.replace(
         cfg, stepper=dataclasses.replace(cfg.stepper, n=2.0 * cfg.stepper.n)
     )
@@ -183,9 +169,6 @@ def experiment_refine(cfg: RunConfig, out_dir, do_assert: bool = False) -> Exper
 
 
 def experiment_perturb(cfg: RunConfig, out_dir, do_assert: bool = False) -> ExperimentResult:
-    labels = ["zero_delta_identically_zero"] if cfg.perturb_delta == 0.0 else ["difference_finite"]
-    _announce("perturb", labels, do_assert)
-
     delta = cfg.perturb_delta
     state_a = make_initial_data(cfg)
     if delta > 0.0:
@@ -222,16 +205,6 @@ def experiment_perturb(cfg: RunConfig, out_dir, do_assert: bool = False) -> Expe
 
 
 def experiment_check_lemmas(cfg: RunConfig, out_dir, do_assert: bool = False) -> ExperimentResult:
-    labels = [
-        "partition_of_unity",
-        "reconstruction",
-        "shell_overlap",
-        "bernstein_bounds",
-        "hybrid_equals_besov",
-        "hybrid_embedding",
-    ]
-    _announce("check-lemmas", labels, do_assert)
-
     grid = cfg.grid
     rng = np.random.default_rng(cfg.seed)
     filters = lp.shell_filters(grid)

@@ -74,7 +74,7 @@ def make_initial_data(cfg: RunConfig) -> NspState:
             raise ValueError("checkpoint fluid parameters do not match the configuration")
     else:
         rho, u = _primitive_fields(cfg)
-        raw = from_primitive(PrimitiveState(grid=grid, rho=rho, u=u, rho_bar=cfg.params.rho_bar), cfg.params)
+        raw = from_primitive(PrimitiveState(grid=grid, rho=rho, u=u), cfg.params)
     projected = NspState(projector(raw.h), projector(raw.c), projector(raw.I), t=0.0)
 
     if cfg.amplitude == 0.0:

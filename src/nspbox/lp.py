@@ -35,8 +35,8 @@ import numpy as np
 from .spectral import SpectralField, Grid, apply_lambda, l2_norm, linf_norm, transform_to_spectral
 
 __all__ = [
-    "CutoffProfile",
-    "DEFAULT_PROFILE",
+    "psi",
+    "phi",
     "DyadicSpectrum",
     "PLATEAU_EDGES",
     "ANNULUS_SUPPORT",
@@ -82,35 +82,27 @@ def _bump_integral(upper: np.ndarray) -> np.ndarray:
 _BUMP_NORM = float(_bump_integral(np.asarray(1.0)))
 
 
-class CutoffProfile:
-    """Radial cutoffs built from the normalized integral of the standard bump.
+def psi(r: np.ndarray) -> np.ndarray:
+    """Plateau cutoff: 1 for r <= 3/4, 0 for r >= 4/3, in [0, 1] between.
 
-    The recipe is fixed so block norms are bit-reproducible across runs.
+    Non-increasing up to round-off.  Built from the normalized integral of
+    the standard bump; the GL-128 recipe is fixed so block norms are
+    bit-reproducible across runs.
     """
-
-    recipe = "bump-integral-gl128"
-
-    def psi(self, r: np.ndarray) -> np.ndarray:
-        """Plateau cutoff: 1 for r <= 3/4, 0 for r >= 4/3, in [0, 1] between.
-
-        Non-increasing up to round-off.
-        """
-        r = np.asarray(r, dtype=np.float64)
-        lo, hi = PLATEAU_EDGES
-        out = np.where(r <= lo, 1.0, 0.0)
-        inside = (r > lo) & (r < hi)  # the quadrature runs on the ramp only
-        ramp = _bump_integral((r[inside] - lo) / (hi - lo)) / _BUMP_NORM
-        # the GL-128 quotient rounds above 1 near tau ~ 0.97, so clamp
-        out[inside] = np.clip(1.0 - ramp, 0.0, 1.0)
-        return out
-
-    def phi(self, r: np.ndarray) -> np.ndarray:
-        """Annular cutoff psi(r/2) - psi(r): in [0, 1], zero outside [3/4, 8/3]."""
-        r = np.asarray(r, dtype=np.float64)
-        return self.psi(0.5 * r) - self.psi(r)
+    r = np.asarray(r, dtype=np.float64)
+    lo, hi = PLATEAU_EDGES
+    out = np.where(r <= lo, 1.0, 0.0)
+    inside = (r > lo) & (r < hi)  # the quadrature runs on the ramp only
+    ramp = _bump_integral((r[inside] - lo) / (hi - lo)) / _BUMP_NORM
+    # the GL-128 quotient rounds above 1 near tau ~ 0.97, so clamp
+    out[inside] = np.clip(1.0 - ramp, 0.0, 1.0)
+    return out
 
 
-DEFAULT_PROFILE = CutoffProfile()
+def phi(r: np.ndarray) -> np.ndarray:
+    """Annular cutoff psi(r/2) - psi(r): in [0, 1], zero outside [3/4, 8/3]."""
+    r = np.asarray(r, dtype=np.float64)
+    return psi(0.5 * r) - psi(r)
 
 
 @dataclass
@@ -184,8 +176,8 @@ def shell_filters(grid: Grid) -> ShellFilters:
     share one psi row (halving is exact) and psi runs k_max - k_min + 2 times.
     """
     k_min, k_max = shell_range(grid)
-    psi = np.stack([DEFAULT_PROFILE.psi(grid.radii * 2.0 ** (-k)) for k in range(k_min, k_max + 2)])
-    return ShellFilters(grid=grid, k_min=k_min, k_max=k_max, radial_masks=psi[1:] - psi[:-1])
+    rows = np.stack([psi(grid.radii * 2.0 ** (-k)) for k in range(k_min, k_max + 2)])
+    return ShellFilters(grid=grid, k_min=k_min, k_max=k_max, radial_masks=rows[1:] - rows[:-1])
 
 
 def dyadic_block(f: SpectralField, k: int) -> SpectralField:

@@ -144,7 +144,6 @@ class PrimitiveState:
     grid: Grid
     rho: np.ndarray
     u: np.ndarray
-    rho_bar: float
 
     def __post_init__(self) -> None:
         self.rho = np.asarray(self.rho, dtype=np.float64)

@@ -185,21 +185,24 @@ def _apply(pair: np.ndarray, heat: np.ndarray, rows) -> np.ndarray:
 
 @dataclass
 class StepFlags:
+    """A run's health: its minimum density over all RHS calls, the last call's peak speed, the clamp's use.
+
+    `min_density` starts at +inf and only falls, so `min_density > 0` is the run's positivity.
+    """
+
     min_density: float = np.inf
     max_speed: float = 0.0
-    positivity_ok: bool = True
     guard_active: bool = False
 
 
 @dataclass
 class Trajectory:
-    """Monitored samples of one run: times, monitor records, final state."""
+    """Monitored samples of one run: times, monitor records, final state and the run's flags."""
 
     times: list[float] = dc_field(default_factory=list)
     records: list = dc_field(default_factory=list)
     final_state: NspState | None = None
-    min_density: float = np.inf
-    guard_ever_active: bool = False
+    flags: StepFlags | None = None
 
 
 class FriedrichsStepper:
@@ -226,8 +229,6 @@ class FriedrichsStepper:
         tend, diag = model.explicit_rhs(s, self.params)
         self.flags.min_density = min(self.flags.min_density, diag.min_density)
         self.flags.max_speed = diag.max_speed
-        if diag.min_density <= 0.0:
-            self.flags.positivity_ok = False
         band_lo, band_hi = model.CLAMP_BAND
         if diag.min_density < band_lo * self.params.rho_bar or diag.max_density > band_hi * self.params.rho_bar:
             self.flags.guard_active = True
@@ -313,8 +314,7 @@ class FriedrichsStepper:
             if monitor is not None:
                 traj.records.append(monitor(s, self.flags))
         traj.final_state = s
-        traj.min_density = self.flags.min_density
-        traj.guard_ever_active = self.flags.guard_active
+        traj.flags = self.flags
         return traj
 
 

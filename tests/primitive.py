@@ -38,7 +38,7 @@ def to_primitive(s: NspState, params: FluidParams) -> tuple[PrimitiveState, np.n
     """(density, velocity) of a state and its potential, checked against the density."""
     theta = s.theta()
     rho = params.rho_bar + theta.to_physical()[0]
-    prim = PrimitiveState(grid=s.grid, rho=rho, u=s.velocity().to_physical(), rho_bar=params.rho_bar)
+    prim = PrimitiveState(grid=s.grid, rho=rho, u=s.velocity().to_physical())
     phi = sp.poisson_solve(theta).to_physical()[0]
     check_potential(prim, phi)
     return prim, phi

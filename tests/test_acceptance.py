@@ -305,12 +305,12 @@ def test_criterion_08_small_data_boundedness():
         float(np.max(np.abs(traj.final_state.theta().zero_mode()))),
     )
     assert mass <= 1e-12
-    assert traj.min_density > 0.0
+    assert traj.flags.min_density > 0.0
     elapsed = time.monotonic() - start
     assert elapsed < 300.0
     print(
         f"criterion 08: max E ratio {verdict.max_ratio:.3f} <= {FROZEN['small_data_e_ratio_bound']:.3f}, "
-        f"mass defect {mass:.1e}, min density {traj.min_density:.4f}, {elapsed:.0f}s"
+        f"mass defect {mass:.1e}, min density {traj.flags.min_density:.4f}, {elapsed:.0f}s"
     )
 
 

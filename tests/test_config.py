@@ -12,7 +12,7 @@ from nspbox.initial_data import make_initial_data
 from nspbox.lp import hybrid_norm
 from nspbox.records import CSV_COLUMNS, NormRecord, read_records, write_records
 from nspbox.spectral import l2_norm
-from nspbox.stepper import save_checkpoint
+from nspbox.stepper import load_checkpoint, save_checkpoint
 from nspbox.model import FluidParams
 
 
@@ -165,6 +165,28 @@ class TestInitialData:
         cfg = parse_config("grid.N = 2\ngrid.M = 16\ninit.kind = smooth-random\ninit.amplitude = 1e-2")
         s = make_initial_data(cfg)
         assert initial_energy(s) == pytest.approx(1e-2, rel=1e-12)
+
+    # the zero mode lies outside the truncation annulus 1/n <= |xi| <= n, so the
+    # data carry no mean and the nonlinear driver's mass check reads the final state alone
+    @pytest.mark.parametrize("amplitude", [0.0, 1e-3])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("kind", ["single-mode", "random-band", "smooth-random"])
+    def test_generated_zero_modes_are_exactly_zero(self, kind, dim, amplitude):
+        cfg = parse_config(f"grid.N = {dim}\ngrid.M = 16\ninit.kind = {kind}\ninit.amplitude = {amplitude}")
+        s = make_initial_data(cfg)
+        for f in (s.h, s.c, s.I, s.theta()):
+            assert np.all(f.zero_mode() == 0.0)
+
+    def test_checkpoint_mean_is_projected_away(self, tmp_path):
+        cfg = parse_config("grid.M = 16\ninit.band_hi = 1\ninit.amplitude = 1e-3")
+        s = make_initial_data(cfg)
+        s.h.coef[(0,) * 4] = 0.3
+        path = tmp_path / "init.chk"
+        save_checkpoint(path, s, cfg.params, n=cfg.stepper.n)
+        assert load_checkpoint(path)[0].h.zero_mode()[0] == 0.3
+        loaded = make_initial_data(parse_config(f"grid.M = 16\ninit.kind = file\ninit.file = {path}"))
+        for f in (loaded.h, loaded.c, loaded.I, loaded.theta()):
+            assert np.all(f.zero_mode() == 0.0)
 
 
 def sample_records():

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh
 
-from nspbox import energy
+from nspbox import energy, lp
 from nspbox.energy import (
     ALPHA_FLOOR,
     EnergyMonitor,
     EnergyReport,
     ShellEnergy,
     _alpha_matrix,
-    accumulate_v,
     all_shell_energies,
     compute_constants,
     damping_margins,
@@ -27,7 +26,7 @@ from nspbox.energy import (
     smoothing_integral,
     state_powers,
 )
-from nspbox.lp import DEFAULT_PROFILE, dyadic_block, dyadic_spectrum, hybrid_norm, radial_power, shell_filters
+from nspbox.lp import dyadic_block, dyadic_spectrum, hybrid_norm, radial_power, shell_filters
 from nspbox.model import FluidParams, NspState
 from nspbox.spectral import Grid, SpectralField, helmholtz_decompose, inner, l2_norm, random_field
 from nspbox.stepper import FriedrichsStepper, StepperConfig
@@ -98,7 +97,7 @@ class TestShellEnergy:
         )
         shells = {sh.k: sh for sh in all_shell_energies(s, consts, PARAMS)}
         for k in (-1, 0):
-            w = float(DEFAULT_PROFILE.phi(np.asarray(2.0**-k)))
+            w = float(lp.phi(np.asarray(2.0**-k)))
             mode_norm = w * amp / np.sqrt(2.0)
             expected = (1.0 + 1.0) * mode_norm**2  # rho_bar = 1 and |xi| = 1
             assert shells[k].alpha_sq == pytest.approx(expected, rel=1e-12)
@@ -406,28 +405,6 @@ class TestSmoothing:
         assert 2.0 / 1.5 <= ratio <= 2.0 * 1.5
 
 
-class TestAccumulateV:
-    def test_zero_series(self):
-        out = accumulate_v([0.0, 0.5, 1.0], [0.0, 0.0, 0.0])
-        assert np.all(out == 0.0)
-
-    def test_constant_integrand(self):
-        times = np.linspace(0.0, 2.0, 9)
-        out = accumulate_v(times, np.full(9, 3.0))
-        assert out[-1] == pytest.approx(6.0, rel=1e-14)
-        assert np.allclose(out, 3.0 * times)
-
-    def test_non_decreasing(self):
-        rng = np.random.default_rng(65)
-        vals = rng.uniform(0.0, 1.0, 50)
-        out = accumulate_v(np.linspace(0, 1, 50), vals)
-        assert np.all(np.diff(out) >= 0.0)
-
-    def test_negative_values_rejected(self):
-        with pytest.raises(ValueError):
-            accumulate_v([0.0, 1.0], [1.0, -1.0])
-
-
 class TestGlobalBound:
     def test_zero_data_passes_with_zero_ratio(self, grid3):
         consts = compute_constants(PARAMS)
@@ -656,8 +633,6 @@ class TestNormTable:
                 assert abs(got - want) <= 1e-14 * want, (i, name)
 
     def test_weights_built_once_per_grid(self, grid3, monkeypatch):
-        from nspbox import lp
-
         calls = []
         weights = lp.hybrid_weights
         monkeypatch.setattr(lp, "hybrid_weights", lambda *args: calls.append(args) or weights(*args))

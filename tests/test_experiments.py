@@ -137,6 +137,43 @@ class TestDrivers:
         assert rows[0]["guarded"] is False  # initial sample precedes any evaluation
         assert rows[-1]["guarded"] is True
 
+    def test_positivity_lost_mid_run_is_recorded_and_fails(self, tmp_path, monkeypatch, capsys):
+        # the RHS diagnostics report a negative density from call 5 on, the first stage
+        # of step 3; samples follow every step, so sample 3 is the first to see it
+        from nspbox import model
+
+        plain_rhs = model.explicit_rhs
+        calls = []
+
+        def rhs(*args, **kwargs):
+            tend, diag = plain_rhs(*args, **kwargs)
+            calls.append(1)
+            if len(calls) >= 5:
+                diag.min_density = -0.1
+            return tend, diag
+
+        monkeypatch.setattr(model, "explicit_rhs", rhs)
+        text = "\n".join(
+            ["grid.M = 16", "stepper.dt = 1e-3", "stepper.t_end = 0.006", "init.band_hi = 1", "monitor.stride = 1"]
+        )
+        result = experiment_nonlinear(parse_config(text), tmp_path, do_assert=True)
+        assert result.exit_code == 1
+        rows = [json.loads(line) for line in (tmp_path / "records.ndjson").read_text().splitlines()]
+        assert [row["positivity"] for row in rows] == [True] * 3 + [False] * 4
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["min_density"] == -0.1
+        assert summary["assertions"] == {
+            "mass_conservation": True,
+            "density_positive": False,
+            "v_nondecreasing": True,
+            "global_bound": True,
+        }
+        # the assertions line is printed with the results, before the failures
+        assert capsys.readouterr().out.splitlines() == [
+            "nonlinear: assertions (enforced): mass_conservation, density_positive, v_nondecreasing, global_bound",
+            "FAIL nonlinear:density_positive: min density -1.000e-01",
+        ]
+
     def test_check_lemmas(self, tmp_path):
         cfg = parse_config("grid.M = 16")
         result = experiment_check_lemmas(cfg, tmp_path, do_assert=True)
@@ -237,6 +274,17 @@ class TestCli:
         assert main(["run", "--config", str(cfg), "--out", str(out1)]) == 0
         assert main(["run", "--config", str(cfg), "--out", str(out2)]) == 0
         assert (out1 / "records.ndjson").read_bytes() == (out2 / "records.ndjson").read_bytes()
+
+    @pytest.mark.parametrize("command", ["run", "linear", "refine", "perturb", "check-lemmas"])
+    def test_one_assertions_line_names_the_summary_assertions(self, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(FAST_NONLINEAR)
+        out = tmp_path / "out"
+        main([command, "--config", str(cfg), "--out", str(out)])
+        lines = [line for line in capsys.readouterr().out.splitlines() if ": assertions (reported): " in line]
+        assert len(lines) == 1
+        labels = lines[0].split(": assertions (reported): ")[1].split(", ")
+        assert labels == list(json.loads((out / "summary.json").read_text())["assertions"])
 
     def test_default_config_check_lemmas_on_small_grid(self, tmp_path):
         cfg = tmp_path / "cfg.txt"

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from nspbox import lp
 from nspbox.lp import (
     ANNULUS_SUPPORT,
-    DEFAULT_PROFILE,
     PLATEAU_EDGES,
     bernstein_ratio,
     besov_norm,
@@ -28,28 +28,28 @@ from conftest import constant, wave
 class TestProfile:
     def test_plateau_values(self):
         r = np.array([0.0, 0.3, 0.75, 1.0, 4.0 / 3.0, 2.0, 10.0])
-        psi = DEFAULT_PROFILE.psi(r)
+        psi = lp.psi(r)
         assert np.all(psi[r <= 0.75] == 1.0)
         assert np.all(psi[r >= 4.0 / 3.0] == 0.0)
         assert np.all((0.0 <= psi) & (psi <= 1.0))
 
     def test_psi_monotone_on_transition(self):
         r = np.linspace(*PLATEAU_EDGES, 500)
-        psi = DEFAULT_PROFILE.psi(r)
+        psi = lp.psi(r)
         assert np.all(np.diff(psi) <= 1e-15)
 
     def test_psi_stays_in_unit_interval_on_transition(self):
         # the fixed-node ramp quotient rounds above 1 near the top of the band
         r = np.linspace(*PLATEAU_EDGES, 100001)
-        psi = DEFAULT_PROFILE.psi(r)
+        psi = lp.psi(r)
         assert np.all((0.0 <= psi) & (psi <= 1.0))
         # lattice radii |xi| 2^-k where an unclamped ramp gives -2.2e-16 and -4.4e-16
-        lattice = DEFAULT_PROFILE.psi(np.array([np.sqrt(113.0) / 8.0, np.sqrt(450.0) / 16.0]))
+        lattice = lp.psi(np.array([np.sqrt(113.0) / 8.0, np.sqrt(450.0) / 16.0]))
         assert np.all((0.0 <= lattice) & (lattice <= 1.0))
 
     def test_annulus_support(self):
         r = np.linspace(0.0, 4.0, 1000)
-        phi = DEFAULT_PROFILE.phi(r)
+        phi = lp.phi(r)
         lo, hi = ANNULUS_SUPPORT
         outside = (r < lo) | (r > hi)
         assert np.all(phi[outside] == 0.0)
@@ -60,7 +60,7 @@ class TestProfile:
         r = np.logspace(-2, 2, 400)
         total = np.zeros_like(r)
         for k in range(-9, 10):
-            total += DEFAULT_PROFILE.phi(r * 2.0**-k)
+            total += lp.phi(r * 2.0**-k)
         assert np.max(np.abs(total - 1.0)) < 1e-12
 
     def test_psi_against_independent_quadrature(self):
@@ -74,7 +74,7 @@ class TestProfile:
             tau = (r - lo) / (hi - lo)
             partial, _ = quad(bump, 0.0, tau, epsabs=1e-15, epsrel=1e-13)
             expected = 1.0 - partial / norm
-            assert DEFAULT_PROFILE.psi(np.asarray(r)) == pytest.approx(expected, abs=1e-10)
+            assert lp.psi(np.asarray(r)) == pytest.approx(expected, abs=1e-10)
 
 
 class TestBlocks:
@@ -96,12 +96,12 @@ class TestBlocks:
         grid = request.getfixturevalue(grid_name)
         filters = shell_filters(grid)
         for k in filters.ks:
-            assert np.array_equal(filters.mask(k), DEFAULT_PROFILE.phi(grid.lam * 2.0**-k))
+            assert np.array_equal(filters.mask(k), lp.phi(grid.lam * 2.0**-k))
 
     def test_single_mode_block_value(self, grid3):
         f = wave(grid3, (1, 0, 0))
         out = dyadic_block(f, 0)
-        expected = float(DEFAULT_PROFILE.phi(np.asarray(1.0)))
+        expected = float(lp.phi(np.asarray(1.0)))
         assert np.max(np.abs(out.coef - expected * f.coef)) < 1e-15
 
     def test_constant_blocks_vanish(self, grid3):
@@ -159,7 +159,7 @@ class TestBesovNorm:
         s = 0.75
         mode_norm = amp / np.sqrt(2.0)
         expected = sum(
-            2.0 ** (k * s) * float(DEFAULT_PROFILE.phi(np.asarray(2.0 * 2.0**-k))) * mode_norm
+            2.0 ** (k * s) * float(lp.phi(np.asarray(2.0 * 2.0**-k))) * mode_norm
             for k in shell_filters(grid3).ks
         )
         assert besov_norm(f, s) == pytest.approx(expected, rel=1e-12)

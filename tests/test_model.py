@@ -141,7 +141,7 @@ class TestConversions:
     def test_equilibrium_maps_to_zero_state(self, grid3):
         rho = np.full(grid3.shape, PARAMS3.rho_bar)
         u = np.zeros((3,) + grid3.shape)
-        prim = PrimitiveState(grid=grid3, rho=rho, u=u, rho_bar=1.0)
+        prim = PrimitiveState(grid=grid3, rho=rho, u=u)
         s = from_primitive(prim, PARAMS3)
         assert l2_norm(s.h) == 0.0 and l2_norm(s.c) == 0.0 and l2_norm(s.I) == 0.0
 
@@ -149,7 +149,7 @@ class TestConversions:
         eps = 1e-3
         x1 = grid3.coordinates()[0]
         rho = PARAMS3.rho_bar + eps * np.cos(x1)
-        prim = PrimitiveState(grid=grid3, rho=rho, u=np.zeros((3,) + grid3.shape), rho_bar=1.0)
+        prim = PrimitiveState(grid=grid3, rho=rho, u=np.zeros((3,) + grid3.shape))
         s = from_primitive(prim, PARAMS3)
         expected = wave(grid3, (1, 0, 0), amp=eps)  # |xi| = 1 so the lift acts as identity
         assert np.max(np.abs(s.h.coef - expected.coef)) < 1e-12 * eps
@@ -163,7 +163,7 @@ class TestConversions:
             )
         )
         rho = np.full(grid3.shape, 1.0)
-        prim = PrimitiveState(grid=grid3, rho=rho, u=u.to_physical(), rho_bar=1.0)
+        prim = PrimitiveState(grid=grid3, rho=rho, u=u.to_physical())
         s = from_primitive(prim, PARAMS3)
         assert l2_norm(s.I) < 1e-12 * l2_norm(s.c)
 
@@ -193,7 +193,7 @@ class TestConversions:
         x1 = grid3.coordinates()[0]
         rho = 1.0 + 1.5 * np.cos(x1)
         rho = rho - np.mean(rho) + 1.0
-        prim_kwargs = dict(grid=grid3, u=np.zeros((3,) + grid3.shape), rho_bar=1.0)
+        prim_kwargs = dict(grid=grid3, u=np.zeros((3,) + grid3.shape))
         with pytest.raises(ValueError, match="positive"):
             from_primitive(PrimitiveState(rho=rho, **prim_kwargs), PARAMS3)
 
@@ -201,7 +201,7 @@ class TestConversions:
         eps = 1e-2
         x1 = grid3.coordinates()[0]
         rho = 1.0 + eps * np.cos(x1)
-        prim = PrimitiveState(grid=grid3, rho=rho, u=np.zeros((3,) + grid3.shape), rho_bar=1.0)
+        prim = PrimitiveState(grid=grid3, rho=rho, u=np.zeros((3,) + grid3.shape))
         assert np.max(np.abs(potential(prim) + eps * np.cos(x1))) < 1e-12
         check_potential(prim, -eps * np.cos(x1))  # consistent, accepted
         with pytest.raises(ValueError, match="Poisson"):
@@ -209,7 +209,7 @@ class TestConversions:
 
     def test_mean_density_mismatch_rejected(self, grid3):
         rho = np.full(grid3.shape, 1.5)
-        prim = PrimitiveState(grid=grid3, rho=rho, u=np.zeros((3,) + grid3.shape), rho_bar=1.5)
+        prim = PrimitiveState(grid=grid3, rho=rho, u=np.zeros((3,) + grid3.shape))
         with pytest.raises(ValueError, match="rho_bar"):
             from_primitive(prim, PARAMS3)
 

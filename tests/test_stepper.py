@@ -447,7 +447,7 @@ class TestGuardFlag:
         x = np.stack(grid3.coordinates())
         bump = np.exp(-np.sum((x - np.pi) ** 2, axis=0) / 0.5)
         rho = 1.0 + amp * (bump - bump.mean())
-        s0 = model.from_primitive(model.PrimitiveState(grid3, rho, np.zeros((3,) + grid3.shape), 1.0), PARAMS)
+        s0 = model.from_primitive(model.PrimitiveState(grid3, rho, np.zeros((3,) + grid3.shape)), PARAMS)
         stepper = FriedrichsStepper(grid3, PARAMS, StepperConfig(dt=1e-2, n=16.0, t_end=1e-2))
         stepper.step(stepper.prepare(s0))
         assert stepper.flags.guard_active is guarded
@@ -456,11 +456,12 @@ class TestGuardFlag:
         # a stepper reused for a second run reports that run's flags, not the first one's
         cfg = StepperConfig(dt=1e-3, n=8.0, t_end=5e-3)
         reused = FriedrichsStepper(grid3, PARAMS, cfg)
-        reused.run(small_state(grid3, seed=52, amp=0.2))
+        first = reused.run(small_state(grid3, seed=52, amp=0.2))
         quiet, fresh = small_state(grid3, seed=53, amp=1e-3), FriedrichsStepper(grid3, PARAMS, cfg)
         again, alone = reused.run(quiet), fresh.run(quiet)
-        assert again.min_density == alone.min_density > 0.99
-        assert again.guard_ever_active is alone.guard_ever_active
+        assert again.flags.min_density == alone.flags.min_density > 0.99
+        assert again.flags.guard_active is alone.flags.guard_active
+        assert first.flags.min_density < again.flags.min_density  # the second run left the first's flags alone
         assert reused.flags == fresh.flags
 
 

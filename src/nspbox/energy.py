@@ -6,8 +6,7 @@ term; with the constants chosen below the form is positive semidefinite and
 its decay rate along the linear flow is bounded below by min(2^{2k}, 1)
 times a positive constant.  `_form_matrices` defines the form per |xi|; the
 bounds read it, and alpha_k^2 sums it against z = (h, c) under the squared
-shell mask (`_shell_forms`).  A `ShellEnergy` keeps a shell's alpha_k^2 and
-its h and c block norms, nothing else.
+shell mask (`_shell_forms`).
 
 The monitor evaluates the mixed norm E(h, u, t), the convection weight V(t)
 and the primitive-variable norm along runs, all from one table of hybrid
@@ -16,11 +15,13 @@ theta = Lambda h or phi = -Lambda^-1 h) and an index (s, t).  A sample takes
 one spectrum per field from one set of radial powers (`state_powers`; u from
 an identity of 2-forms, not recomposed), reduces each row with a weight
 vector built once per grid, and folds the sup rows into running maxima and
-the integrand rows into trapezoidal integrals.  The damping and smoothing
-margins the acceptance suite checks are computed post hoc from the
-monitor's reports (`damping_margins`, `fit_damping_constant`,
-`smoothing_integral`); the two damping fits read one (steps, shells) table
-of consecutive alpha pairs.
+the integrand rows into trapezoidal integrals.  Its `EnergyReport` is the one
+record of a sample: every shell's alpha_k^2 and h and c block norms as arrays
+over the shells, the hybrid norms, and, under a stepper, the run's health.
+The damping and smoothing margins the acceptance suite checks are computed
+post hoc from the monitor's reports (`damping_margins`,
+`fit_damping_constant`, `smoothing_integral`); the two damping fits read one
+(steps, shells) table of consecutive alpha pairs.
 """
 
 from __future__ import annotations
@@ -36,14 +37,12 @@ from .spectral import Grid, antisym_pairs
 
 __all__ = [
     "EstimateConstants",
-    "ShellEnergy",
     "EnergyReport",
     "EnergyMonitor",
     "GlobalBoundVerdict",
     "compute_constants",
     "feasibility_margins",
     "state_powers",
-    "all_shell_energies",
     "equivalence_bounds",
     "display_equivalence_bounds",
     "linear_decay_rate_bound",
@@ -148,16 +147,6 @@ def _generalized_eigvalsh(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(inv_l @ a @ np.swapaxes(inv_l, -1, -2))
 
 
-@dataclass
-class ShellEnergy:
-    """One shell's energy value and the block norms feeding it."""
-
-    k: int
-    alpha_sq: float
-    norm_h: float
-    norm_c: float
-
-
 def state_powers(s: NspState) -> np.ndarray:
     """Radial powers of h, c, Re h c*, I and u: the rows of a (5, `Grid.radii`) array.
 
@@ -189,19 +178,6 @@ def _shell_forms(grid: Grid, consts: EstimateConstants, params: FluidParams) -> 
         P, _ = _form_matrices(grid.radii, k, consts, params)
         rows.append((mask**2 * np.array([P[:, 0, 0], P[:, 1, 1], P[:, 0, 1] + P[:, 1, 0]])).ravel())
     return np.array(rows)
-
-
-def _shell_energies(forms: np.ndarray, powers: np.ndarray, spec_h: lp.DyadicSpectrum, spec_c: lp.DyadicSpectrum):
-    """Every shell's `ShellEnergy`: alpha_k^2 from the `_shell_forms` matrix, block norms from the caller's spectra."""
-    alpha_sq = forms @ powers[:3].ravel()
-    rows = zip(spec_h.ks, alpha_sq, spec_h.block_norms, spec_c.block_norms)
-    return [ShellEnergy(int(k), float(a), float(nh), float(nc)) for k, a, nh, nc in rows]
-
-
-def all_shell_energies(s: NspState, consts: EstimateConstants, params: FluidParams) -> list[ShellEnergy]:
-    powers = state_powers(s)
-    spec_h, spec_c = map(lp.shell_filters(s.grid).spectrum, powers[:2])
-    return _shell_energies(_shell_forms(s.grid, consts, params), powers, spec_h, spec_c)
 
 
 def _shell_lams(grid: Grid, k: int) -> np.ndarray:
@@ -269,20 +245,28 @@ def linear_decay_rate_bound(grid: Grid, consts: EstimateConstants, params: Fluid
 
 @dataclass
 class EnergyReport:
-    """Snapshot of every monitored norm at one instant."""
+    """One monitor sample: every monitored norm at one instant and the run's health so far.
+
+    `ks`, `alpha_sq`, `norm_h` and `norm_c` run over the grid's shells.  `positivity`
+    (the minimum density so far is > 0) and `guarded` (the density clamp has acted) come
+    from the stepper's `StepFlags`; both are None for a sample taken without them.
+    """
 
     t: float
-    shells: list[ShellEnergy]
+    ks: np.ndarray
+    alpha_sq: np.ndarray
+    norm_h: np.ndarray
+    norm_c: np.ndarray
     hybrid_h: float
     hybrid_c: float
     hybrid_I: float
     hybrid_u: float
-    besov_u_high: float
     v_accum: float
     e_value: float
-    e_ratio: float
     prim_norm: float
     prim_ratio: float
+    positivity: bool | None = None
+    guarded: bool | None = None
 
 
 @dataclass
@@ -327,8 +311,9 @@ class EnergyMonitor:
     Each row of `_norm_table` is one dot product of its weights with its spectrum's block norms.
     Running maxima of the sup rows (h, u, theta, phi) and trapezoidal integrals of the integrand
     rows (h, u, u-high, theta, phi) discretize E(h, u, t), V(t) and the primitive norm on the sample
-    times; E and the primitive norm read the same u entries.  `_build` sets up the weights, the shell
-    forms, the shell filters and 1/|xi|^2 once per grid.
+    times; E and the primitive norm read the same u entries.  `_build` sets up the shell indices, the
+    weights, the shell forms, the shell filters and 1/|xi|^2 once per grid.  A stepper passes its
+    `StepFlags` as `flags`, whose health the report carries.
     """
 
     def __init__(self, params: FluidParams, consts: EstimateConstants | None = None):
@@ -341,9 +326,9 @@ class EnergyMonitor:
 
     def _build(self, grid: Grid) -> None:
         self._filters, r_sq = lp.shell_filters(grid), grid.radii_sq
-        ks = np.arange(self._filters.k_min, self._filters.k_max + 1)
+        self._ks = np.arange(self._filters.k_min, self._filters.k_max + 1)
         self._grid, self._forms = grid, _shell_forms(grid, self.consts, self.params)
-        self._weights = [(name, lp.hybrid_weights(ks, idx)) for name, idx in _norm_table(grid.dim)]
+        self._weights = [(name, lp.hybrid_weights(self._ks, idx)) for name, idx in _norm_table(grid.dim)]
         self._inv_r_sq = np.divide(1.0, r_sq, out=np.zeros_like(r_sq), where=r_sq > 0)
 
     def __call__(self, s: NspState, flags=None) -> EnergyReport:
@@ -369,23 +354,25 @@ class EnergyMonitor:
 
         sup, integral = self._sup, self._integral
         e_value = sup[0] + sup[1] + integral[0] + integral[1]
-        e_ratio = e_value / self.e0 if self.e0 and self.e0 > 0 else 0.0
         # theta, u, phi: the summation order of the primitive norm's terms
         prim_norm = float(np.sum(sup[[2, 1, 3]]) + np.sum(integral[[3, 1, 4]]))
         prim_ratio = prim_norm / self.e0 if self.e0 and self.e0 > 0 else 0.0
         return EnergyReport(
             t=s.t,
-            shells=_shell_energies(self._forms, powers, spectra["h"], spectra["c"]),
+            ks=self._ks,
+            alpha_sq=self._forms @ powers[:3].ravel(),
+            norm_h=spectra["h"].block_norms,
+            norm_c=spectra["c"].block_norms,
             hybrid_h=norms[0],
             hybrid_c=norms[4],
             hybrid_I=norms[5],
             hybrid_u=norms[1],
-            besov_u_high=norms[8],
             v_accum=integral[2],
             e_value=e_value,
-            e_ratio=e_ratio,
             prim_norm=prim_norm,
             prim_ratio=prim_ratio,
+            positivity=None if flags is None else flags.min_density > 0,
+            guarded=None if flags is None else flags.guard_active,
         )
 
 
@@ -395,9 +382,8 @@ class EnergyMonitor:
 
 def _alpha_matrix(reports: list[EnergyReport]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     times = np.array([r.t for r in reports])
-    ks = np.array([sh.k for sh in reports[0].shells])
-    alphas = np.sqrt(np.maximum(np.array([[sh.alpha_sq for sh in r.shells] for r in reports]), 0.0))
-    return times, ks, alphas
+    alphas = np.sqrt(np.maximum(np.array([r.alpha_sq for r in reports]), 0.0))
+    return times, reports[0].ks, alphas
 
 
 def _alpha_steps(reports: list[EnergyReport]):
@@ -453,9 +439,7 @@ def envelopes_nonincreasing(reports: list[EnergyReport], rtol: float = 1e-10) ->
 def smoothing_integral(reports: list[EnergyReport], reg_index: float) -> float:
     """Trapezoidal integral of sum_{k>0} 2^{k(s+3/2)} ||c_k|| along the run."""
     times = np.array([r.t for r in reports])
-    vals = np.array(
-        [sum(2.0 ** (sh.k * (reg_index + 1.5)) * sh.norm_c for sh in r.shells if sh.k > 0) for r in reports]
-    )
+    vals = np.array([sum(2.0 ** (k * (reg_index + 1.5)) * c for k, c in zip(r.ks, r.norm_c) if k > 0) for r in reports])
     return float(np.trapezoid(vals, times))
 
 

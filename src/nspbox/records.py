@@ -1,9 +1,10 @@
-"""Norm time-series records and their NDJSON / CSV serialization.
+"""Monitor reports as NDJSON / CSV records.
 
-One NDJSON object per monitored instant, keys in `NormRecord` field order;
-floats are emitted with shortest round-trip representation so read-back is
-exact.  The CSV companion carries the scalar columns only, with one fixed
-schema across all configurations.
+One NDJSON object per monitored instant, the `EnergyReport` of that sample,
+keys in `FIELDS` order; floats are emitted with shortest round-trip
+representation so read-back is exact.  `alpha` holds the [k, alpha_k^2] pairs
+of the shells above `ALPHA_CUTOFF`.  The CSV companion carries the scalar
+columns only (`CSV_COLUMNS`), with one fixed schema across all configurations.
 
 Every artifact is written atomically (`atomic_open`): to a temp file in the
 target directory, then moved into place, so a failed write leaves the
@@ -15,50 +16,24 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .energy import EnergyReport
 
-__all__ = ["NormRecord", "record_from_report", "write_records", "read_records", "CSV_COLUMNS"]
+__all__ = ["FIELDS", "CSV_COLUMNS", "write_records", "read_records"]
 
 ALPHA_CUTOFF = 1e-14
 
-CSV_COLUMNS = ("t", "hybrid_h", "hybrid_c", "hybrid_I", "hybrid_u", "V", "E", "positivity", "guarded")
+FIELDS = ("t", "hybrid_h", "hybrid_c", "hybrid_I", "hybrid_u", "V", "E", "alpha", "positivity", "guarded")
+CSV_COLUMNS = tuple(name for name in FIELDS if name != "alpha")
 
 
-@dataclass
-class NormRecord:
-    t: float
-    hybrid_h: float
-    hybrid_c: float
-    hybrid_I: float
-    hybrid_u: float
-    V: float
-    E: float
-    alpha: list  # [k, alpha_k^2] pairs for shells above the cutoff
-    positivity: bool
-    guarded: bool
-
-
-_FIELDS = tuple(f.name for f in fields(NormRecord))  # NDJSON key order
-
-
-def record_from_report(report: EnergyReport, positivity: bool, guarded: bool) -> NormRecord:
-    alpha = [[sh.k, sh.alpha_sq] for sh in report.shells if sh.alpha_sq > ALPHA_CUTOFF]
-    return NormRecord(
-        t=report.t,
-        hybrid_h=report.hybrid_h,
-        hybrid_c=report.hybrid_c,
-        hybrid_I=report.hybrid_I,
-        hybrid_u=report.hybrid_u,
-        V=report.v_accum,
-        E=report.e_value,
-        alpha=alpha,
-        positivity=positivity,
-        guarded=guarded,
-    )
+def _row(r: EnergyReport) -> dict:
+    """The NDJSON object of one report."""
+    alpha = [[int(k), float(a)] for k, a in zip(r.ks, r.alpha_sq) if a > ALPHA_CUTOFF]
+    values = (r.t, r.hybrid_h, r.hybrid_c, r.hybrid_I, r.hybrid_u, r.v_accum, r.e_value, alpha, r.positivity, r.guarded)
+    return dict(zip(FIELDS, values))
 
 
 @contextmanager
@@ -76,22 +51,19 @@ def atomic_open(path, mode: str = "w"):
         raise
 
 
-def write_records(records: list[NormRecord], path) -> None:
-    """Write NDJSON (one record per line) plus a CSV companion at `path` + ".csv"."""
-    last_t = None
-    for rec in records:
-        if last_t is not None and rec.t <= last_t:
-            raise ValueError("records must be strictly increasing in time")
-        last_t = rec.t
+def write_records(reports: list[EnergyReport], path) -> None:
+    """Write NDJSON (one report per line) plus a CSV companion at `path` + ".csv"."""
+    rows = [_row(r) for r in reports]
+    if any(b["t"] <= a["t"] for a, b in zip(rows, rows[1:])):
+        raise ValueError("records must be strictly increasing in time")
     try:
         with atomic_open(path) as fh:
-            for rec in records:
-                # a shallow dict: `dataclasses.asdict` would deep-copy every alpha pair
-                fh.write(json.dumps({name: getattr(rec, name) for name in _FIELDS}) + "\n")
+            for row in rows:
+                fh.write(json.dumps(row) + "\n")
         with atomic_open(str(path) + ".csv") as fh:
             fh.write(",".join(CSV_COLUMNS) + "\n")
-            for rec in records:
-                fh.write(",".join(_csv_cell(getattr(rec, col)) for col in CSV_COLUMNS) + "\n")
+            for row in rows:
+                fh.write(",".join(_csv_cell(row[col]) for col in CSV_COLUMNS) + "\n")
     except OSError as exc:
         raise OSError(f"failed writing records to {path}: {exc}") from exc
 
@@ -104,12 +76,7 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def read_records(path) -> list[NormRecord]:
-    out = []
+def read_records(path) -> list[dict]:
+    """The records of an NDJSON file, one dict per line keyed by `FIELDS`; a missing key raises KeyError."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            d = json.loads(line)
-            out.append(NormRecord(**{name: d[name] for name in _FIELDS}))
-    return out
+        return [{name: d[name] for name in FIELDS} for d in map(json.loads, filter(str.strip, fh))]

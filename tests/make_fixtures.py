@@ -91,13 +91,19 @@ def small_data_ratio() -> float:
     return verdict.max_ratio
 
 
+def calibrations() -> dict[str, float]:
+    """The values --quick recomputes: each ensemble maximum or calibration times its margin, to 6 digits."""
+    return {
+        "product_ratio_max": round(float(product_ensemble()) * MARGIN_ENSEMBLE, 6),
+        "composition_ratio_max": round(float(composition_ensemble()) * MARGIN_ENSEMBLE, 6),
+        "smoothing_majorant_constant": round(float(smoothing_calibration()) * MARGIN_CALIBRATION, 6),
+    }
+
+
 def main() -> None:
     quick = "--quick" in sys.argv
-    frozen = {}
     t0 = time.monotonic()
-    frozen["product_ratio_max"] = round(float(product_ensemble()) * MARGIN_ENSEMBLE, 6)
-    frozen["composition_ratio_max"] = round(float(composition_ensemble()) * MARGIN_ENSEMBLE, 6)
-    frozen["smoothing_majorant_constant"] = round(float(smoothing_calibration()) * MARGIN_CALIBRATION, 6)
+    frozen = calibrations()
     if quick:
         from frozen import FROZEN as OLD
 

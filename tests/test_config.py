@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from nspbox.config import ConfigError, DEFAULTS, config_help, parse_config
-from nspbox.energy import initial_energy
+from nspbox.energy import EnergyReport, initial_energy
 from nspbox.initial_data import make_initial_data
 from nspbox.lp import hybrid_norm
-from nspbox.records import CSV_COLUMNS, NormRecord, read_records, write_records
+from nspbox.records import ALPHA_CUTOFF, CSV_COLUMNS, read_records, write_records
 from nspbox.spectral import l2_norm
 from nspbox.stepper import load_checkpoint, save_checkpoint
 from nspbox.model import FluidParams
@@ -189,20 +189,46 @@ class TestInitialData:
             assert np.all(f.zero_mode() == 0.0)
 
 
-def sample_records():
+def sample_records() -> list[EnergyReport]:
+    """Four reports; shell 1's alpha_k^2 lies below the records' cutoff."""
+    ks, zeros = np.array([-1, 1, 2]), np.zeros(3)
     return [
-        NormRecord(
+        EnergyReport(
             t=0.1 * i,
+            ks=ks,
+            alpha_sq=np.array([0.125, 1e-20, 1e-9]),
+            norm_h=zeros,
+            norm_c=zeros,
             hybrid_h=1.0 / (i + 1),
             hybrid_c=0.5,
             hybrid_I=0.25,
             hybrid_u=0.75,
-            V=0.01 * i,
-            E=1.0 + 0.1 * i,
-            alpha=[[-1, 0.125], [2, 1e-9]],
+            v_accum=0.01 * i,
+            e_value=1.0 + 0.1 * i,
+            prim_norm=2.0,
+            prim_ratio=3.0,
             positivity=True,
             guarded=bool(i % 2),
         )
+        for i in range(4)
+    ]
+
+
+def sample_rows() -> list[dict]:
+    """The records of `sample_records`, written out by hand."""
+    return [
+        {
+            "t": 0.1 * i,
+            "hybrid_h": 1.0 / (i + 1),
+            "hybrid_c": 0.5,
+            "hybrid_I": 0.25,
+            "hybrid_u": 0.75,
+            "V": 0.01 * i,
+            "E": 1.0 + 0.1 * i,
+            "alpha": [[-1, 0.125], [2, 1e-9]],
+            "positivity": True,
+            "guarded": bool(i % 2),
+        }
         for i in range(4)
     ]
 
@@ -216,10 +242,8 @@ class TestRecords:
 
     def test_round_trip_is_exact(self, tmp_path):
         path = tmp_path / "records.ndjson"
-        recs = sample_records()
-        write_records(recs, path)
-        back = read_records(path)
-        assert back == recs
+        write_records(sample_records(), path)
+        assert read_records(path) == sample_rows()
 
     def test_key_order_is_fixed(self, tmp_path):
         path = tmp_path / "records.ndjson"
@@ -244,7 +268,7 @@ class TestRecords:
         rec.hybrid_h = value
         path = tmp_path / "records.ndjson"
         write_records([rec], path)
-        assert read_records(path)[0].hybrid_h == value
+        assert read_records(path)[0]["hybrid_h"] == value
 
     def test_non_increasing_times_rejected(self, tmp_path):
         recs = sample_records()
@@ -258,10 +282,8 @@ class TestRecords:
             write_records(sample_records(), target)
 
     def test_driver_records_match_deep_copy_serialization(self, tmp_path, monkeypatch):
-        # each NDJSON line of a seeded driver run is what json.dumps(dataclasses.asdict(rec))
-        # gives for the record in memory, and a second run writes both files byte for byte
-        from dataclasses import asdict
-
+        # each NDJSON line of a seeded driver run is the json.dumps of a row built here from the
+        # monitor's report in memory, and a second run writes both files byte for byte
         from nspbox import records
         from nspbox.experiments import experiment_nonlinear
 
@@ -277,9 +299,25 @@ class TestRecords:
         experiment_nonlinear(cfg, tmp_path / "a")
         experiment_nonlinear(cfg, tmp_path / "b")
         recs = written[0]
-        assert len(recs) > 2 and all(rec.alpha for rec in recs)
+        assert len(recs) > 2 and all(np.any(r.alpha_sq > ALPHA_CUTOFF) for r in recs)
+        assert all(r.positivity is True and r.guarded is False for r in recs)
+        rows = [
+            {
+                "t": r.t,
+                "hybrid_h": r.hybrid_h,
+                "hybrid_c": r.hybrid_c,
+                "hybrid_I": r.hybrid_I,
+                "hybrid_u": r.hybrid_u,
+                "V": r.v_accum,
+                "E": r.e_value,
+                "alpha": [[k, a] for k, a in zip(r.ks.tolist(), r.alpha_sq.tolist()) if a > ALPHA_CUTOFF],
+                "positivity": r.positivity,
+                "guarded": r.guarded,
+            }
+            for r in recs
+        ]
         lines = (tmp_path / "a" / "records.ndjson").read_text().splitlines()
-        assert lines == [json.dumps(asdict(rec)) for rec in recs]
+        assert lines == [json.dumps(row) for row in rows]
         for name in ("records.ndjson", "records.ndjson.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
@@ -302,7 +340,7 @@ class TestRecords:
         write_records(sample_records(), path)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         recs = sample_records()
-        recs[2].alpha = [[2, object()]]  # not serializable: fails after two lines
+        recs[2].positivity = object()  # not serializable: fails after two lines
         with pytest.raises(TypeError):
             write_records(recs, path)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

@@ -10,9 +10,7 @@ from nspbox.energy import (
     ALPHA_FLOOR,
     EnergyMonitor,
     EnergyReport,
-    ShellEnergy,
     _alpha_matrix,
-    all_shell_energies,
     compute_constants,
     damping_margins,
     display_equivalence_bounds,
@@ -29,7 +27,7 @@ from nspbox.energy import (
 from nspbox.lp import dyadic_block, dyadic_spectrum, hybrid_norm, radial_power, shell_filters
 from nspbox.model import FluidParams, NspState
 from nspbox.spectral import Grid, SpectralField, helmholtz_decompose, inner, l2_norm, random_field
-from nspbox.stepper import FriedrichsStepper, StepperConfig
+from nspbox.stepper import FriedrichsStepper, StepFlags, StepperConfig
 
 from conftest import wave
 from test_model import small_state
@@ -78,14 +76,24 @@ class TestConstants:
         assert thick.K1 == pytest.approx(10.0 / 201.0)
 
 
+def shell_report(s, consts, params=PARAMS) -> EnergyReport:
+    """A fresh monitor's report of `s`: every shell's k, alpha_k^2 and h and c block norms."""
+    return EnergyMonitor(params, consts)(s)
+
+
+def shells(report: EnergyReport):
+    """(k, alpha_k^2, ||h_k||, ||c_k||) per shell of a report, as Python scalars."""
+    return zip(report.ks.tolist(), report.alpha_sq.tolist(), report.norm_h.tolist(), report.norm_c.tolist())
+
+
 class TestShellEnergy:
     def test_zero_state(self, grid3):
         consts = compute_constants(PARAMS)
-        shells = all_shell_energies(NspState.zeros(grid3), consts, PARAMS)
-        assert [sh.k for sh in shells] == list(shell_filters(grid3).ks)
-        for sh in shells:
-            assert sh.alpha_sq == 0.0
-            assert sh.norm_h == 0.0 and sh.norm_c == 0.0
+        report = shell_report(NspState.zeros(grid3), consts)
+        assert list(report.ks) == list(shell_filters(grid3).ks)
+        for _, alpha_sq, norm_h, norm_c in shells(report):
+            assert alpha_sq == 0.0
+            assert norm_h == 0.0 and norm_c == 0.0
 
     def test_low_shell_single_mode_closed_form(self, grid3):
         consts = compute_constants(PARAMS)
@@ -95,19 +103,20 @@ class TestShellEnergy:
             c=SpectralField.zeros(grid3),
             I=SpectralField.zeros(grid3, 3),
         )
-        shells = {sh.k: sh for sh in all_shell_energies(s, consts, PARAMS)}
+        report = shell_report(s, consts)
+        alpha_sq = dict(zip(report.ks.tolist(), report.alpha_sq))
         for k in (-1, 0):
             w = float(lp.phi(np.asarray(2.0**-k)))
             mode_norm = w * amp / np.sqrt(2.0)
             expected = (1.0 + 1.0) * mode_norm**2  # rho_bar = 1 and |xi| = 1
-            assert shells[k].alpha_sq == pytest.approx(expected, rel=1e-12)
+            assert alpha_sq[k] == pytest.approx(expected, rel=1e-12)
 
     def test_positive_on_random_states(self, grid3):
         consts = compute_constants(PARAMS)
         for seed in range(200):
             s = random_pair_state(grid3, seed=seed, h_scale=np.exp(seed % 5 - 2), c_scale=1.0)
-            for sh in all_shell_energies(s, consts, PARAMS):
-                assert sh.alpha_sq >= -1e-12 * max(sh.norm_h, sh.norm_c, 1.0) ** 2
+            for _, alpha_sq, norm_h, norm_c in shells(shell_report(s, consts)):
+                assert alpha_sq >= -1e-12 * max(norm_h, norm_c, 1.0) ** 2
 
     def test_equivalence_sandwich(self, grid3):
         consts = compute_constants(PARAMS)
@@ -115,25 +124,25 @@ class TestShellEnergy:
         # the summed squared block norms, straight from the lattice: sum of mask^2 * weight * (z* B z)
         Ph, Pc, lam = np.abs(s.h.coef[0]) ** 2, np.abs(s.c.coef[0]) ** 2, grid3.lam
         filters = shell_filters(grid3)
-        for sh in all_shell_energies(s, consts, PARAMS):
-            c1, c2 = equivalence_bounds(grid3, sh.k, consts, PARAMS)
-            w = filters.mask(sh.k) ** 2 * grid3.hermitian_weight
-            if sh.k <= 0:
+        for k, alpha_sq, _, _ in shells(shell_report(s, consts)):
+            c1, c2 = equivalence_bounds(grid3, k, consts, PARAMS)
+            w = filters.mask(k) ** 2 * grid3.hermitian_weight
+            if k <= 0:
                 total = np.sum(w * ((1.0 + lam**2) * Ph + Pc))
             else:
                 total = np.sum(w * ((lam + lam**3 + lam**5) * Ph + lam * Pc))
-            assert c1 * sh.alpha_sq - 1e-10 <= total <= c2 * sh.alpha_sq + 1e-10
+            assert c1 * alpha_sq - 1e-10 <= total <= c2 * alpha_sq + 1e-10
             assert 0.0 < c1 <= c2
 
     def test_display_weight_sandwich(self, grid3):
         consts = compute_constants(PARAMS)
         s = random_pair_state(grid3, seed=61)
-        for sh in all_shell_energies(s, consts, PARAMS):
-            if sh.alpha_sq <= 1e-20:
+        for k, alpha_sq, norm_h, norm_c in shells(shell_report(s, consts)):
+            if alpha_sq <= 1e-20:
                 continue
-            d1, d2 = display_equivalence_bounds(grid3, sh.k, consts, PARAMS)
-            disp = max(1.0, 2.0 ** (5 * sh.k)) * sh.norm_h**2 + max(1.0, 2.0**sh.k) * sh.norm_c**2
-            ratio = disp / sh.alpha_sq
+            d1, d2 = display_equivalence_bounds(grid3, k, consts, PARAMS)
+            disp = max(1.0, 2.0 ** (5 * k)) * norm_h**2 + max(1.0, 2.0**k) * norm_c**2
+            ratio = disp / alpha_sq
             assert d1 - 1e-10 <= ratio <= d2 + 1e-10
 
     @pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
@@ -148,25 +157,25 @@ class TestShellEnergy:
         Ph, Pc, X = np.abs(h) ** 2, np.abs(c) ** 2, (h * np.conj(c)).real
         lam, rho = grid.lam, params.rho_bar
         filters = shell_filters(grid)
-        shells = all_shell_energies(s, consts, params)
-        assert [sh.k for sh in shells] == list(filters.ks)
-        for sh in shells:
-            w = filters.mask(sh.k) ** 2 * grid.hermitian_weight
-            if sh.k <= 0:
+        report = shell_report(s, consts, params)
+        assert list(report.ks) == list(filters.ks)
+        for k, sh_alpha_sq, norm_h, norm_c in shells(report):
+            w = filters.mask(k) ** 2 * grid.hermitian_weight
+            if k <= 0:
                 p_hh, p_hc, p_cc = (1.0 + lam**2) / rho, -consts.K1 * lam**2, 1.0
             else:
                 p_hh = (lam + lam**3) / rho + params.beta * consts.K2 / rho**2 * lam**5
                 p_hc, p_cc = -consts.K2 * lam**3, lam
             alpha_sq = np.sum(w * (p_hh * Ph + 2.0 * p_hc * X + p_cc * Pc))
-            assert abs(sh.alpha_sq - alpha_sq) <= 1e-13 * alpha_sq
-            assert abs(sh.norm_h - np.sqrt(np.sum(w * Ph))) <= 1e-13 * sh.norm_h
-            assert abs(sh.norm_c - np.sqrt(np.sum(w * Pc))) <= 1e-13 * sh.norm_c
+            assert abs(sh_alpha_sq - alpha_sq) <= 1e-13 * alpha_sq
+            assert abs(norm_h - np.sqrt(np.sum(w * Ph))) <= 1e-13 * norm_h
+            assert abs(norm_c - np.sqrt(np.sum(w * Pc))) <= 1e-13 * norm_c
 
     def test_energies_evaluate_the_bounded_form(self, grid3, monkeypatch):
         # the evaluated alpha_k^2 and the three bound functions read one form, `_form_matrices`
         consts = compute_constants(PARAMS)
         s = random_pair_state(grid3, seed=62)
-        plain = all_shell_energies(s, consts, PARAMS)
+        plain = shell_report(s, consts).alpha_sq
         form_matrices = energy._form_matrices
 
         def doubled_p(*args):
@@ -174,9 +183,9 @@ class TestShellEnergy:
             return 2.0 * P, B
 
         monkeypatch.setattr(energy, "_form_matrices", doubled_p)
-        doubled = all_shell_energies(s, consts, PARAMS)
-        assert [sh.alpha_sq for sh in doubled] == [2.0 * sh.alpha_sq for sh in plain]
-        assert any(sh.alpha_sq > 0.0 for sh in plain)
+        doubled = shell_report(s, consts).alpha_sq
+        assert list(doubled) == [2.0 * a for a in plain]
+        assert any(a > 0.0 for a in plain)
 
     def test_empty_shell_rejected_in_bounds(self, grid3):
         consts = compute_constants(PARAMS)
@@ -286,10 +295,12 @@ def reference_damping_margins(reports, c_fit):
 
 def hand_reports(times, alphas, ks=(-1, 0, 1, 2)) -> list[EnergyReport]:
     """Reports carrying only times and shell alphas (rows: instants, columns: shells)."""
-    scalars = ("hybrid_h", "hybrid_c", "hybrid_I", "hybrid_u", "besov_u_high", "v_accum")
-    scalars += ("e_value", "e_ratio", "prim_norm", "prim_ratio")
-    shells = [[ShellEnergy(k, a * a, 0.0, 0.0) for k, a in zip(ks, row)] for row in alphas]
-    return [EnergyReport(t=t, shells=row, **dict.fromkeys(scalars, 0.0)) for t, row in zip(times, shells)]
+    scalars = ("hybrid_h", "hybrid_c", "hybrid_I", "hybrid_u", "v_accum", "e_value", "prim_norm", "prim_ratio")
+    ks, zeros = np.array(ks), np.zeros(len(ks))
+    return [
+        EnergyReport(t=t, ks=ks, alpha_sq=np.square(row), norm_h=zeros, norm_c=zeros, **dict.fromkeys(scalars, 0.0))
+        for t, row in zip(times, np.asarray(alphas, dtype=float))
+    ]
 
 
 class TestDamping:
@@ -349,8 +360,8 @@ class TestDamping:
         monitor = EnergyMonitor(PARAMS, consts)
         traj = FriedrichsStepper(grid3, PARAMS, cfg, linear_only=True).run(s0, monitor=monitor, stride=10)
         c_fit = fit_damping_constant(traj.records)
-        alphas = [np.sqrt(r.shells[4].alpha_sq) for r in traj.records]  # k = 3 slot
-        assert traj.records[0].shells[4].k == 3
+        alphas = [np.sqrt(r.alpha_sq[4]) for r in traj.records]  # k = 3 slot
+        assert traj.records[0].ks[4] == 3
         rate = (np.log(alphas[0]) - np.log(alphas[-1])) / (traj.records[-1].t - traj.records[0].t)
         assert rate >= 0.95 * c_fit
 
@@ -472,11 +483,21 @@ class TestMonitor:
         cfg = StepperConfig(dt=1e-3, n=8.0, t_end=0.05)
         monitor = EnergyMonitor(PARAMS, consts)
         traj = FriedrichsStepper(grid3, PARAMS, cfg).run(s0, monitor=monitor, stride=10)
-        assert traj.records[0].e_ratio == pytest.approx(1.0, rel=1e-12)
+        assert traj.records[0].e_value / monitor.e0 == pytest.approx(1.0, rel=1e-12)
         es = [r.e_value for r in traj.records]
         assert all(b >= a - 1e-15 for a, b in zip(es, es[1:]))
         vs = [r.v_accum for r in traj.records]
         assert all(b >= a for a, b in zip(vs, vs[1:]))
+
+    def test_health_fields_come_from_the_flags(self, grid3):
+        s0 = small_state(grid3, seed=78, amp=1e-3)
+        monitor = EnergyMonitor(PARAMS)
+        report = monitor(s0)
+        assert report.positivity is None and report.guarded is None
+        report = monitor(s0, StepFlags(min_density=-0.1, guard_active=True))
+        assert report.positivity is False and report.guarded is True
+        report = monitor(s0, StepFlags(min_density=0.5))
+        assert report.positivity is True and report.guarded is False
 
     def test_initial_energy_matches_monitor(self, grid3):
         s0 = small_state(grid3, seed=68, amp=1e-3)
@@ -496,11 +517,10 @@ class TestMonitor:
         assert report.hybrid_c == hybrid_norm(s0.c, (n2 - 1.5, n2 - 1.0))
         assert report.hybrid_I == hybrid_norm(s0.I, (n2 - 1.5, n2 - 1.0))
         assert report.hybrid_u == spec_u.hybrid((n2 - 1.5, n2 - 1.0))
-        assert report.besov_u_high == spec_u.hybrid((n2 + 1.0, n2 + 1.0))
         # each shell's block norms are those of the one h and c spectrum a sample computes
         spec_h, spec_c = map(shell_filters(grid3).spectrum, state_powers(s0)[:2])
-        assert [sh.norm_h for sh in report.shells] == list(spec_h.block_norms)
-        assert [sh.norm_c for sh in report.shells] == list(spec_c.block_norms)
+        assert np.array_equal(report.norm_h, spec_h.block_norms)
+        assert np.array_equal(report.norm_c, spec_c.block_norms)
 
     def test_primitive_norm_reads_theta_and_phi_spectra(self, grid3):
         # theta = Lambda h and phi = -Lambda^-1 h are weighted from the radial power of h
@@ -521,7 +541,6 @@ class TestMonitor:
         shell_filters.cache_clear()
         dyadic_spectrum(s0.h)
         dyadic_block(s0.h, 0)
-        all_shell_energies(s0, compute_constants(PARAMS), PARAMS)
         EnergyMonitor(PARAMS)(s0)
         assert shell_filters.cache_info().misses == 1
 

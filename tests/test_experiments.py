@@ -174,6 +174,24 @@ class TestDrivers:
             "FAIL nonlinear:density_positive: min density -1.000e-01",
         ]
 
+    @pytest.mark.parametrize("field", ["h", "c", "I"])
+    def test_mean_drift_fails_the_mass_check(self, tmp_path, monkeypatch, field):
+        # a final h, c or I with a zero mode of 1e-9: the conserved means have drifted
+        from nspbox import experiments
+
+        plain = experiments._monitored_run
+
+        def drifted(*args, **kwargs):
+            monitor, traj = plain(*args, **kwargs)
+            getattr(traj.final_state, field).zero_mode()[0] = 1e-9
+            return monitor, traj
+
+        monkeypatch.setattr(experiments, "_monitored_run", drifted)
+        result = experiment_nonlinear(parse_config(FAST_NONLINEAR), tmp_path, do_assert=True)
+        assert result.exit_code == 1
+        assert result.summary["mass_defect"] == 1e-9
+        assert result.summary["assertions"]["mass_conservation"] is False
+
     def test_check_lemmas(self, tmp_path):
         cfg = parse_config("grid.M = 16")
         result = experiment_check_lemmas(cfg, tmp_path, do_assert=True)

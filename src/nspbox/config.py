@@ -46,8 +46,7 @@ DEFAULTS: dict[str, tuple] = {
     "init.file": (str, "", "checkpoint path for kind = file"),
     "monitor.stride": (int, 10, "steps between monitor samples"),
     "energy.K": (float, 0.0, "convection-weight gain in post-processing"),
-    "energy.A": (float, 16.0, "global-bound factor A"),
-    "energy.c_tilde": (float, 1.0, "global-bound factor c~"),
+    "energy.bound": (float, 16.0, "global-bound factor: E(t) <= bound * E(0), > 0"),
     "perturb.delta": (float, 1e-6, "perturbation amplitude for the stability driver"),
     "output.dir": (str, "out", "artifact directory"),
 }
@@ -67,8 +66,7 @@ class RunConfig:
     init_file: str
     monitor_stride: int
     k_weight: float
-    bound_A: float
-    bound_c_tilde: float
+    bound: float
     perturb_delta: float
     output_dir: str
 
@@ -140,9 +138,8 @@ def parse_config(text: str) -> RunConfig:
         raise fail("init.band_hi", "band_hi must be >= band_lo")
     if values["monitor.stride"] < 1:
         raise fail("monitor.stride", "stride must be >= 1")
-    for key in ("energy.A", "energy.c_tilde"):
-        if values[key] <= 0:
-            raise fail(key, "bound factor must be positive")
+    if values["energy.bound"] <= 0:
+        raise fail("energy.bound", "bound factor must be positive")
     if values["perturb.delta"] < 0:
         raise fail("perturb.delta", "delta must be >= 0")
 
@@ -159,8 +156,7 @@ def parse_config(text: str) -> RunConfig:
         init_file=values["init.file"],
         monitor_stride=values["monitor.stride"],
         k_weight=values["energy.K"],
-        bound_A=values["energy.A"],
-        bound_c_tilde=values["energy.c_tilde"],
+        bound=values["energy.bound"],
         perturb_delta=values["perturb.delta"],
         output_dir=values["output.dir"],
     )

@@ -63,11 +63,10 @@ ALPHA_FLOOR = 1e-14
 
 @dataclass(frozen=True)
 class EstimateConstants:
-    """Coupling constants of the shell energies and the global-bound factors.
+    """Coupling constants of the shell energies, closed-form in (mu, lambda, rho_bar).
 
-    K1, M1, M2 drive the low-frequency form, K2, M3 the high-frequency one.
-    A and c_tilde parameterize the small-data bound threshold
-    A * c_tilde * E(0).
+    K1, M1, M2 drive the low-frequency form, K2, M3 the high-frequency one;
+    `compute_constants` derives them from the fluid parameters.
     """
 
     K1: float
@@ -75,11 +74,9 @@ class EstimateConstants:
     M2: float
     K2: float
     M3: float
-    A: float
-    c_tilde: float
 
 
-def compute_constants(params: FluidParams, A: float = 16.0, c_tilde: float = 1.0) -> EstimateConstants:
+def compute_constants(params: FluidParams) -> EstimateConstants:
     """Closed-form admissible constants for the given fluid parameters."""
     rho, beta = params.rho_bar, params.beta
     consts = EstimateConstants(
@@ -88,8 +85,6 @@ def compute_constants(params: FluidParams, A: float = 16.0, c_tilde: float = 1.0
         M2=5.0 * rho / (16.0 * beta),
         K2=beta / (4.0 * rho**2),
         M3=beta / (2.0 * rho**2),
-        A=A,
-        c_tilde=c_tilde,
     )
     margins = feasibility_margins(params, consts)
     bad = {name: m for name, m in margins.items() if not m > 0}
@@ -167,12 +162,12 @@ def state_powers(s: NspState) -> np.ndarray:
     return powers
 
 
-def _shell_forms(grid: Grid, consts: EstimateConstants, params: FluidParams) -> np.ndarray:
+def _shell_forms(grid: Grid, params: FluidParams) -> np.ndarray:
     """alpha_k^2 as a (shells, 3 * radii) matrix against the flattened h, c and cross rows of `state_powers`.
 
     Row k is the squared mask of shell k times (P_hh, P_cc, P_hc + P_ch) of `_form_matrices` per radius.
     """
-    filters = lp.shell_filters(grid)
+    filters, consts = lp.shell_filters(grid), compute_constants(params)
     rows = []
     for k, mask in zip(filters.ks, filters.radial_masks):
         P, _ = _form_matrices(grid.radii, k, consts, params)
@@ -183,49 +178,49 @@ def _shell_forms(grid: Grid, consts: EstimateConstants, params: FluidParams) -> 
 def _shell_lams(grid: Grid, k: int) -> np.ndarray:
     """The nonzero distinct |xi| that shell k touches."""
     filters = lp.shell_filters(grid)
-    if not filters.k_min <= k <= filters.k_max:
+    if k not in filters.ks:
         return np.empty(0)
     r = grid.radii
-    return r[(filters.radial_masks[k - filters.k_min] > 0) & (r > 0)]
+    return r[(filters.radial_masks[k - filters.ks[0]] > 0) & (r > 0)]
 
 
-def _shell_sandwich(grid: Grid, k: int, consts: EstimateConstants, params: FluidParams, weights=None) -> tuple[float, float]:
+def _shell_sandwich(grid: Grid, k: int, params: FluidParams, weights=None) -> tuple[float, float]:
     """Extreme eigenvalues of the block norms, or of diagonal (h, c) `weights`, against alpha_k^2."""
     lams = _shell_lams(grid, k)
     if lams.size == 0:
         raise ValueError(f"shell {k} contains no lattice modes")
-    P, B = _form_matrices(lams, k, consts, params)
+    P, B = _form_matrices(lams, k, compute_constants(params), params)
     if weights is not None:
         B = np.broadcast_to(np.diag(weights), P.shape)
     vals = _generalized_eigvalsh(B, P)
     return float(vals[:, 0].min()), float(vals[:, -1].max())
 
 
-def equivalence_bounds(grid: Grid, k: int, consts: EstimateConstants, params: FluidParams) -> tuple[float, float]:
+def equivalence_bounds(grid: Grid, k: int, params: FluidParams) -> tuple[float, float]:
     """(c1, c2) with c1 * alpha_k^2 <= sum of squared block norms <= c2 * alpha_k^2.
 
     Computed as extreme generalized eigenvalues of the two per-mode forms
     over the lattice wavenumbers the shell actually contains.
     """
-    return _shell_sandwich(grid, k, consts, params)
+    return _shell_sandwich(grid, k, params)
 
 
-def display_equivalence_bounds(grid: Grid, k: int, consts: EstimateConstants, params: FluidParams) -> tuple[float, float]:
+def display_equivalence_bounds(grid: Grid, k: int, params: FluidParams) -> tuple[float, float]:
     """Sandwich constants against the shell-constant weights max(1, 2^{5k}) and max(1, 2^k).
 
     These are the squared versions of the first-power weights appearing in
     the summed norm displays.
     """
-    return _shell_sandwich(grid, k, consts, params, (max(1.0, 2.0 ** (5 * k)), max(1.0, 2.0**k)))
+    return _shell_sandwich(grid, k, params, (max(1.0, 2.0 ** (5 * k)), max(1.0, 2.0**k)))
 
 
-def linear_decay_rate_bound(grid: Grid, consts: EstimateConstants, params: FluidParams) -> float:
+def linear_decay_rate_bound(grid: Grid, params: FluidParams) -> float:
     """Largest c with d/dt alpha_k^2 <= -2 c min(2^{2k}, 1) alpha_k^2 on the linear flow.
 
     Per mode this is a generalized eigenvalue problem between the Lyapunov
     derivative of the energy form along z' = A z and the form itself.
     """
-    best = np.inf
+    best, consts = np.inf, compute_constants(params)
     for k in lp.shell_filters(grid).ks:
         lams = _shell_lams(grid, k)
         if lams.size == 0:
@@ -284,9 +279,9 @@ def e0_indices(dim: int) -> tuple[tuple[float, float], tuple[float, float]]:
 
 def initial_energy(s: NspState) -> float:
     """E(0): hybrid norm of h at the sup indices plus that of u, from `state_powers`."""
-    idx_h, idx_u = e0_indices(s.grid.dim)
-    spec_h, spec_u = map(lp.shell_filters(s.grid).spectrum, state_powers(s)[[0, 4]])
-    return spec_h.hybrid(idx_h) + spec_u.hybrid(idx_u)
+    filters, (idx_h, idx_u) = lp.shell_filters(s.grid), e0_indices(s.grid.dim)
+    spec_h, spec_u = map(filters.spectrum, state_powers(s)[[0, 4]])
+    return lp.hybrid_weights(filters.ks, idx_h) @ spec_h + lp.hybrid_weights(filters.ks, idx_u) @ spec_u
 
 
 def _norm_table(dim: int) -> tuple[tuple[str, tuple[float, float]], ...]:
@@ -311,14 +306,14 @@ class EnergyMonitor:
     Each row of `_norm_table` is one dot product of its weights with its spectrum's block norms.
     Running maxima of the sup rows (h, u, theta, phi) and trapezoidal integrals of the integrand
     rows (h, u, u-high, theta, phi) discretize E(h, u, t), V(t) and the primitive norm on the sample
-    times; E and the primitive norm read the same u entries.  `_build` sets up the shell indices, the
-    weights, the shell forms, the shell filters and 1/|xi|^2 once per grid.  A stepper passes its
-    `StepFlags` as `flags`, whose health the report carries.
+    times; E and the primitive norm read the same u entries.  Everything else derives from `params`
+    and the state's grid: `_build` sets up the shell filters, the weights, the shell forms (with
+    `compute_constants(params)`) and 1/|xi|^2 once per grid.  A stepper passes its `StepFlags` as
+    `flags`, whose health the report carries.
     """
 
-    def __init__(self, params: FluidParams, consts: EstimateConstants | None = None):
+    def __init__(self, params: FluidParams):
         self.params = params
-        self.consts = consts if consts is not None else compute_constants(params)
         self.e0: float | None = None
         self._grid: Grid | None = None  # the grid of the last `_build`
         self._sup, self._integral = np.zeros(4), np.zeros(5)
@@ -326,9 +321,8 @@ class EnergyMonitor:
 
     def _build(self, grid: Grid) -> None:
         self._filters, r_sq = lp.shell_filters(grid), grid.radii_sq
-        self._ks = np.arange(self._filters.k_min, self._filters.k_max + 1)
-        self._grid, self._forms = grid, _shell_forms(grid, self.consts, self.params)
-        self._weights = [(name, lp.hybrid_weights(self._ks, idx)) for name, idx in _norm_table(grid.dim)]
+        self._grid, self._forms = grid, _shell_forms(grid, self.params)
+        self._weights = [(name, lp.hybrid_weights(self._filters.ks, idx)) for name, idx in _norm_table(grid.dim)]
         self._inv_r_sq = np.divide(1.0, r_sq, out=np.zeros_like(r_sq), where=r_sq > 0)
 
     def __call__(self, s: NspState, flags=None) -> EnergyReport:
@@ -339,7 +333,7 @@ class EnergyMonitor:
         power_h, power_c, _, power_I, power_u = powers = state_powers(s)
         fields = (power_h, power_c, power_I, power_u, s.grid.radii_sq * power_h, self._inv_r_sq * power_h)
         spectra = dict(zip(("h", "c", "I", "u", "theta", "phi"), map(self._filters.spectrum, fields)))
-        norms = np.array([w @ spectra[name].block_norms for name, w in self._weights])
+        norms = np.array([w @ spectra[name] for name, w in self._weights])
         sup_now, integrand = norms[:4], norms[6:]
 
         if self._t is None:
@@ -359,10 +353,10 @@ class EnergyMonitor:
         prim_ratio = prim_norm / self.e0 if self.e0 and self.e0 > 0 else 0.0
         return EnergyReport(
             t=s.t,
-            ks=self._ks,
+            ks=self._filters.ks,
             alpha_sq=self._forms @ powers[:3].ravel(),
-            norm_h=spectra["h"].block_norms,
-            norm_c=spectra["c"].block_norms,
+            norm_h=spectra["h"],
+            norm_c=spectra["c"],
             hybrid_h=norms[0],
             hybrid_c=norms[4],
             hybrid_I=norms[5],
@@ -454,9 +448,8 @@ def convection_weighted(reports: list[EnergyReport], K: float, attr: str) -> np.
     return np.exp(-K * v) * vals
 
 
-def global_bound_check(reports: list[EnergyReport], e0: float, consts: EstimateConstants) -> GlobalBoundVerdict:
-    """Pass iff E(h, u, t) <= A * c_tilde * E(0) at every monitored instant."""
-    threshold = consts.A * consts.c_tilde
+def global_bound_check(reports: list[EnergyReport], e0: float, threshold: float) -> GlobalBoundVerdict:
+    """Pass iff E(h, u, t) <= threshold * E(0) at every monitored instant."""
     if e0 <= 0.0:
         return GlobalBoundVerdict(passed=True, max_ratio=0.0, threshold_ratio=threshold)
     max_ratio = max(r.e_value / e0 for r in reports)

@@ -62,11 +62,10 @@ def _finish(name: str, out_dir, summary: dict, assertions: list[tuple[str, bool,
 def _monitored_run(cfg: RunConfig, out_dir, linear_only: bool):
     """Run the stepper under an energy monitor and write its reports to records.ndjson.
 
-    Returns the monitor, whose `consts` are the run's bound constants, and the trajectory.
+    Returns the monitor and the trajectory.
     """
-    consts = energy.compute_constants(cfg.params, A=cfg.bound_A, c_tilde=cfg.bound_c_tilde)
     state0 = make_initial_data(cfg)
-    monitor = energy.EnergyMonitor(cfg.params, consts)
+    monitor = energy.EnergyMonitor(cfg.params)
     stepper = FriedrichsStepper(cfg.grid, cfg.params, cfg.stepper, linear_only=linear_only)
     traj = stepper.run(state0, monitor=monitor, stride=cfg.monitor_stride)
     os.makedirs(out_dir, exist_ok=True)
@@ -93,7 +92,7 @@ def experiment_nonlinear(cfg: RunConfig, out_dir, do_assert: bool = False) -> Ex
     final = traj.final_state
     mass_defect = max(float(np.max(np.abs(f.zero_mode()))) for f in (final.h, final.c, final.I))
     v_series = [r.v_accum for r in traj.records]
-    verdict = energy.global_bound_check(traj.records, monitor.e0, monitor.consts)
+    verdict = energy.global_bound_check(traj.records, monitor.e0, cfg.bound)
 
     summary = {
         "e0": monitor.e0,
@@ -114,13 +113,13 @@ def experiment_nonlinear(cfg: RunConfig, out_dir, do_assert: bool = False) -> Ex
 
 
 def experiment_linear(cfg: RunConfig, out_dir, do_assert: bool = False) -> ExperimentResult:
-    monitor, traj = _monitored_run(cfg, out_dir, linear_only=True)
+    _, traj = _monitored_run(cfg, out_dir, linear_only=True)
 
     c_fit = energy.fit_damping_constant(traj.records)
     margins = energy.damping_margins(traj.records, c_fit)
     max_margin = max(margins.values())
     envelopes_ok = energy.envelopes_nonincreasing(traj.records)
-    rate_bound = energy.linear_decay_rate_bound(cfg.grid, monitor.consts, cfg.params)
+    rate_bound = energy.linear_decay_rate_bound(cfg.grid, cfg.params)
 
     summary = {
         "c_fit": c_fit,
@@ -178,7 +177,7 @@ def experiment_perturb(cfg: RunConfig, out_dir, do_assert: bool = False) -> Expe
     else:
         state_b = state_a.copy()
 
-    diff_monitor = energy.EnergyMonitor(cfg.params)  # the bound factors A and c~ play no part in its reports
+    diff_monitor = energy.EnergyMonitor(cfg.params)
     stepper_a = FriedrichsStepper(cfg.grid, cfg.params, cfg.stepper)
     stepper_b = FriedrichsStepper(cfg.grid, cfg.params, cfg.stepper)
     rows = []

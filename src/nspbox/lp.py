@@ -9,11 +9,10 @@ telescopes and the partition of unity holds to round-off on every nonzero
 lattice point.
 
 A hybrid norm weights low shells (k <= 0) by 2^{ks} and high shells by
-2^{kt}, so every index, a plain pair (s, t), reads off one DyadicSpectrum of
-block norms: compute the spectrum of a field once and call its `hybrid`
-method for each index, or dot `hybrid_weights` with its block norms.
-`hybrid_norm` and `besov_norm`, the field-level entry points, reject
-non-finite exponents.
+2^{kt}, so every index, a plain pair (s, t), reads off one array of block
+norms: compute the spectrum of a field once and dot `hybrid_weights` of the
+shells `ShellFilters.ks` with it for each index.  `hybrid_norm` and
+`besov_norm`, the field-level entry points, reject non-finite exponents.
 
 The cutoffs are radial, so `shell_filters` evaluates the profile once per
 distinct |xi| of the grid (`Grid.radii`) and keeps those (shells, radii)
@@ -37,7 +36,6 @@ from .spectral import SpectralField, Grid, apply_lambda, l2_norm, linf_norm, tra
 __all__ = [
     "psi",
     "phi",
-    "DyadicSpectrum",
     "PLATEAU_EDGES",
     "ANNULUS_SUPPORT",
     "shell_range",
@@ -105,23 +103,6 @@ def phi(r: np.ndarray) -> np.ndarray:
     return psi(0.5 * r) - psi(r)
 
 
-@dataclass
-class DyadicSpectrum:
-    """Per-shell L2 block norms over the grid's full shell range."""
-
-    k_min: int
-    k_max: int
-    block_norms: np.ndarray
-
-    @property
-    def ks(self) -> np.ndarray:
-        return np.arange(self.k_min, self.k_max + 1)
-
-    def hybrid(self, idx: tuple[float, float]) -> float:
-        """Low shells weighted by 2^{ks}, high shells by 2^{kt}, split at k = 0; idx = (s, t)."""
-        return hybrid_weights(self.ks, idx) @ self.block_norms
-
-
 def hybrid_weights(ks: np.ndarray, idx: tuple[float, float]) -> np.ndarray:
     """The hybrid weights of shells `ks` at idx = (s, t): 2^{ks} for k <= 0, 2^{kt} above."""
     s, t = idx
@@ -140,13 +121,13 @@ def shell_range(grid: Grid) -> tuple[int, int]:
 class ShellFilters:
     """Annular multipliers phi(2^-k |xi|) of every shell on a grid.
 
-    `radial_masks` has shape (shells, `Grid.radii`): one row per k, one
-    column per distinct |xi|.
+    `ks` is the grid's shell range (`shell_range`) as an array, the index of
+    every per-shell array.  `radial_masks` has shape (shells, `Grid.radii`):
+    one row per k, one column per distinct |xi|.
     """
 
     grid: Grid
-    k_min: int
-    k_max: int
+    ks: np.ndarray
     radial_masks: np.ndarray
 
     @cached_property
@@ -155,17 +136,13 @@ class ShellFilters:
         return self.radial_masks[:, self.grid.radial_index]
 
     def mask(self, k: int) -> np.ndarray:
-        if self.k_min <= k <= self.k_max:
-            return self.masks[k - self.k_min]
+        if k in self.ks:
+            return self.masks[k - self.ks[0]]
         return np.zeros(self.grid.spectral_shape)
 
-    def spectrum(self, power: np.ndarray) -> DyadicSpectrum:
-        """Block norms of a field with radial power `power` (see `radial_power`)."""
-        return DyadicSpectrum(self.k_min, self.k_max, np.sqrt(self.radial_masks**2 @ power))
-
-    @property
-    def ks(self) -> range:
-        return range(self.k_min, self.k_max + 1)
+    def spectrum(self, power: np.ndarray) -> np.ndarray:
+        """Block norms, one per shell of `ks`, of a field with radial power `power` (see `radial_power`)."""
+        return np.sqrt(self.radial_masks**2 @ power)
 
 
 @lru_cache(maxsize=8)
@@ -177,7 +154,7 @@ def shell_filters(grid: Grid) -> ShellFilters:
     """
     k_min, k_max = shell_range(grid)
     rows = np.stack([psi(grid.radii * 2.0 ** (-k)) for k in range(k_min, k_max + 2)])
-    return ShellFilters(grid=grid, k_min=k_min, k_max=k_max, radial_masks=rows[1:] - rows[:-1])
+    return ShellFilters(grid=grid, ks=np.arange(k_min, k_max + 1), radial_masks=rows[1:] - rows[:-1])
 
 
 def dyadic_block(f: SpectralField, k: int) -> SpectralField:
@@ -195,7 +172,8 @@ def radial_power(f: SpectralField) -> np.ndarray:
     return f.grid.radial_sum(mode_power(f.coef))
 
 
-def dyadic_spectrum(f: SpectralField) -> DyadicSpectrum:
+def dyadic_spectrum(f: SpectralField) -> np.ndarray:
+    """Block norms of f, one per shell of `shell_filters(f.grid).ks`."""
     return shell_filters(f.grid).spectrum(radial_power(f))
 
 
@@ -203,7 +181,7 @@ def besov_norm(f: SpectralField, s: float) -> float:
     """Shell-weighted norm sum_k 2^{ks} ||block_k f||_L2 over the grid's shells."""
     if not np.isfinite(s):
         raise ValueError(f"non-finite exponent {s}")
-    return dyadic_spectrum(f).hybrid((s, s))
+    return hybrid_weights(shell_filters(f.grid).ks, (s, s)) @ dyadic_spectrum(f)
 
 
 def hybrid_norm(f: SpectralField, idx: tuple[float, float]) -> float:
@@ -211,7 +189,7 @@ def hybrid_norm(f: SpectralField, idx: tuple[float, float]) -> float:
     s, t = idx
     if not (np.isfinite(s) and np.isfinite(t)):
         raise ValueError(f"non-finite hybrid index ({s}, {t})")
-    return dyadic_spectrum(f).hybrid(idx)
+    return hybrid_weights(shell_filters(f.grid).ks, idx) @ dyadic_spectrum(f)
 
 
 def bernstein_ratio(f: SpectralField, k: int) -> float:

@@ -79,6 +79,9 @@ class StepperConfig:
             raise ValueError(f"time step must be positive, got {self.dt}")
         if self.t_end < 0:
             raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
+        steps = self.t_end / self.dt
+        if not (np.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * max(steps, 1.0)):
+            raise ValueError(f"t_end must be a whole number of steps, got t_end / dt = {steps!r}")
 
 
 class LinearBlock:
@@ -215,6 +218,8 @@ class FriedrichsStepper:
         cfg: StepperConfig,
         linear_only: bool = False,
     ):
+        if params.dim != grid.dim:
+            raise ValueError(f"fluid parameters are for dimension {params.dim}, the grid has {grid.dim}")
         self.grid = grid
         self.params = params
         self.cfg = cfg
@@ -300,7 +305,7 @@ class FriedrichsStepper:
         if stride < 1:
             raise ValueError("monitor stride must be >= 1")
         s = self.prepare(s0)
-        n_steps = int(round(self.cfg.t_end / self.cfg.dt)) if self.cfg.t_end > 0 else 0
+        n_steps = round(self.cfg.t_end / self.cfg.dt)
         yield s
         for i in range(n_steps):
             s = self.step(s)

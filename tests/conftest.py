@@ -44,6 +44,20 @@ def wave(grid: Grid, nvec, kind: str = "cos", amp: float = 1.0) -> SpectralField
     return SpectralField(grid, coef)
 
 
+def embed(f: SpectralField, grid: Grid) -> SpectralField:
+    """f's coefficients on `grid`, a finer lattice of the same box, each at its own wavenumber.
+
+    Lead-axis FFT indices 0..m-1 and -(m-1)..-1 (m = M/2 of f's grid) and the last axis's 0..m-1 keep
+    their wavenumber at either size; f's Nyquist planes are dropped, so f must be zero on them.
+    """
+    m = f.grid.size // 2
+    lead = np.r_[0:m, 1 - m : 0]
+    kept = (slice(None),) + np.ix_(*[lead] * (grid.dim - 1), np.arange(m))
+    out = np.zeros((f.ncomp,) + grid.spectral_shape, dtype=np.complex128)
+    out[kept] = f.coef[kept]
+    return SpectralField(grid, out)
+
+
 def constant(grid: Grid, value: float = 1.0) -> SpectralField:
     return transform_to_spectral(grid, np.full(grid.shape, value))
 

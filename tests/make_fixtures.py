@@ -17,7 +17,7 @@ import numpy as np
 
 from nspbox import Grid, FluidParams, NspState
 from nspbox.config import parse_config
-from nspbox.energy import EnergyMonitor, compute_constants, smoothing_integral, global_bound_check
+from nspbox.energy import EnergyMonitor, smoothing_integral, global_bound_check
 from nspbox.initial_data import make_initial_data
 from nspbox.lp import composition_check, hybrid_norm, product_estimate_ratio
 from nspbox.spectral import SpectralField, random_field
@@ -53,12 +53,11 @@ def composition_ensemble() -> float:
 def smoothing_calibration() -> float:
     grid = Grid(3, 32)
     params = FluidParams(mu=1.0, lam=0.0, rho_bar=1.0, dim=3)
-    consts = compute_constants(params)
     rng = np.random.default_rng(77)
     c0 = random_field(grid, 1, rng, xi_lo=2.0)  # high-frequency shells only
     s0 = NspState(h=SpectralField.zeros(grid), c=c0, I=SpectralField.zeros(grid, 3))
     cfg = StepperConfig(dt=1e-3, n=float(grid.size), t_end=1.0)
-    monitor = EnergyMonitor(params, consts)
+    monitor = EnergyMonitor(params)
     traj = FriedrichsStepper(grid, params, cfg, linear_only=True).run(s0, monitor=monitor, stride=5)
     reg = 1.5  # N/2
     integral = smoothing_integral(traj.records, reg)
@@ -82,12 +81,11 @@ def small_data_ratio() -> float:
         ]
     )
     cfg = parse_config(text)
-    consts = compute_constants(cfg.params)
     state0 = make_initial_data(cfg)
-    monitor = EnergyMonitor(cfg.params, consts)
+    monitor = EnergyMonitor(cfg.params)
     stepper = FriedrichsStepper(cfg.grid, cfg.params, cfg.stepper)
     traj = stepper.run(state0, monitor=monitor, stride=cfg.monitor_stride)
-    verdict = global_bound_check(traj.records, monitor.e0, consts)
+    verdict = global_bound_check(traj.records, monitor.e0, cfg.bound)
     return verdict.max_ratio
 
 

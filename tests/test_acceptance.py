@@ -156,10 +156,9 @@ def test_criterion_05_energy_form_positivity(grid3):
             worst_eig = min(worst_eig, float(np.min(half_tr - disc)))
     assert worst_eig >= -1e-12
 
-    consts = compute_constants(PARAMS)
     rng = np.random.default_rng(103)
     worst_alpha = np.inf
-    monitor = EnergyMonitor(PARAMS, consts)  # every sample at t = 0; alpha_k^2 reads the sample alone
+    monitor = EnergyMonitor(PARAMS)  # every sample at t = 0; alpha_k^2 reads the sample alone
     for i in range(1000):
         h = random_field(grid3, 1, rng)
         c = random_field(grid3, 1, rng)
@@ -177,7 +176,6 @@ def test_criterion_05_energy_form_positivity(grid3):
 
 def test_criterion_06_linear_damping(grid32):
     start = time.monotonic()
-    consts = compute_constants(PARAMS)
     rng = np.random.default_rng(104)
     h = random_field(grid32, 1, rng)
     c = random_field(grid32, 1, rng)
@@ -186,7 +184,7 @@ def test_criterion_06_linear_damping(grid32):
     dt, n_steps, stride = 1e-3, 1000, 10
     cfg = StepperConfig(dt=dt, n=float(grid32.size), t_end=n_steps * dt)
     stepper = FriedrichsStepper(grid32, PARAMS, cfg, linear_only=True)
-    monitor = EnergyMonitor(PARAMS, consts)
+    monitor = EnergyMonitor(PARAMS)
 
     sample_modes = [(1, 0, 0), (2, 1, 0), (4, 3, 1), (9, 2, 2)]
     captured = {m: [] for m in sample_modes}
@@ -249,12 +247,11 @@ def test_criterion_07_heat_smoothing(grid32):
     assert worst < 1e-9
 
     # gradient part: time-integrated high-shell norm under the frozen majorant
-    consts = compute_constants(PARAMS)
     rng = np.random.default_rng(77)
     c0 = random_field(grid32, 1, rng, xi_lo=2.0)
     s0 = NspState(h=SpectralField.zeros(grid32), c=c0, I=SpectralField.zeros(grid32, 3))
     cfg = StepperConfig(dt=1e-3, n=float(grid32.size), t_end=1.0)
-    monitor = EnergyMonitor(PARAMS, consts)
+    monitor = EnergyMonitor(PARAMS)
     traj = FriedrichsStepper(grid32, PARAMS, cfg, linear_only=True).run(s0, monitor=monitor, stride=5)
     reg = 1.5
     integral = smoothing_integral(traj.records, reg)
@@ -285,13 +282,12 @@ def test_criterion_08_small_data_boundedness():
         ]
     )
     cfg = parse_config(text)
-    consts = compute_constants(cfg.params)
     state0 = make_initial_data(cfg)
-    monitor = EnergyMonitor(cfg.params, consts)
+    monitor = EnergyMonitor(cfg.params)
     stepper = FriedrichsStepper(cfg.grid, cfg.params, cfg.stepper)
     traj = stepper.run(state0, monitor=monitor, stride=cfg.monitor_stride)
 
-    verdict = global_bound_check(traj.records, monitor.e0, consts)
+    verdict = global_bound_check(traj.records, monitor.e0, cfg.bound)
     assert verdict.max_ratio <= FROZEN["small_data_e_ratio_bound"]
 
     # non-exploding tail: energy increments die off along the run

@@ -38,6 +38,7 @@ class TestParseConfig:
         assert cfg.stepper.n == 32.0
         assert cfg.init_kind == "random-band"
         assert cfg.monitor_stride == 10
+        assert cfg.bound == 16.0
 
     def test_negative_viscosity_rejected_with_constraint_name(self):
         with pytest.raises(ConfigError, match="mu > 0"):
@@ -69,12 +70,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line 2: unknown key 'stepper.scheme'"):
             parse_config("grid.M = 16\nstepper.scheme = etdrk2\n")
 
-    @pytest.mark.parametrize("key", ["energy.A", "energy.c_tilde"])
-    def test_non_positive_bound_factor_named_with_line(self, key):
-        # each factor is checked on its own, so the message names the key that is wrong
-        with pytest.raises(ConfigError, match=f"^line 2: {key}: bound factor must be positive$") as err:
-            parse_config(f"grid.M = 16\n{key} = -1\n")
+    def test_non_positive_bound_factor_named_with_line(self):
+        with pytest.raises(ConfigError, match="^line 2: energy.bound: bound factor must be positive$") as err:
+            parse_config("grid.M = 16\nenergy.bound = -1\n")
         assert err.value.line == 2
+
+    @pytest.mark.parametrize("key", ["energy.A", "energy.c_tilde"])
+    def test_removed_bound_factor_keys_rejected(self, key):
+        # the threshold is the one factor energy.bound; an old config that sets A or c~ fails loudly
+        with pytest.raises(ConfigError, match=f"^line 2: unknown key '{key}'$") as err:
+            parse_config(f"grid.M = 16\n{key} = 16\n")
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("dt, t_end", [(0.3, 1.0), (0.3, 0.1), (0.02, 1.21)])
+    def test_fractional_step_count_rejected_with_stepper_prefix(self, dt, t_end):
+        with pytest.raises(ConfigError, match="^stepper: t_end must be a whole number of steps"):
+            parse_config(f"stepper.dt = {dt}\nstepper.t_end = {t_end}\n")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):

@@ -76,9 +76,9 @@ class TestConstants:
         assert thick.K1 == pytest.approx(10.0 / 201.0)
 
 
-def shell_report(s, consts, params=PARAMS) -> EnergyReport:
+def shell_report(s, params=PARAMS) -> EnergyReport:
     """A fresh monitor's report of `s`: every shell's k, alpha_k^2 and h and c block norms."""
-    return EnergyMonitor(params, consts)(s)
+    return EnergyMonitor(params)(s)
 
 
 def shells(report: EnergyReport):
@@ -88,22 +88,20 @@ def shells(report: EnergyReport):
 
 class TestShellEnergy:
     def test_zero_state(self, grid3):
-        consts = compute_constants(PARAMS)
-        report = shell_report(NspState.zeros(grid3), consts)
+        report = shell_report(NspState.zeros(grid3))
         assert list(report.ks) == list(shell_filters(grid3).ks)
         for _, alpha_sq, norm_h, norm_c in shells(report):
             assert alpha_sq == 0.0
             assert norm_h == 0.0 and norm_c == 0.0
 
     def test_low_shell_single_mode_closed_form(self, grid3):
-        consts = compute_constants(PARAMS)
         amp = 0.4
         s = NspState(
             h=wave(grid3, (1, 0, 0), amp=amp),
             c=SpectralField.zeros(grid3),
             I=SpectralField.zeros(grid3, 3),
         )
-        report = shell_report(s, consts)
+        report = shell_report(s)
         alpha_sq = dict(zip(report.ks.tolist(), report.alpha_sq))
         for k in (-1, 0):
             w = float(lp.phi(np.asarray(2.0**-k)))
@@ -112,20 +110,18 @@ class TestShellEnergy:
             assert alpha_sq[k] == pytest.approx(expected, rel=1e-12)
 
     def test_positive_on_random_states(self, grid3):
-        consts = compute_constants(PARAMS)
         for seed in range(200):
             s = random_pair_state(grid3, seed=seed, h_scale=np.exp(seed % 5 - 2), c_scale=1.0)
-            for _, alpha_sq, norm_h, norm_c in shells(shell_report(s, consts)):
+            for _, alpha_sq, norm_h, norm_c in shells(shell_report(s)):
                 assert alpha_sq >= -1e-12 * max(norm_h, norm_c, 1.0) ** 2
 
     def test_equivalence_sandwich(self, grid3):
-        consts = compute_constants(PARAMS)
         s = random_pair_state(grid3, seed=60)
         # the summed squared block norms, straight from the lattice: sum of mask^2 * weight * (z* B z)
         Ph, Pc, lam = np.abs(s.h.coef[0]) ** 2, np.abs(s.c.coef[0]) ** 2, grid3.lam
         filters = shell_filters(grid3)
-        for k, alpha_sq, _, _ in shells(shell_report(s, consts)):
-            c1, c2 = equivalence_bounds(grid3, k, consts, PARAMS)
+        for k, alpha_sq, _, _ in shells(shell_report(s)):
+            c1, c2 = equivalence_bounds(grid3, k, PARAMS)
             w = filters.mask(k) ** 2 * grid3.hermitian_weight
             if k <= 0:
                 total = np.sum(w * ((1.0 + lam**2) * Ph + Pc))
@@ -135,12 +131,11 @@ class TestShellEnergy:
             assert 0.0 < c1 <= c2
 
     def test_display_weight_sandwich(self, grid3):
-        consts = compute_constants(PARAMS)
         s = random_pair_state(grid3, seed=61)
-        for k, alpha_sq, norm_h, norm_c in shells(shell_report(s, consts)):
+        for k, alpha_sq, norm_h, norm_c in shells(shell_report(s)):
             if alpha_sq <= 1e-20:
                 continue
-            d1, d2 = display_equivalence_bounds(grid3, k, consts, PARAMS)
+            d1, d2 = display_equivalence_bounds(grid3, k, PARAMS)
             disp = max(1.0, 2.0 ** (5 * k)) * norm_h**2 + max(1.0, 2.0**k) * norm_c**2
             ratio = disp / alpha_sq
             assert d1 - 1e-10 <= ratio <= d2 + 1e-10
@@ -157,7 +152,7 @@ class TestShellEnergy:
         Ph, Pc, X = np.abs(h) ** 2, np.abs(c) ** 2, (h * np.conj(c)).real
         lam, rho = grid.lam, params.rho_bar
         filters = shell_filters(grid)
-        report = shell_report(s, consts, params)
+        report = shell_report(s, params)
         assert list(report.ks) == list(filters.ks)
         for k, sh_alpha_sq, norm_h, norm_c in shells(report):
             w = filters.mask(k) ** 2 * grid.hermitian_weight
@@ -173,9 +168,8 @@ class TestShellEnergy:
 
     def test_energies_evaluate_the_bounded_form(self, grid3, monkeypatch):
         # the evaluated alpha_k^2 and the three bound functions read one form, `_form_matrices`
-        consts = compute_constants(PARAMS)
         s = random_pair_state(grid3, seed=62)
-        plain = shell_report(s, consts).alpha_sq
+        plain = shell_report(s).alpha_sq
         form_matrices = energy._form_matrices
 
         def doubled_p(*args):
@@ -183,14 +177,13 @@ class TestShellEnergy:
             return 2.0 * P, B
 
         monkeypatch.setattr(energy, "_form_matrices", doubled_p)
-        doubled = shell_report(s, consts).alpha_sq
+        doubled = shell_report(s).alpha_sq
         assert list(doubled) == [2.0 * a for a in plain]
         assert any(a > 0.0 for a in plain)
 
     def test_empty_shell_rejected_in_bounds(self, grid3):
-        consts = compute_constants(PARAMS)
         with pytest.raises(ValueError, match="no lattice modes"):
-            equivalence_bounds(grid3, 40, consts, PARAMS)
+            equivalence_bounds(grid3, 40, PARAMS)
 
 
 def _reference_forms(lam, k, consts, params):
@@ -227,8 +220,8 @@ class TestFormBounds:
                 lo, hi = min(lo, vals[0]), max(hi, vals[-1])
                 vals = eigh(D, P, eigvals_only=True)
                 d_lo, d_hi = min(d_lo, vals[0]), max(d_hi, vals[-1])
-            got = equivalence_bounds(grid32, k, consts, params)
-            got += display_equivalence_bounds(grid32, k, consts, params)
+            got = equivalence_bounds(grid32, k, params)
+            got += display_equivalence_bounds(grid32, k, params)
             for a, b in zip(got, (lo, hi, d_lo, d_hi)):
                 assert abs(a - b) <= 1e-13 * abs(b)
 
@@ -244,16 +237,15 @@ class TestFormBounds:
                 A = np.array([[0.0, -params.rho_bar], [q + 1.0, -params.nu_c * q]])
                 vals = eigh(A.T @ P + P @ A, 2.0 * m * P, eigvals_only=True)
                 best = min(best, -vals[-1])
-        got = linear_decay_rate_bound(grid32, consts, params)
+        got = linear_decay_rate_bound(grid32, params)
         assert abs(got - best) <= 1e-13 * abs(best)
 
 
 @pytest.fixture(scope="module")
 def linear_traj(grid3):
-    consts = compute_constants(PARAMS)
     s0 = random_pair_state(grid3, seed=62, h_scale=1.0, c_scale=0.5)
     cfg = StepperConfig(dt=1e-3, n=float(grid3.size), t_end=0.5)
-    monitor = EnergyMonitor(PARAMS, consts)
+    monitor = EnergyMonitor(PARAMS)
     return FriedrichsStepper(grid3, PARAMS, cfg, linear_only=True).run(s0, monitor=monitor, stride=25)
 
 
@@ -344,8 +336,7 @@ class TestDamping:
     def test_fit_dominates_per_mode_bound(self, grid3, linear_traj):
         # the quadratic-form analysis yields a guaranteed decay rate; the
         # fitted constant on an actual run can only be faster
-        consts = compute_constants(PARAMS)
-        bound = linear_decay_rate_bound(grid3, consts, PARAMS)
+        bound = linear_decay_rate_bound(grid3, PARAMS)
         assert bound > 0.0
         c_fit = fit_damping_constant(linear_traj.records)
         assert c_fit >= 0.9 * bound
@@ -354,10 +345,9 @@ class TestDamping:
         assert envelopes_nonincreasing(linear_traj.records)
 
     def test_single_high_shell_decays_at_least_at_fit_rate(self, grid3):
-        consts = compute_constants(PARAMS)
         s0 = random_pair_state(grid3, seed=63, xi_lo=5.4, xi_hi=10.6)  # shell k = 3 band
         cfg = StepperConfig(dt=1e-3, n=float(grid3.size), t_end=0.1)
-        monitor = EnergyMonitor(PARAMS, consts)
+        monitor = EnergyMonitor(PARAMS)
         traj = FriedrichsStepper(grid3, PARAMS, cfg, linear_only=True).run(s0, monitor=monitor, stride=10)
         c_fit = fit_damping_constant(traj.records)
         alphas = [np.sqrt(r.alpha_sq[4]) for r in traj.records]  # k = 3 slot
@@ -372,9 +362,8 @@ class TestDamping:
             damping_margins(linear_traj.records[:2], 1.0)
 
     def test_zero_trajectory_margins_vanish(self, grid3):
-        consts = compute_constants(PARAMS)
         cfg = StepperConfig(dt=1e-3, n=8.0, t_end=0.01)
-        monitor = EnergyMonitor(PARAMS, consts)
+        monitor = EnergyMonitor(PARAMS)
         stepper = FriedrichsStepper(grid3, PARAMS, cfg, linear_only=True)
         traj = stepper.run(NspState.zeros(grid3), monitor=monitor, stride=2)
         margins = damping_margins(traj.records, c_fit=1.0)
@@ -383,20 +372,18 @@ class TestDamping:
 
 class TestSmoothing:
     def test_zero_trajectory(self, grid3):
-        consts = compute_constants(PARAMS)
         cfg = StepperConfig(dt=1e-3, n=8.0, t_end=0.01)
-        monitor = EnergyMonitor(PARAMS, consts)
+        monitor = EnergyMonitor(PARAMS)
         stepper = FriedrichsStepper(grid3, PARAMS, cfg, linear_only=True)
         traj = stepper.run(NspState.zeros(grid3), monitor=monitor, stride=2)
         assert smoothing_integral(traj.records, 1.5) == 0.0
 
     def _c_only_run(self, grid, params, t_end=0.5):
-        consts = compute_constants(params)
         rng = np.random.default_rng(64)
         c0 = random_field(grid, 1, rng, xi_lo=2.0)
         s0 = NspState(h=SpectralField.zeros(grid), c=c0, I=SpectralField.zeros(grid, 3))
         cfg = StepperConfig(dt=1e-3, n=float(grid.size), t_end=t_end)
-        monitor = EnergyMonitor(params, consts)
+        monitor = EnergyMonitor(params)
         traj = FriedrichsStepper(grid, params, cfg, linear_only=True).run(s0, monitor=monitor, stride=10)
         reg = 0.5 * grid.dim
         integral = smoothing_integral(traj.records, reg)
@@ -418,25 +405,23 @@ class TestSmoothing:
 
 class TestGlobalBound:
     def test_zero_data_passes_with_zero_ratio(self, grid3):
-        consts = compute_constants(PARAMS)
         cfg = StepperConfig(dt=1e-3, n=8.0, t_end=0.01)
-        monitor = EnergyMonitor(PARAMS, consts)
+        monitor = EnergyMonitor(PARAMS)
         stepper = FriedrichsStepper(grid3, PARAMS, cfg, linear_only=True)
         traj = stepper.run(NspState.zeros(grid3), monitor=monitor, stride=2)
-        verdict = global_bound_check(traj.records, monitor.e0, consts)
+        verdict = global_bound_check(traj.records, monitor.e0, 16.0)
         assert verdict.passed and verdict.max_ratio == 0.0
 
     def test_growth_detected(self, grid3):
         import dataclasses
 
-        consts = compute_constants(PARAMS)
         cfg = StepperConfig(dt=1e-3, n=8.0, t_end=0.02)
-        monitor = EnergyMonitor(PARAMS, consts)
+        monitor = EnergyMonitor(PARAMS)
         traj = FriedrichsStepper(grid3, PARAMS, cfg, linear_only=True).run(
             random_pair_state(grid3, seed=66), monitor=monitor, stride=4
         )
         blown = [dataclasses.replace(r, e_value=r.e_value * 1e9) for r in traj.records]
-        verdict = global_bound_check(blown, monitor.e0, consts)
+        verdict = global_bound_check(blown, monitor.e0, 16.0)
         assert not verdict.passed
 
 
@@ -478,10 +463,9 @@ class TestStatePowers:
 
 class TestMonitor:
     def test_ratio_starts_at_one_and_e_monotone(self, grid3):
-        consts = compute_constants(PARAMS)
         s0 = small_state(grid3, seed=67, amp=1e-3)
         cfg = StepperConfig(dt=1e-3, n=8.0, t_end=0.05)
-        monitor = EnergyMonitor(PARAMS, consts)
+        monitor = EnergyMonitor(PARAMS)
         traj = FriedrichsStepper(grid3, PARAMS, cfg).run(s0, monitor=monitor, stride=10)
         assert traj.records[0].e_value / monitor.e0 == pytest.approx(1.0, rel=1e-12)
         es = [r.e_value for r in traj.records]
@@ -501,8 +485,7 @@ class TestMonitor:
 
     def test_initial_energy_matches_monitor(self, grid3):
         s0 = small_state(grid3, seed=68, amp=1e-3)
-        consts = compute_constants(PARAMS)
-        monitor = EnergyMonitor(PARAMS, consts)
+        monitor = EnergyMonitor(PARAMS)
         report = monitor(s0)
         assert monitor.e0 == pytest.approx(initial_energy(s0), rel=1e-14)
         assert report.e_value == pytest.approx(monitor.e0, rel=1e-14)
@@ -516,11 +499,11 @@ class TestMonitor:
         assert report.hybrid_h == hybrid_norm(s0.h, (n2 - 1.5, n2 + 1.0))
         assert report.hybrid_c == hybrid_norm(s0.c, (n2 - 1.5, n2 - 1.0))
         assert report.hybrid_I == hybrid_norm(s0.I, (n2 - 1.5, n2 - 1.0))
-        assert report.hybrid_u == spec_u.hybrid((n2 - 1.5, n2 - 1.0))
+        assert report.hybrid_u == lp.hybrid_weights(shell_filters(grid3).ks, (n2 - 1.5, n2 - 1.0)) @ spec_u
         # each shell's block norms are those of the one h and c spectrum a sample computes
         spec_h, spec_c = map(shell_filters(grid3).spectrum, state_powers(s0)[:2])
-        assert np.array_equal(report.norm_h, spec_h.block_norms)
-        assert np.array_equal(report.norm_c, spec_c.block_norms)
+        assert np.array_equal(report.norm_h, spec_h)
+        assert np.array_equal(report.norm_c, spec_c)
 
     def test_primitive_norm_reads_theta_and_phi_spectra(self, grid3):
         # theta = Lambda h and phi = -Lambda^-1 h are weighted from the radial power of h
@@ -555,8 +538,7 @@ class TestMonitor:
         assert len(calls) == 1
 
     def test_decreasing_time_rejected(self, grid3):
-        consts = compute_constants(PARAMS)
-        monitor = EnergyMonitor(PARAMS, consts)
+        monitor = EnergyMonitor(PARAMS)
         s0 = small_state(grid3, seed=69, amp=1e-3)
         monitor(s0)
         earlier = NspState(s0.h, s0.c, s0.I, t=-1.0)
@@ -564,8 +546,7 @@ class TestMonitor:
             monitor(earlier)
 
     def test_damping_margin_field_with_c_fit(self, grid3):
-        consts = compute_constants(PARAMS)
-        monitor = EnergyMonitor(PARAMS, consts)
+        monitor = EnergyMonitor(PARAMS)
         s0 = random_pair_state(grid3, seed=70)
         cfg = StepperConfig(dt=1e-3, n=float(grid3.size), t_end=0.02)
         traj = FriedrichsStepper(grid3, PARAMS, cfg, linear_only=True).run(s0, monitor=monitor, stride=5)
@@ -575,12 +556,11 @@ class TestMonitor:
     def test_smoothing_margin_with_calibrated_constant(self, grid3):
         from frozen import FROZEN
 
-        consts = compute_constants(PARAMS)
         rng = np.random.default_rng(71)
         c0 = random_field(grid3, 1, rng, xi_lo=2.0)
         s0 = NspState(h=SpectralField.zeros(grid3), c=c0, I=SpectralField.zeros(grid3, 3))
         cfg = StepperConfig(dt=1e-3, n=float(grid3.size), t_end=0.3)
-        monitor = EnergyMonitor(PARAMS, consts)
+        monitor = EnergyMonitor(PARAMS)
         traj = FriedrichsStepper(grid3, PARAMS, cfg, linear_only=True).run(s0, monitor=monitor, stride=10)
         # the majorant C (1 + V(t)) (||h0||_{B^{s,s+3/2}} + ||c0||_{B^{s-1,s-1/2}}) at s = N/2
         initial = hybrid_norm(s0.h, (1.5, 3.0)) + hybrid_norm(s0.c, (0.5, 1.0))
@@ -596,10 +576,9 @@ class TestMonitor:
     def test_convection_weight_series(self, grid3):
         from nspbox.energy import convection_weighted
 
-        consts = compute_constants(PARAMS)
         s0 = small_state(grid3, seed=72, amp=1e-3)
         cfg = StepperConfig(dt=1e-3, n=8.0, t_end=0.02)
-        monitor = EnergyMonitor(PARAMS, consts)
+        monitor = EnergyMonitor(PARAMS)
         traj = FriedrichsStepper(grid3, PARAMS, cfg).run(s0, monitor=monitor, stride=5)
         plain = convection_weighted(traj.records, 0.0, "hybrid_h")
         assert np.allclose(plain, [r.hybrid_h for r in traj.records])

@@ -37,6 +37,15 @@ class TestDrivers:
         assert summary["experiment"] == "nonlinear"
         assert summary["assertions"]["mass_conservation"] is True
 
+    def test_bound_key_is_the_threshold(self, tmp_path):
+        # E(0) / E(0) = 1 at the first sample, so a bound below 1 must fail
+        cfg = parse_config(FAST_NONLINEAR + "\nenergy.bound = 0.5\n")
+        result = experiment_nonlinear(cfg, tmp_path, do_assert=True)
+        assert result.exit_code == 1
+        assert result.summary["bound_ratio"] == 0.5
+        assert result.summary["max_e_ratio"] >= 1.0
+        assert result.summary["assertions"]["global_bound"] is False
+
     def test_linear_margins_on_single_mode(self, tmp_path):
         text = "\n".join(
             [

@@ -140,8 +140,7 @@ class TestBlocks:
         rng = np.random.default_rng(14)
         for _ in range(10):
             f = random_field(grid3, 1, rng)
-            spec = dyadic_spectrum(f)
-            total = float(np.sum(spec.block_norms**2))
+            total = float(np.sum(dyadic_spectrum(f) ** 2))
             base = l2_norm(f) ** 2
             assert c_lo * base - 1e-12 <= total <= c_hi * base + 1e-12
 

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
+from nspbox.config import parse_config
+from nspbox.initial_data import make_initial_data
 from nspbox.model import FluidParams, NspState
 from nspbox.spectral import Grid, SpectralField, helmholtz_decompose, l2_norm, random_field
 from nspbox.stepper import (
@@ -22,7 +24,7 @@ from nspbox.stepper import (
 )
 from nspbox import model
 
-from conftest import wave
+from conftest import embed, wave
 from test_model import small_state
 
 PARAMS = FluidParams(mu=1.0, lam=0.0, rho_bar=1.0, dim=3)
@@ -384,6 +386,23 @@ class TestStep:
         with pytest.raises(ValueError):
             StepperConfig(dt=1e-3, n=8.0, t_end=-1.0)
 
+    @pytest.mark.parametrize("dt, t_end", [(0.3, 1.0), (0.3, 0.1), (1e-3, 0.1 + 1e-8), (1.0, np.inf)])
+    def test_fractional_step_count_rejected(self, dt, t_end):
+        # iterate takes round(t_end / dt) steps, which would end the run off t_end
+        with pytest.raises(ValueError, match="whole number of steps"):
+            StepperConfig(dt=dt, n=8.0, t_end=t_end)
+
+    @pytest.mark.parametrize("dt, t_end, steps", [(1e-3, 0.1, 100), (0.02, 1.2, 60), (1e-3, 1.0, 1000), (1e-3, 0.0, 0)])
+    def test_whole_step_count_accepted(self, dt, t_end, steps):
+        cfg = StepperConfig(dt=dt, n=8.0, t_end=t_end)
+        assert round(cfg.t_end / cfg.dt) == steps
+
+    def test_params_of_another_dimension_rejected(self, grid3):
+        # 2 mu + 3 lambda = -0.7: admissible in 2D, not in 3D
+        params = FluidParams(mu=1.0, lam=-0.9, rho_bar=1.0, dim=2)
+        with pytest.raises(ValueError, match="dimension 2, the grid has 3"):
+            FriedrichsStepper(grid3, params, StepperConfig(dt=1e-3, n=8.0, t_end=0.01))
+
 
 class TestMemory:
     def test_warm_nonlinear_step_peak(self):
@@ -498,6 +517,27 @@ class TestSchemes:
         e2 = l2_norm(finals[1].c - finals[2].c) + l2_norm(finals[1].h - finals[2].h)
         order = np.log2(e1 / e2)
         assert order >= 1.9
+
+
+class TestLatticeConvergence:
+    def test_2d_distance_falls_tenfold_per_doubling(self):
+        # one band-limited start embedded exactly into M = 16, 32 and 64; n = M keeps every mode
+        cfg = parse_config("grid.N = 2\ngrid.M = 16\ninit.band_hi = 1\ninit.amplitude = 0.2\n")
+        s0 = make_initial_data(cfg)
+        finals = []
+        for size in (16, 32, 64):
+            grid = Grid(dim=2, size=size)
+            start = NspState(*(embed(f, grid) for f in (s0.h, s0.c, s0.I)))
+            stepper = FriedrichsStepper(grid, cfg.params, StepperConfig(dt=0.01, n=float(size), t_end=0.5))
+            final = stepper.run(start, stride=50).final_state
+            finals.append((final.h, final.c, final.I))
+
+        def distance(coarse, fine):
+            diff = sum(l2_norm(embed(a, b.grid) - b) ** 2 for a, b in zip(coarse, fine))
+            return np.sqrt(diff / sum(l2_norm(b) ** 2 for b in fine))
+
+        d = [distance(a, b) for a, b in zip(finals, finals[1:])]
+        assert 0.0 < d[1] <= 0.1 * d[0]
 
 
 class TestCheckpoints:

@@ -12,7 +12,6 @@ from .spectral import (
     SpectralField,
     HelmholtzPair,
     apply_lambda,
-    poisson_solve,
     helmholtz_decompose,
     helmholtz_recompose,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "SpectralField",
     "HelmholtzPair",
     "apply_lambda",
-    "poisson_solve",
     "helmholtz_decompose",
     "helmholtz_recompose",
     "besov_norm",

@@ -2,9 +2,9 @@
 
     nsp run|linear|refine|perturb|check-lemmas [--config PATH] [--assert] [--out DIR]
 
-Exit codes: 0 ok, 1 assertion failure, 2 configuration error, 3 numerical
-abort, 4 I/O error (an unreadable input file such as ``init.file``, or an
-unwritable output directory).
+Exit codes: 0 ok, 1 assertion failure, 2 configuration error (an unreadable
+config file included), 3 numerical abort, 4 I/O error (an output directory
+that cannot be created or written).
 """
 
 from __future__ import annotations

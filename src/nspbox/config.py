@@ -24,7 +24,7 @@ class ConfigError(ValueError):
         super().__init__(prefix + message)
 
 
-INIT_KINDS = ("single-mode", "random-band", "smooth-random", "file")
+INIT_KINDS = ("single-mode", "random-band", "smooth-random")
 
 # key -> (parser, default, description)
 DEFAULTS: dict[str, tuple] = {
@@ -43,7 +43,6 @@ DEFAULTS: dict[str, tuple] = {
     "init.band_lo": (int, 0, "lowest shell populated by random-band"),
     "init.band_hi": (int, 2, "highest shell populated by random-band"),
     "init.decay": (float, 1.0, "spectral decay rate of smooth-random data"),
-    "init.file": (str, "", "checkpoint path for kind = file"),
     "monitor.stride": (int, 10, "steps between monitor samples"),
     "energy.K": (float, 0.0, "convection-weight gain in post-processing"),
     "energy.bound": (float, 16.0, "global-bound factor: E(t) <= bound * E(0), > 0"),
@@ -63,7 +62,6 @@ class RunConfig:
     band_lo: int
     band_hi: int
     decay: float
-    init_file: str
     monitor_stride: int
     k_weight: float
     bound: float
@@ -132,8 +130,6 @@ def parse_config(text: str) -> RunConfig:
         raise fail("init.kind", f"expected one of {INIT_KINDS}, got {kind!r}")
     if values["init.amplitude"] < 0:
         raise fail("init.amplitude", "amplitude must be >= 0")
-    if kind == "file" and not values["init.file"]:
-        raise fail("init.file", "kind = file requires init.file")
     if values["init.band_hi"] < values["init.band_lo"]:
         raise fail("init.band_hi", "band_hi must be >= band_lo")
     if values["monitor.stride"] < 1:
@@ -153,7 +149,6 @@ def parse_config(text: str) -> RunConfig:
         band_lo=values["init.band_lo"],
         band_hi=values["init.band_hi"],
         decay=values["init.decay"],
-        init_file=values["init.file"],
         monitor_stride=values["monitor.stride"],
         k_weight=values["energy.K"],
         bound=values["energy.bound"],

@@ -5,8 +5,8 @@ variable h and the gradient-part velocity c with a carefully signed cross
 term; with the constants chosen below the form is positive semidefinite and
 its decay rate along the linear flow is bounded below by min(2^{2k}, 1)
 times a positive constant.  `_form_matrices` defines the form per |xi|; the
-bounds read it, and alpha_k^2 sums it against z = (h, c) under the squared
-shell mask (`_shell_forms`).
+decay bound reads it, and alpha_k^2 sums it against z = (h, c) under the
+squared shell mask (`_shell_forms`).
 
 The monitor evaluates the mixed norm E(h, u, t), the convection weight V(t)
 and the primitive-variable norm along runs, all from one table of hybrid
@@ -18,10 +18,9 @@ vector built once per grid, and folds the sup rows into running maxima and
 the integrand rows into trapezoidal integrals.  Its `EnergyReport` is the one
 record of a sample: every shell's alpha_k^2 and h and c block norms as arrays
 over the shells, the hybrid norms, and, under a stepper, the run's health.
-The damping and smoothing margins the acceptance suite checks are computed
-post hoc from the monitor's reports (`damping_margins`,
-`fit_damping_constant`, `smoothing_integral`); the two damping fits read one
-(steps, shells) table of consecutive alpha pairs.
+The damping margins the linear driver checks are computed post hoc from the
+monitor's reports (`damping_margins`, `fit_damping_constant`); the two fits
+read one (steps, shells) table of consecutive alpha pairs.
 """
 
 from __future__ import annotations
@@ -43,13 +42,10 @@ __all__ = [
     "compute_constants",
     "feasibility_margins",
     "state_powers",
-    "equivalence_bounds",
-    "display_equivalence_bounds",
     "linear_decay_rate_bound",
     "fit_damping_constant",
     "damping_margins",
     "envelopes_nonincreasing",
-    "smoothing_integral",
     "global_bound_check",
     "convection_weighted",
     "initial_energy",
@@ -116,20 +112,17 @@ def feasibility_margins(params: FluidParams, consts: EstimateConstants) -> dict[
 # per-shell quadratic forms
 
 
-def _form_matrices(lam: np.ndarray, k: int, consts: EstimateConstants, params: FluidParams):
-    """Per-|xi| matrices of alpha_k^2 (P) and the squared-block-norm sum (B), each (n, 2, 2)."""
+def _form_matrices(lam: np.ndarray, k: int, consts: EstimateConstants, params: FluidParams) -> np.ndarray:
+    """Per-|xi| matrices P of alpha_k^2 = z* P z, z = (h, c), shape (n, 2, 2)."""
     rho, beta = params.rho_bar, params.beta
-    zero, one = np.zeros_like(lam), np.ones_like(lam)
     if k <= 0:
         q = lam**2
-        P = [[(1.0 + q) / rho, -consts.K1 * q], [-consts.K1 * q, one]]
-        B = [[1.0 + q, zero], [zero, one]]
+        P = [[(1.0 + q) / rho, -consts.K1 * q], [-consts.K1 * q, np.ones_like(lam)]]
     else:
-        l1, l3, l5 = lam, lam**3, lam**5
-        hh = (l1 + l3) / rho + beta * consts.K2 / rho**2 * l5
-        P = [[hh, -consts.K2 * l3], [-consts.K2 * l3, l1]]
-        B = [[l1 + l3 + l5, zero], [zero, l1]]
-    return np.moveaxis(np.array(P), -1, 0), np.moveaxis(np.array(B), -1, 0)
+        l3 = lam**3
+        hh = (lam + l3) / rho + beta * consts.K2 / rho**2 * lam**5
+        P = [[hh, -consts.K2 * l3], [-consts.K2 * l3, lam]]
+    return np.moveaxis(np.array(P), -1, 0)
 
 
 def _generalized_eigvalsh(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -170,7 +163,7 @@ def _shell_forms(grid: Grid, params: FluidParams) -> np.ndarray:
     filters, consts = lp.shell_filters(grid), compute_constants(params)
     rows = []
     for k, mask in zip(filters.ks, filters.radial_masks):
-        P, _ = _form_matrices(grid.radii, k, consts, params)
+        P = _form_matrices(grid.radii, k, consts, params)
         rows.append((mask**2 * np.array([P[:, 0, 0], P[:, 1, 1], P[:, 0, 1] + P[:, 1, 0]])).ravel())
     return np.array(rows)
 
@@ -182,36 +175,6 @@ def _shell_lams(grid: Grid, k: int) -> np.ndarray:
         return np.empty(0)
     r = grid.radii
     return r[(filters.radial_masks[k - filters.ks[0]] > 0) & (r > 0)]
-
-
-def _shell_sandwich(grid: Grid, k: int, params: FluidParams, weights=None) -> tuple[float, float]:
-    """Extreme eigenvalues of the block norms, or of diagonal (h, c) `weights`, against alpha_k^2."""
-    lams = _shell_lams(grid, k)
-    if lams.size == 0:
-        raise ValueError(f"shell {k} contains no lattice modes")
-    P, B = _form_matrices(lams, k, compute_constants(params), params)
-    if weights is not None:
-        B = np.broadcast_to(np.diag(weights), P.shape)
-    vals = _generalized_eigvalsh(B, P)
-    return float(vals[:, 0].min()), float(vals[:, -1].max())
-
-
-def equivalence_bounds(grid: Grid, k: int, params: FluidParams) -> tuple[float, float]:
-    """(c1, c2) with c1 * alpha_k^2 <= sum of squared block norms <= c2 * alpha_k^2.
-
-    Computed as extreme generalized eigenvalues of the two per-mode forms
-    over the lattice wavenumbers the shell actually contains.
-    """
-    return _shell_sandwich(grid, k, params)
-
-
-def display_equivalence_bounds(grid: Grid, k: int, params: FluidParams) -> tuple[float, float]:
-    """Sandwich constants against the shell-constant weights max(1, 2^{5k}) and max(1, 2^k).
-
-    These are the squared versions of the first-power weights appearing in
-    the summed norm displays.
-    """
-    return _shell_sandwich(grid, k, params, (max(1.0, 2.0 ** (5 * k)), max(1.0, 2.0**k)))
 
 
 def linear_decay_rate_bound(grid: Grid, params: FluidParams) -> float:
@@ -226,7 +189,7 @@ def linear_decay_rate_bound(grid: Grid, params: FluidParams) -> float:
         if lams.size == 0:
             continue
         m = min(2.0 ** (2 * k), 1.0)
-        P, _ = _form_matrices(lams, k, consts, params)
+        P = _form_matrices(lams, k, consts, params)
         A = params.pair_matrix(lams**2)
         lyap = np.swapaxes(A, -1, -2) @ P + P @ A
         # rate = -sup_x (x' lyap x) / (2 m x' P x)
@@ -428,13 +391,6 @@ def envelopes_nonincreasing(reports: list[EnergyReport], rtol: float = 1e-10) ->
         if np.any(np.diff(peaks) > rtol * max(peaks.max(), 1e-300)):
             return False
     return True
-
-
-def smoothing_integral(reports: list[EnergyReport], reg_index: float) -> float:
-    """Trapezoidal integral of sum_{k>0} 2^{k(s+3/2)} ||c_k|| along the run."""
-    times = np.array([r.t for r in reports])
-    vals = np.array([sum(2.0 ** (k * (reg_index + 1.5)) * c for k, c in zip(r.ks, r.norm_c) if k > 0) for r in reports])
-    return float(np.trapezoid(vals, times))
 
 
 def convection_weighted(reports: list[EnergyReport], K: float, attr: str) -> np.ndarray:

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import energy, spectral as sp
+from . import energy, lp, spectral as sp
 from .config import RunConfig
 from .model import NspState, from_primitive, PrimitiveState
-from .stepper import FriedrichsProjector, load_checkpoint
+from .stepper import FriedrichsProjector
 
 __all__ = ["make_initial_data"]
 
@@ -22,7 +22,9 @@ _RAW_CONTRAST = 0.05
 
 
 def _band_edges(k_lo: int, k_hi: int) -> tuple[float, float]:
-    return 0.75 * 2.0**k_lo, (8.0 / 3.0) * 2.0**k_hi
+    """The |xi| range of shells k_lo..k_hi: the annulus of shell k is 2^k `lp.ANNULUS_SUPPORT`."""
+    lo, hi = lp.ANNULUS_SUPPORT
+    return lo * 2.0**k_lo, hi * 2.0**k_hi
 
 
 def _primitive_fields(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -63,18 +65,8 @@ def make_initial_data(cfg: RunConfig) -> NspState:
     """Generate, project and rescale the initial state; E(0) == amplitude."""
     grid = cfg.grid
     projector = FriedrichsProjector(grid, cfg.stepper.n)
-
-    if cfg.init_kind == "file":
-        raw, saved_params, _ = load_checkpoint(cfg.init_file)
-        if raw.grid != grid:
-            raise ValueError(
-                f"checkpoint grid {raw.grid} does not match configured grid {grid}"
-            )
-        if saved_params != cfg.params:
-            raise ValueError("checkpoint fluid parameters do not match the configuration")
-    else:
-        rho, u = _primitive_fields(cfg)
-        raw = from_primitive(PrimitiveState(grid=grid, rho=rho, u=u), cfg.params)
+    rho, u = _primitive_fields(cfg)
+    raw = from_primitive(PrimitiveState(grid=grid, rho=rho, u=u), cfg.params)
     projected = NspState(projector(raw.h), projector(raw.c), projector(raw.I), t=0.0)
 
     if cfg.amplitude == 0.0:

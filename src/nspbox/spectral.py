@@ -19,7 +19,7 @@ the last-axis zero plane, the one stored plane that holds both xi and -xi;
 the forward transform symmetrizes it.  Sums over the full lattice become
 weighted sums over the half: ``Grid.hermitian_weight`` counts each stored
 mode once on the last-axis zero (and Nyquist) plane and twice on the
-interior planes, which carry their unstored mirrors.  `l2_norm`, `inner` and
+interior planes, which carry their unstored mirrors.  `l2_norm` and
 `Grid.radial_sum` use it; pointwise multipliers need no weight.
 
 Radial table: Littlewood-Paley cutoffs, shell energy forms, the linear
@@ -37,9 +37,9 @@ the all-zero ones, in two buffers it owns: the band's m + 1 last-axis
 columns for the inverse, the half lattice for the forward.
 
 Zero-mode convention: fractional powers of the Laplacian and every inverse
-operator (Poisson solve, Lambda^-1 gradients/divergences) annihilate the
-zero mode.  Nyquist planes are zeroed on construction, so every multiplier
-acts on the data-carrying, exactly Hermitian lattice only.
+operator (Lambda^-1 gradients/divergences) annihilate the zero mode.
+Nyquist planes are zeroed on construction, so every multiplier acts on the
+data-carrying, exactly Hermitian lattice only.
 """
 
 from __future__ import annotations
@@ -58,18 +58,14 @@ __all__ = [
     "HelmholtzPair",
     "antisym_pairs",
     "apply_lambda",
-    "gradient",
     "divergence",
-    "laplacian",
     "curl",
-    "poisson_solve",
     "helmholtz_decompose",
     "helmholtz_recompose",
     "transform_to_physical",
     "transform_to_spectral",
     "l2_norm",
     "linf_norm",
-    "inner",
     "BandTransform",
     "random_field",
     "MEAN_FREE_RTOL",
@@ -378,11 +374,6 @@ def l2_norm(f: SpectralField) -> float:
     return float(np.sqrt(np.sum(f.grid.hermitian_weight * np.abs(f.coef) ** 2)))
 
 
-def inner(f: SpectralField, g: SpectralField) -> float:
-    """Volume-normalized L2 inner product of real fields."""
-    return float(np.sum(f.grid.hermitian_weight * (f.coef * np.conj(g.coef)).real))
-
-
 def linf_norm(f: SpectralField) -> float:
     return float(np.max(np.abs(f.to_physical())))
 
@@ -453,10 +444,6 @@ class BandTransform:
 # Fourier multipliers
 
 
-def _apply_multiplier(f: SpectralField, mult: np.ndarray) -> SpectralField:
-    return SpectralField(f.grid, f.coef * mult)
-
-
 def apply_lambda(f: SpectralField, s: float) -> SpectralField:
     """|xi|^s multiplier; the zero mode is annihilated whenever s != 0."""
     if not np.isfinite(s):
@@ -469,15 +456,7 @@ def apply_lambda(f: SpectralField, s: float) -> SpectralField:
         np.divide(1.0, lam**-s, out=mult, where=lam > 0)
     else:
         mult = lam**s
-    return _apply_multiplier(f, mult)
-
-
-def gradient(f: SpectralField) -> SpectralField:
-    if not f.is_scalar:
-        raise ValueError("gradient expects a scalar field")
-    grid = f.grid
-    comps = [1j * xi * f.coef[0] for xi in grid.wavenumbers]
-    return SpectralField(grid, np.stack(comps))
+    return SpectralField(f.grid, f.coef * mult)
 
 
 def divergence(u: SpectralField) -> SpectralField:
@@ -486,10 +465,6 @@ def divergence(u: SpectralField) -> SpectralField:
         raise ValueError("divergence expects a velocity field")
     coef = sum(1j * xi * u.coef[i] for i, xi in enumerate(grid.wavenumbers))
     return SpectralField(grid, coef[None])
-
-
-def laplacian(f: SpectralField) -> SpectralField:
-    return _apply_multiplier(f, -f.grid.lam_sq)
 
 
 def curl(u: SpectralField) -> SpectralField:
@@ -507,17 +482,6 @@ def _require_mean_free(f: SpectralField, what: str) -> None:
     mean = float(np.max(np.abs(f.zero_mode())))
     if mean > MEAN_FREE_RTOL * scale:
         raise ValueError(f"{what} must be mean-free (zero mode {mean:.3e} vs norm {scale:.3e})")
-
-
-def poisson_solve(theta: SpectralField) -> SpectralField:
-    """Solve laplacian(phi) = theta for a mean-free scalar source."""
-    if not theta.is_scalar:
-        raise ValueError("Poisson source must be scalar")
-    _require_mean_free(theta, "Poisson source (charge imbalance)")
-    grid = theta.grid
-    mult = np.zeros_like(grid.lam_sq)
-    np.divide(-1.0, grid.lam_sq, out=mult, where=grid.lam_sq > 0)
-    return _apply_multiplier(theta, mult)
 
 
 def helmholtz_decompose(u: SpectralField) -> HelmholtzPair:

@@ -15,7 +15,6 @@ two-thirds-rule band, which `Grid.add_band` adds into the state.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
@@ -23,8 +22,7 @@ import numpy as np
 
 from . import model
 from .model import FluidParams, NspState
-from .records import atomic_open
-from .spectral import Grid, SpectralField, antisym_pairs
+from .spectral import Grid, SpectralField
 
 __all__ = [
     "FriedrichsProjector",
@@ -33,9 +31,6 @@ __all__ = [
     "FriedrichsStepper",
     "Trajectory",
     "NumericalAbort",
-    "save_checkpoint",
-    "load_checkpoint",
-    "CHECKPOINT_MAGIC",
     "CFL_MARGIN",
 ]
 
@@ -322,66 +317,3 @@ class FriedrichsStepper:
         traj.flags = self.flags
         return traj
 
-
-# ---------------------------------------------------------------------------
-# checkpoints
-
-CHECKPOINT_MAGIC = b"NSPCHK2"
-_FULL_LATTICE_MAGIC = b"NSPCHK1"  # the earlier layout: full-lattice payload
-_HEADER = struct.Struct("<7sqqdddddd")  # magic, N, M, L, n, t, mu, lambda, rho_bar
-
-
-def save_checkpoint(path, s: NspState, params: FluidParams, n: float) -> None:
-    """Header, then the half-lattice coefficients of h, c and I as little-endian complex128."""
-    grid = s.grid
-    header = _HEADER.pack(
-        CHECKPOINT_MAGIC,
-        grid.dim,
-        grid.size,
-        grid.length,
-        float(n),
-        s.t,
-        params.mu,
-        params.lam,
-        params.rho_bar,
-    )
-    with atomic_open(path, "wb") as fh:
-        fh.write(header)
-        for field_ in (s.h, s.c, s.I):
-            fh.write(np.ascontiguousarray(field_.coef, dtype="<c16").tobytes())
-
-
-def load_checkpoint(path) -> tuple[NspState, FluidParams, float]:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise ValueError(f"truncated checkpoint header in {path}")
-    magic, dim, size, length, n, t, mu, lam, rho_bar = _HEADER.unpack_from(raw)
-    if magic == _FULL_LATTICE_MAGIC:
-        raise ValueError(
-            f"checkpoint {path} has magic {magic!r}, the full-lattice layout; "
-            f"this version reads only {CHECKPOINT_MAGIC!r}, the half-lattice (rfftn) layout"
-        )
-    if magic != CHECKPOINT_MAGIC:
-        raise ValueError(f"bad checkpoint magic {magic!r} in {path}")
-    header = {"L": length, "n": n, "t": t, "mu": mu, "lambda": lam, "rho_bar": rho_bar}
-    bad = [name for name, value in header.items() if not np.isfinite(value)]
-    if bad:
-        raise ValueError(f"non-finite checkpoint header value(s) {', '.join(bad)} in {path}")
-    if not n > 1.0:
-        raise ValueError(f"checkpoint truncation parameter must exceed 1, got n = {n} in {path}")
-    grid = Grid(dim=int(dim), size=int(size), length=length)
-    params = FluidParams(mu=mu, lam=lam, rho_bar=rho_bar, dim=int(dim))
-
-    shapes = [(ncomp,) + grid.spectral_shape for ncomp in (1, 1, len(antisym_pairs(grid.dim)))]
-    counts = [int(np.prod(shape)) for shape in shapes]
-    payload = len(raw) - _HEADER.size
-    expected = 16 * sum(counts)
-    if payload < expected:
-        raise ValueError(f"truncated checkpoint payload in {path}")
-    if payload > expected:
-        raise ValueError(f"{payload - expected} trailing bytes after the checkpoint payload in {path}")
-    data = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size).astype(np.complex128)
-    parts = np.split(data, np.cumsum(counts)[:-1])
-    h, c, I = (SpectralField(grid, part.reshape(shape)) for part, shape in zip(parts, shapes))
-    return NspState(h=h, c=c, I=I, t=t), params, n

@@ -1,0 +1,68 @@
+"""Analysis that only the checks read: spectral operators, the shell-form sandwich, the smoothing integral.
+
+No solver or driver path forms these; the tests and `make_fixtures.py` measure the package with them.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from nspbox import energy, spectral as sp
+from nspbox.energy import EnergyReport
+from nspbox.model import FluidParams
+from nspbox.spectral import Grid, SpectralField
+
+__all__ = ["inner", "gradient", "laplacian", "poisson_solve", "equivalence_bounds", "smoothing_integral"]
+
+
+def inner(f: SpectralField, g: SpectralField) -> float:
+    """Volume-normalized L2 inner product of real fields."""
+    return float(np.sum(f.grid.hermitian_weight * (f.coef * np.conj(g.coef)).real))
+
+
+def gradient(f: SpectralField) -> SpectralField:
+    if not f.is_scalar:
+        raise ValueError("gradient expects a scalar field")
+    return SpectralField(f.grid, np.stack([1j * xi * f.coef[0] for xi in f.grid.wavenumbers]))
+
+
+def laplacian(f: SpectralField) -> SpectralField:
+    return SpectralField(f.grid, f.coef * -f.grid.lam_sq)
+
+
+def poisson_solve(theta: SpectralField) -> SpectralField:
+    """Solve laplacian(phi) = theta for a mean-free scalar source."""
+    if not theta.is_scalar:
+        raise ValueError("Poisson source must be scalar")
+    sp._require_mean_free(theta, "Poisson source (charge imbalance)")
+    lam_sq = theta.grid.lam_sq
+    mult = np.zeros_like(lam_sq)
+    np.divide(-1.0, lam_sq, out=mult, where=lam_sq > 0)
+    return SpectralField(theta.grid, theta.coef * mult)
+
+
+def equivalence_bounds(grid: Grid, k: int, params: FluidParams, weights=None) -> tuple[float, float]:
+    """(c1, c2) with c1 alpha_k^2 <= z* B z <= c2 alpha_k^2 on every lattice |xi| of shell k.
+
+    B is diagonal: the squared block norms, (1 + |xi|^2, 1) for k <= 0 and
+    (|xi| + |xi|^3 + |xi|^5, |xi|) above, or the constant (h, c) `weights`.
+    The constants are the extreme generalized eigenvalues of B against the
+    energy form P of `energy._form_matrices`.
+    """
+    lams = energy._shell_lams(grid, k)
+    if lams.size == 0:
+        raise ValueError(f"shell {k} contains no lattice modes")
+    P = energy._form_matrices(lams, k, energy.compute_constants(params), params)
+    if weights is None:
+        weights = (1.0 + lams**2, np.ones_like(lams)) if k <= 0 else (lams + lams**3 + lams**5, lams)
+    B = np.zeros_like(P)
+    B[:, 0, 0], B[:, 1, 1] = weights
+    vals = energy._generalized_eigvalsh(B, P)
+    return float(vals[:, 0].min()), float(vals[:, -1].max())
+
+
+def smoothing_integral(reports: list[EnergyReport], reg_index: float) -> float:
+    """Trapezoidal integral of sum_{k>0} 2^{k(s+3/2)} ||c_k|| along the run."""
+    times = np.array([r.t for r in reports])
+    vals = np.array([sum(2.0 ** (k * (reg_index + 1.5)) * c for k, c in zip(r.ks, r.norm_c) if k > 0) for r in reports])
+    return float(np.trapezoid(vals, times))

@@ -17,11 +17,13 @@ import numpy as np
 
 from nspbox import Grid, FluidParams, NspState
 from nspbox.config import parse_config
-from nspbox.energy import EnergyMonitor, smoothing_integral, global_bound_check
+from nspbox.energy import EnergyMonitor, global_bound_check
 from nspbox.initial_data import make_initial_data
 from nspbox.lp import composition_check, hybrid_norm, product_estimate_ratio
 from nspbox.spectral import SpectralField, random_field
 from nspbox.stepper import FriedrichsStepper, StepperConfig
+
+from analysis import smoothing_integral
 
 MARGIN_ENSEMBLE = 1.25
 MARGIN_RUN = 1.15

@@ -11,6 +11,8 @@ import numpy as np
 from nspbox import spectral as sp
 from nspbox.model import FluidParams, NspState, PrimitiveState
 
+from analysis import laplacian, poisson_solve
+
 __all__ = ["potential", "check_potential", "to_primitive"]
 
 
@@ -20,7 +22,7 @@ def _contrast(prim: PrimitiveState) -> sp.SpectralField:
 
 def potential(prim: PrimitiveState) -> np.ndarray:
     """The potential the density induces through the Poisson coupling."""
-    return sp.poisson_solve(_contrast(prim)).to_physical()[0]
+    return poisson_solve(_contrast(prim)).to_physical()[0]
 
 
 def check_potential(prim: PrimitiveState, phi) -> None:
@@ -29,7 +31,7 @@ def check_potential(prim: PrimitiveState, phi) -> None:
     if phi.shape != prim.grid.shape:
         raise ValueError("potential shape does not match grid")
     contrast = _contrast(prim)
-    residual = sp.laplacian(sp.transform_to_spectral(prim.grid, phi)) - contrast
+    residual = laplacian(sp.transform_to_spectral(prim.grid, phi)) - contrast
     if sp.l2_norm(residual) > 1e-10 * max(sp.l2_norm(contrast), 1e-300):
         raise ValueError("potential does not solve the density Poisson coupling")
 
@@ -39,6 +41,6 @@ def to_primitive(s: NspState, params: FluidParams) -> tuple[PrimitiveState, np.n
     theta = s.theta()
     rho = params.rho_bar + theta.to_physical()[0]
     prim = PrimitiveState(grid=s.grid, rho=rho, u=s.velocity().to_physical())
-    phi = sp.poisson_solve(theta).to_physical()[0]
+    phi = poisson_solve(theta).to_physical()[0]
     check_potential(prim, phi)
     return prim, phi

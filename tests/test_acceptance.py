@@ -18,7 +18,6 @@ from nspbox.energy import (
     feasibility_margins,
     fit_damping_constant,
     global_bound_check,
-    smoothing_integral,
 )
 from nspbox.experiments import experiment_perturb, experiment_refine
 from nspbox.initial_data import make_initial_data
@@ -29,12 +28,12 @@ from nspbox.spectral import (
     divergence,
     helmholtz_decompose,
     helmholtz_recompose,
-    inner,
     l2_norm,
     random_field,
 )
 from nspbox.stepper import FriedrichsStepper, StepperConfig
 
+from analysis import inner, smoothing_integral
 from conftest import antisym_divergence
 from frozen import FROZEN
 from test_model import small_state

@@ -12,7 +12,6 @@ from nspbox.initial_data import make_initial_data
 from nspbox.lp import hybrid_norm
 from nspbox.records import ALPHA_CUTOFF, CSV_COLUMNS, read_records, write_records
 from nspbox.spectral import l2_norm
-from nspbox.stepper import load_checkpoint, save_checkpoint
 from nspbox.model import FluidParams
 
 
@@ -49,8 +48,10 @@ class TestParseConfig:
             parse_config("params.mu = 1.0\nparams.lambda = -3.0")
 
     def test_unknown_key_carries_line_number(self):
-        with pytest.raises(ConfigError, match="line 3"):
-            parse_config("grid.M = 16\n# comment\nnope.key = 1\n")
+        # an old config that names a checkpoint input fails loudly, at its line
+        for key in ("nope.key", "init.file"):
+            with pytest.raises(ConfigError, match=f"^line 3: unknown key '{key}'$"):
+                parse_config(f"grid.M = 16\n# comment\n{key} = x\n")
 
     def test_parse_error_carries_line_number(self):
         with pytest.raises(ConfigError, match="line 2"):
@@ -96,8 +97,10 @@ class TestParseConfig:
             parse_config("stepper.scheme = leapfrog")
 
     def test_unknown_init_kind_rejected(self):
-        with pytest.raises(ConfigError, match="init.kind"):
-            parse_config("init.kind = vortex")
+        # there is no checkpoint format, so no kind reads a file; an old config fails at its line
+        for kind in ("vortex", "file"):
+            with pytest.raises(ConfigError, match=f"^line 2: init.kind: expected one of .*, got '{kind}'$"):
+                parse_config(f"grid.M = 16\ninit.kind = {kind}\n")
 
     def test_comments_and_blank_lines_ignored(self):
         cfg = parse_config("\n# full line comment\ngrid.M = 16  # trailing comment\n\n")
@@ -106,10 +109,6 @@ class TestParseConfig:
     def test_truncation_radius_default_covers_lattice(self):
         cfg = parse_config("grid.M = 64")
         assert cfg.stepper.n == 64.0
-
-    def test_file_kind_requires_path(self):
-        with pytest.raises(ConfigError, match="init.file"):
-            parse_config("init.kind = file")
 
     def test_help_lists_every_key(self):
         text = config_help()
@@ -147,26 +146,6 @@ class TestInitialData:
         with pytest.raises(ValueError, match="band"):
             make_initial_data(parse_config("grid.M = 16\ninit.band_lo = 9\ninit.band_hi = 9"))
 
-    def test_checkpoint_round_trip_through_file_kind(self, tmp_path):
-        cfg = parse_config("grid.M = 16\ninit.band_hi = 1\ninit.amplitude = 1e-3")
-        s = make_initial_data(cfg)
-        path = tmp_path / "init.chk"
-        save_checkpoint(path, s, cfg.params, n=cfg.stepper.n)
-        cfg_file = parse_config(
-            f"grid.M = 16\ninit.kind = file\ninit.file = {path}\ninit.amplitude = 1e-3"
-        )
-        loaded = make_initial_data(cfg_file)
-        assert initial_energy(loaded) == pytest.approx(1e-3, rel=1e-12)
-
-    def test_checkpoint_grid_mismatch_rejected(self, tmp_path):
-        cfg = parse_config("grid.M = 16\ninit.band_hi = 1")
-        s = make_initial_data(cfg)
-        path = tmp_path / "init.chk"
-        save_checkpoint(path, s, cfg.params, n=cfg.stepper.n)
-        other = parse_config(f"grid.M = 32\ninit.kind = file\ninit.file = {path}")
-        with pytest.raises(ValueError, match="grid"):
-            make_initial_data(other)
-
     def test_excessive_amplitude_rejected(self):
         cfg = parse_config("grid.M = 16\ninit.kind = single-mode\ninit.amplitude = 50.0")
         with pytest.raises(ValueError, match="density"):
@@ -186,17 +165,6 @@ class TestInitialData:
         cfg = parse_config(f"grid.N = {dim}\ngrid.M = 16\ninit.kind = {kind}\ninit.amplitude = {amplitude}")
         s = make_initial_data(cfg)
         for f in (s.h, s.c, s.I, s.theta()):
-            assert np.all(f.zero_mode() == 0.0)
-
-    def test_checkpoint_mean_is_projected_away(self, tmp_path):
-        cfg = parse_config("grid.M = 16\ninit.band_hi = 1\ninit.amplitude = 1e-3")
-        s = make_initial_data(cfg)
-        s.h.coef[(0,) * 4] = 0.3
-        path = tmp_path / "init.chk"
-        save_checkpoint(path, s, cfg.params, n=cfg.stepper.n)
-        assert load_checkpoint(path)[0].h.zero_mode()[0] == 0.3
-        loaded = make_initial_data(parse_config(f"grid.M = 16\ninit.kind = file\ninit.file = {path}"))
-        for f in (loaded.h, loaded.c, loaded.I, loaded.theta()):
             assert np.all(f.zero_mode() == 0.0)
 
 
@@ -358,7 +326,7 @@ class TestRecords:
 
 
 class TestParamsEquality:
-    def test_checkpoint_params_comparison(self):
+    def test_equal_fields_compare_equal(self):
         a = FluidParams(mu=1.0, lam=0.0, rho_bar=1.0, dim=3)
         b = FluidParams(mu=1.0, lam=0.0, rho_bar=1.0, dim=3)
         assert a == b

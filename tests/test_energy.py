@@ -13,22 +13,20 @@ from nspbox.energy import (
     _alpha_matrix,
     compute_constants,
     damping_margins,
-    display_equivalence_bounds,
     envelopes_nonincreasing,
-    equivalence_bounds,
     feasibility_margins,
     fit_damping_constant,
     global_bound_check,
     initial_energy,
     linear_decay_rate_bound,
-    smoothing_integral,
     state_powers,
 )
 from nspbox.lp import dyadic_block, dyadic_spectrum, hybrid_norm, radial_power, shell_filters
 from nspbox.model import FluidParams, NspState
-from nspbox.spectral import Grid, SpectralField, helmholtz_decompose, inner, l2_norm, random_field
+from nspbox.spectral import Grid, SpectralField, helmholtz_decompose, l2_norm, random_field
 from nspbox.stepper import FriedrichsStepper, StepFlags, StepperConfig
 
+from analysis import equivalence_bounds, inner, smoothing_integral
 from conftest import wave
 from test_model import small_state
 
@@ -135,8 +133,9 @@ class TestShellEnergy:
         for k, alpha_sq, norm_h, norm_c in shells(shell_report(s)):
             if alpha_sq <= 1e-20:
                 continue
-            d1, d2 = display_equivalence_bounds(grid3, k, PARAMS)
-            disp = max(1.0, 2.0 ** (5 * k)) * norm_h**2 + max(1.0, 2.0**k) * norm_c**2
+            weights = max(1.0, 2.0 ** (5 * k)), max(1.0, 2.0**k)
+            d1, d2 = equivalence_bounds(grid3, k, PARAMS, weights)
+            disp = weights[0] * norm_h**2 + weights[1] * norm_c**2
             ratio = disp / alpha_sq
             assert d1 - 1e-10 <= ratio <= d2 + 1e-10
 
@@ -167,16 +166,11 @@ class TestShellEnergy:
             assert abs(norm_c - np.sqrt(np.sum(w * Pc))) <= 1e-13 * norm_c
 
     def test_energies_evaluate_the_bounded_form(self, grid3, monkeypatch):
-        # the evaluated alpha_k^2 and the three bound functions read one form, `_form_matrices`
+        # the evaluated alpha_k^2 and the bounds read one form, `_form_matrices`
         s = random_pair_state(grid3, seed=62)
         plain = shell_report(s).alpha_sq
         form_matrices = energy._form_matrices
-
-        def doubled_p(*args):
-            P, B = form_matrices(*args)
-            return 2.0 * P, B
-
-        monkeypatch.setattr(energy, "_form_matrices", doubled_p)
+        monkeypatch.setattr(energy, "_form_matrices", lambda *args: 2.0 * form_matrices(*args))
         doubled = shell_report(s).alpha_sq
         assert list(doubled) == [2.0 * a for a in plain]
         assert any(a > 0.0 for a in plain)
@@ -221,7 +215,7 @@ class TestFormBounds:
                 vals = eigh(D, P, eigvals_only=True)
                 d_lo, d_hi = min(d_lo, vals[0]), max(d_hi, vals[-1])
             got = equivalence_bounds(grid32, k, params)
-            got += display_equivalence_bounds(grid32, k, params)
+            got += equivalence_bounds(grid32, k, params, np.diag(D))
             for a, b in zip(got, (lo, hi, d_lo, d_hi)):
                 assert abs(a - b) <= 1e-13 * abs(b)
 
@@ -434,7 +428,7 @@ class TestStatePowers:
     @given(seed=st.integers(0, 2**16), curl_image=st.booleans())
     def test_rows_match_per_field_powers(self, grid_name, seed, curl_image):
         # the u row comes from the 2-form identity, without recomposing u; it
-        # must hold for I off the curl image too (e.g. a loaded checkpoint)
+        # must hold for I off the curl image too (an NspState may carry any 2-form I)
         grid = POWER_GRIDS[grid_name]
         rng = np.random.default_rng(seed)
         h, c = random_field(grid, 1, rng), random_field(grid, 1, rng)

@@ -11,17 +11,15 @@ from nspbox.spectral import (
     apply_lambda,
     divergence,
     curl,
-    gradient,
     helmholtz_decompose,
     helmholtz_recompose,
-    inner,
     l2_norm,
-    poisson_solve,
     random_field,
     transform_to_physical,
     transform_to_spectral,
 )
 
+from analysis import gradient, inner, poisson_solve
 from conftest import antisym_divergence, constant, dealias_mask, from_band, hermitian_defect, wave
 
 

@@ -163,8 +163,7 @@ def experiment_refine(cfg: RunConfig, out_dir, do_assert: bool = False) -> Exper
     max_u = max(row["dist_u"] for row in rows)
     max_h = max(row["dist_h"] for row in rows)
     summary = {"n": cfg.stepper.n, "n_fine": cfg_fine.stepper.n, "max_dist_u": max_u, "max_dist_h": max_h}
-    assertions = [("distances_finite", np.isfinite(max_u) and np.isfinite(max_h), "non-finite distance")]
-    return _finish("refine", out_dir, summary, assertions, do_assert)
+    return _finish("refine", out_dir, summary, [], do_assert)
 
 
 def experiment_perturb(cfg: RunConfig, out_dir, do_assert: bool = False) -> ExperimentResult:
@@ -193,10 +192,7 @@ def experiment_perturb(cfg: RunConfig, out_dir, do_assert: bool = False) -> Expe
     max_diff = max(row["diff_e"] for row in rows)
     max_norm = max(row["normalized"] for row in rows)
     summary = {"delta": delta, "max_diff_e": max_diff, "max_normalized": max_norm}
-    if delta == 0.0:
-        assertions = [("zero_delta_identically_zero", max_diff == 0.0, f"max diff {max_diff:.3e}")]
-    else:
-        assertions = [("difference_finite", np.isfinite(max_diff), "non-finite difference")]
+    assertions = [("zero_delta_identically_zero", max_diff == 0.0, f"max diff {max_diff:.3e}")] if delta == 0.0 else []
     return _finish("perturb", out_dir, summary, assertions, do_assert)
 
 

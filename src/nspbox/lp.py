@@ -178,10 +178,8 @@ def dyadic_spectrum(f: SpectralField) -> np.ndarray:
 
 
 def besov_norm(f: SpectralField, s: float) -> float:
-    """Shell-weighted norm sum_k 2^{ks} ||block_k f||_L2 over the grid's shells."""
-    if not np.isfinite(s):
-        raise ValueError(f"non-finite exponent {s}")
-    return hybrid_weights(shell_filters(f.grid).ks, (s, s)) @ dyadic_spectrum(f)
+    """Shell-weighted norm sum_k 2^{ks} ||block_k f||_L2 over the grid's shells: `hybrid_norm` at (s, s)."""
+    return hybrid_norm(f, (s, s))
 
 
 def hybrid_norm(f: SpectralField, idx: tuple[float, float]) -> float:

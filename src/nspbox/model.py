@@ -238,7 +238,9 @@ class _RhsMultipliers:
         self.ixi = grid.to_band(ixi)
         self.lam_m = grid.to_band(lam)  # -Lambda^-1 div grad of |u|^2/2
         self.tend_j = grid.to_band(-grid.riesz)  # rows of -Lambda^-1 div and -Lambda^-1 curl of the fluxes
-        self.band = sp.BandTransform(grid, max(2 * grid.dim + 1, grid.dim + 1 + len(sp.antisym_pairs(grid.dim))))
+        self.full = sp.BandTransform(grid, grid.dim + 1, grid.size // 2)
+        npairs = len(sp.antisym_pairs(grid.dim))
+        self.band = sp.BandTransform(grid, max(2 * grid.dim + 1, grid.dim + 1 + npairs), grid.size // 3)
 
 
 @lru_cache(maxsize=4)
@@ -266,13 +268,15 @@ def explicit_rhs(s: NspState, params: FluidParams) -> tuple[np.ndarray, RhsDiagn
       omega_ij = d_i u_j - d_j u_i.  The gradient adds only Lambda |u|^2/2
       to the c tendency and nothing to the I tendency.
 
-    A full inverse transform takes what must stay unaliased: raw theta (for
-    the quotient and the diagnostics) and the viscous stress, N + 1
-    components.  A band inverse (`spectral.BandTransform`) takes u, theta
-    and the N(N-1)/2 vorticity components, gathered onto the band: N + 1 +
-    N(N-1)/2 components, 7 in 3D.  A band forward takes theta u, |u|^2/2 and
-    the remaining flux: 2N + 1 components, 7 in 3D.  The tendencies are
-    formed and returned on the band.
+    All three are `spectral.BandTransform` calls.  A full inverse (the
+    widest band, the half lattice) takes what must stay unaliased: raw theta
+    (for the quotient and the diagnostics) and the viscous stress, N + 1
+    components.  A band inverse takes u, theta and the N(N-1)/2 vorticity
+    components, gathered onto the two-thirds-rule band: N + 1 + N(N-1)/2
+    components, 7 in 3D.  Both inputs are written straight into the
+    transforms' own buffers (`BandTransform.inverse_input`).  A band forward
+    takes theta u, |u|^2/2 and the remaining flux: 2N + 1 components, 7 in
+    3D.  The tendencies are formed and returned on the band.
     """
     grid = s.grid
     dim = grid.dim
@@ -282,21 +286,22 @@ def explicit_rhs(s: NspState, params: FluidParams) -> tuple[np.ndarray, RhsDiagn
     u = s.velocity().coef
 
     # full inverse: raw theta, viscous stress mu lap u + (mu + lambda) grad div u
-    full = np.empty((1 + dim,) + grid.spectral_shape, dtype=np.complex128)
+    full = mult.full.inverse_input(1 + dim)
     theta_raw, visc = full[:1], full[1:]
     np.multiply(mult.lam, s.h.coef, out=theta_raw)
     np.multiply(mult.visc_lap, u, out=visc)
     visc += mult.visc_grad * c
-    theta_raw_p, visc_p = np.split(sp.transform_to_physical(SpectralField(grid, full)), (1,))
-    theta_raw_p = theta_raw_p[0]
 
-    # band inverse: u, theta, omega_ij (i < j) in `antisym_pairs` order
-    band = np.empty((dim + 1 + len(pairs),) + grid.band_shape, dtype=np.complex128)
+    # band inverse: u, theta, omega_ij (i < j) in `antisym_pairs` order; theta is gathered
+    # before the full inverse, which transforms its input in place
+    band = mult.band.inverse_input(dim + 1 + len(pairs))
     u_m, theta_m, omega = np.split(band, (dim, dim + 1))
     u_m[...], theta_m[...] = grid.to_band(u), grid.to_band(theta_raw)
     for p, (i, j) in enumerate(pairs):
         np.multiply(mult.ixi[i], u_m[j], out=omega[p])
         omega[p] -= mult.ixi[j] * u_m[i]
+    theta_raw_p, visc_p = np.split(mult.full.to_physical(full), (1,))
+    theta_raw_p = theta_raw_p[0]
     u_p, theta_p, omega_p = np.split(mult.band.to_physical(band), (dim, dim + 1))
     speed_sq = np.sum(u_p**2, axis=0)
 

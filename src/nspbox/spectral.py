@@ -10,10 +10,12 @@ Half-lattice storage: every field is the spectrum of a real field, so only
 the ``rfftn`` half of the lattice is stored, shape
 ``Grid.spectral_shape == (M,)*(dim-1) + (M//2+1,)``: the last axis keeps the
 wavenumbers 0..M/2 and every other xi is the conjugate mirror of a stored
-one.  The transforms are ``numpy.fft`` passes on that layout: ``rfft``
-along the last axis, then c2c ``fft`` over the other spatial axes in
-ascending order, in place (``out=``); the inverse runs the ``ifft``
-passes in the same order, then ``irfft``.  Hermitian
+one.  The transforms are ``numpy.fft`` passes on that layout, written once
+in `BandTransform`: ``rfft`` along the last axis, then c2c ``fft`` over the
+other spatial axes in ascending order, in place (``out=``); the inverse
+runs the ``ifft`` passes in the same order, then ``irfft``.
+`transform_to_physical` and `transform_to_spectral` are its widest band,
+the whole half lattice, on a fresh instance.  Hermitian
 symmetry coef(-xi) == conj(coef(xi)) then holds by construction except on
 the last-axis zero plane, the one stored plane that holds both xi and -xi;
 the forward transform symmetrizes it.  Sums over the full lattice become
@@ -31,10 +33,9 @@ modes of a 3D M=32 grid) and gathered with ``Grid.radial_index``;
 Dealiased band: the two-thirds rule keeps |k_i| <= size/3 on every axis,
 the box ``Grid.band_shape`` (2m+1 lead wavenumbers [0..m, -m..-1], 0..m
 last, m = size // 3).  `Grid.to_band` gathers a half-lattice array onto it
-and `Grid.add_band` adds a band array into one.  `BandTransform` maps it
-to and from physical space with the passes of the full transforms, less
-the all-zero ones, in two buffers it owns: the band's m + 1 last-axis
-columns for the inverse, the half lattice for the forward.
+and `Grid.add_band` adds a band array into one.  `BandTransform` at that
+m maps it to and from physical space with the passes of the full
+transforms, less the all-zero ones, in one buffer it owns.
 
 Zero-mode convention: fractional powers of the Laplacian and every inverse
 operator (Lambda^-1 gradients/divergences) annihilate the zero mode.
@@ -337,36 +338,23 @@ def _lead_axes(grid: Grid) -> tuple[int, ...]:
 def transform_to_spectral(grid: Grid, values: np.ndarray) -> SpectralField:
     """Forward real-to-complex transform of one or more real component arrays.
 
-    ``rfft`` along the last axis gives the half lattice, and in-place c2c
-    passes transform the other axes; its last-axis zero plane is
-    symmetrized, so the result is exactly Hermitian.
+    The widest `BandTransform`, so the result is exactly Hermitian; its
+    Nyquist planes are zeroed here, so the field need not copy.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim == grid.dim:
         values = values[None]
     if values.shape[1:] != grid.shape:
         raise ValueError(f"physical shape {values.shape} does not match grid {grid.shape}")
-    coef = np.fft.rfft(values, axis=-1, norm="forward")
-    for axis in _lead_axes(grid):
-        np.fft.fft(coef, axis=axis, norm="forward", out=coef)
-    coef = _symmetrize_zero_plane(grid, coef)
-    for nyquist in grid._nyquist_planes:  # zeroed here, the field need not copy
+    coef = BandTransform(grid, len(values), grid.size // 2).to_spectral(values)
+    for nyquist in grid._nyquist_planes:
         coef[nyquist] = 0.0
     return SpectralField(grid, coef)
 
 
 def transform_to_physical(f: SpectralField) -> np.ndarray:
-    """Inverse real-to-complex transform; returns real arrays of shape (ncomp, *grid.shape).
-
-    c2c passes over the lead axes, the first into a fresh buffer and the
-    rest in place, then ``irfft`` along the last axis.
-    """
-    grid = f.grid
-    first, *rest = _lead_axes(grid)
-    work = np.fft.ifft(f.coef, axis=first, norm="forward")
-    for axis in rest:
-        np.fft.ifft(work, axis=axis, norm="forward", out=work)
-    return np.fft.irfft(work, n=grid.size, axis=-1, norm="forward")
+    """Inverse real-to-complex transform, the widest `BandTransform`; real (ncomp, *grid.shape) arrays."""
+    return BandTransform(f.grid, f.ncomp, f.grid.size // 2).to_physical(f.coef)
 
 
 def l2_norm(f: SpectralField) -> float:
@@ -391,53 +379,64 @@ def _symmetrize_zero_plane(grid: Grid, coef: np.ndarray) -> np.ndarray:
 
 
 class BandTransform:
-    """Transforms between the two-thirds-rule band (`Grid.band_shape`) and physical space.
+    """Transforms between a band of the half lattice and physical space.
 
-    The inverse puts the band in the low corner of a zeroed buffer and per
-    lead axis moves the rows -m..-1 into place and runs an in-place c2c
-    pass, then `irfft`s the last axis, which zero-pads the columns past m;
-    the forward runs `rfft`, then per lead axis a c2c pass and the reverse
-    move.  These are the passes of the full transforms in their order, less
-    all-zero or discarded columns, so on band-limited data the results are
-    the full ones on the band, bitwise (1/size^dim as 1/size a pass is exact
-    for a power-of-two size).  The c2c passes run in place (``out=``) in two
-    buffers of up to `ncomp` components that the transform owns, so a step
-    does not refault fresh pages for them: the inverse's input, the band's
-    m + 1 last-axis columns of the half lattice, which a call re-zeroes as
-    far as it reads it, and the forward's half-lattice ``rfft`` output.  The
-    results are fresh arrays.
+    The band of half-width m keeps the wavenumbers 0..m and -n..-1, n =
+    min(m, size - m - 1), on each lead axis and 0..m on the last, shape
+    `shape`: m = size // 3 is the two-thirds-rule band (`Grid.band_shape`),
+    m = size // 2 the half lattice (`Grid.spectral_shape`) of the full
+    transforms.  The inverse puts the band in the low corner of its buffer
+    and per lead axis moves the rows -n..-1 into place, zeroes the gap and
+    runs an in-place c2c pass, then `irfft`s the last axis, which zero-pads
+    the columns past m; the forward runs `rfft`, then per lead axis a c2c
+    pass and the reverse move.  On the half lattice the moves are
+    self-assignments and the gap is empty, which numpy skips.  These are the
+    passes of the full transforms in their order, less all-zero or discarded
+    columns, so on band-limited data the results are the full ones on the
+    band, bitwise (1/size^dim as 1/size a pass is exact for a power-of-two
+    size).  The passes run in place (``out=``) in one buffer of up to
+    `ncomp` half-lattice components that the transform owns, so a step does
+    not refault fresh pages for them: the inverse reads its band's m + 1
+    last-axis columns, overwriting them as far as it reads them, and the
+    forward writes its ``rfft`` output there.  The results are fresh arrays.
     """
 
-    def __init__(self, grid: Grid, ncomp: int):
-        self.grid = grid
-        self._half = np.zeros((ncomp,) + grid.spectral_shape[:-1] + grid.band_shape[-1:], dtype=np.complex128)
+    def __init__(self, grid: Grid, ncomp: int, m: int):
+        self.grid, self.m, self._n = grid, m, min(m, grid.size - m - 1)
+        self.shape = (m + 1 + self._n,) * (grid.dim - 1) + (m + 1,)
         self._spec = np.empty((ncomp,) + grid.spectral_shape, dtype=np.complex128)
+        half_shape = (ncomp,) + grid.spectral_shape[:-1] + (m + 1,)
+        self._half = self._spec.reshape(-1)[: np.prod(half_shape)].reshape(half_shape)
 
     def _corner(self, coef: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
         """The view coef[:, :lead[0], ..., :lead[-1], :m + 1]."""
-        return coef[(slice(None),) + tuple(slice(n) for n in lead) + (slice(self.grid.size // 3 + 1),)]
+        return coef[(slice(None),) + tuple(slice(n) for n in lead) + (slice(self.m + 1),)]
+
+    def inverse_input(self, ncomp: int) -> np.ndarray:
+        """The (ncomp, *shape) view `to_physical` reads: fill it in place and pass it back; either transform overwrites it."""
+        return self._corner(self._half[:ncomp], self.shape[:-1])
 
     def to_physical(self, band: np.ndarray) -> np.ndarray:
-        """(ncomp, *band_shape) coefficients to real (ncomp, *grid.shape) values."""
-        grid, size, m = self.grid, self.grid.size, self.grid.size // 3
+        """(ncomp, *shape) coefficients to real (ncomp, *grid.shape) values."""
+        size, m, n = self.grid.size, self.m, self._n
         half = self._half[: len(band)]
-        self._corner(half, grid.band_shape[:-1])[...] = band
-        for a in range(1, grid.dim):
-            box, pre = self._corner(half, (size,) * a + grid.band_shape[a:-1]), (slice(None),) * a
-            box[pre + (slice(size - m, None),)] = box[pre + (slice(m + 1, 2 * m + 1),)]
-            box[pre + (slice(m + 1, size - m),)] = 0.0
+        self._corner(half, self.shape[:-1])[...] = band
+        for a in range(1, self.grid.dim):
+            box, pre = self._corner(half, (size,) * a + self.shape[a:-1]), (slice(None),) * a
+            box[pre + (slice(size - n, None),)] = box[pre + (slice(m + 1, m + 1 + n),)]
+            box[pre + (slice(m + 1, size - n),)] = 0.0
             np.fft.ifft(box, axis=a, norm="forward", out=box)
         return np.fft.irfft(half, n=size, axis=-1, norm="forward")
 
     def to_spectral(self, values: np.ndarray) -> np.ndarray:
-        """Real (ncomp, *grid.shape) values to (ncomp, *band_shape) coefficients."""
-        grid, size, m = self.grid, self.grid.size, self.grid.size // 3
+        """Real (ncomp, *grid.shape) values to (ncomp, *shape) coefficients, exactly Hermitian."""
+        dim, size, m, n = self.grid.dim, self.grid.size, self.m, self._n
         coef = np.fft.rfft(values, axis=-1, norm="forward", out=self._spec[: len(values)])
-        for a in range(1, grid.dim):
-            box, pre = self._corner(coef, grid.band_shape[: a - 1] + (size,) * (grid.dim - a)), (slice(None),) * a
+        for a in range(1, dim):
+            box, pre = self._corner(coef, self.shape[: a - 1] + (size,) * (dim - a)), (slice(None),) * a
             np.fft.fft(box, axis=a, norm="forward", out=box)
-            box[pre + (slice(m + 1, 2 * m + 1),)] = box[pre + (slice(size - m, None),)]
-        return _symmetrize_zero_plane(grid, self._corner(coef, grid.band_shape[:-1]).copy())
+            box[pre + (slice(m + 1, m + 1 + n),)] = box[pre + (slice(size - n, None),)]
+        return _symmetrize_zero_plane(self.grid, self._corner(coef, self.shape[:-1]).copy())
 
 
 # ---------------------------------------------------------------------------

@@ -253,8 +253,10 @@ class TestCli:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    def test_numerical_abort_exit_code(self, tmp_path, monkeypatch, capsys):
-        # initial data poisoned with NaN: the stepper's health check ends the run
+    @pytest.mark.parametrize("command", ["run", "refine", "perturb"])
+    def test_numerical_abort_exit_code(self, tmp_path, monkeypatch, capsys, command):
+        # initial data poisoned with NaN: the stepper's health check ends the run before any
+        # norm or distance of the state is formed
         from nspbox import experiments
 
         plain = experiments.make_initial_data
@@ -267,7 +269,7 @@ class TestCli:
         monkeypatch.setattr(experiments, "make_initial_data", poisoned)
         cfg_file = tmp_path / "cfg.txt"
         cfg_file.write_text("grid.M = 16\nstepper.dt = 1e-3\nstepper.t_end = 0.01\ninit.band_hi = 1\n")
-        assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 3
+        assert main([command, "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical abort: non-finite coefficients") and "Traceback" not in err
 
@@ -296,7 +298,8 @@ class TestCli:
         main([command, "--config", str(cfg), "--out", str(out)])
         lines = [line for line in capsys.readouterr().out.splitlines() if ": assertions (reported): " in line]
         assert len(lines) == 1
-        labels = lines[0].split(": assertions (reported): ")[1].split(", ")
+        listed = lines[0].split(": assertions (reported): ")[1]
+        labels = listed.split(", ") if listed else []
         assert labels == list(json.loads((out / "summary.json").read_text())["assertions"])
 
     def test_default_config_check_lemmas_on_small_grid(self, tmp_path):

@@ -370,66 +370,54 @@ class TestExplicitRhs:
     @pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
     def test_batch_sizes(self, grid_name, request, monkeypatch):
         # full inverse: raw theta, viscous stress; band inverse: u, theta, omega_ij (i < j);
-        # band forward: theta u, |u|^2/2, the remaining flux
+        # band forward: theta u, |u|^2/2, the remaining flux.  The free transforms run on the same
+        # class, so every transform of the call is counted here, by width.
         from nspbox import spectral
 
         grid = request.getfixturevalue(grid_name)
         n = grid.dim
         s = small_state(grid, seed=36)
-        sizes = {"transform_to_physical": [], "transform_to_spectral": [], "band_inverse": [], "band_forward": []}
-        plain_inverse, plain_forward = spectral.transform_to_physical, spectral.transform_to_spectral
-        band_inverse, band_forward = spectral.BandTransform.to_physical, spectral.BandTransform.to_spectral
-
-        def inverse(f):
-            sizes["transform_to_physical"].append(f.ncomp)
-            return plain_inverse(f)
-
-        def forward(g, values):
-            sizes["transform_to_spectral"].append(len(values))
-            return plain_forward(g, values)
+        shapes = {grid.size // 2: ("full", grid.spectral_shape), grid.size // 3: ("band", grid.band_shape)}
+        sizes = {"full_inverse": [], "full_forward": [], "band_inverse": [], "band_forward": []}
+        plain_inverse, plain_forward = spectral.BandTransform.to_physical, spectral.BandTransform.to_spectral
 
         def to_physical(self, band):
-            assert band.shape[1:] == grid.band_shape
-            sizes["band_inverse"].append(len(band))
-            return band_inverse(self, band)
+            width, shape = shapes[self.m]
+            assert band.shape[1:] == self.shape == shape
+            sizes[f"{width}_inverse"].append(len(band))
+            return plain_inverse(self, band)
 
         def to_spectral(self, values):
-            sizes["band_forward"].append(len(values))
-            return band_forward(self, values)
+            sizes[f"{shapes[self.m][0]}_forward"].append(len(values))
+            return plain_forward(self, values)
 
-        monkeypatch.setattr(spectral, "transform_to_physical", inverse)
-        monkeypatch.setattr(spectral, "transform_to_spectral", forward)
         monkeypatch.setattr(spectral.BandTransform, "to_physical", to_physical)
         monkeypatch.setattr(spectral.BandTransform, "to_spectral", to_spectral)
         explicit_rhs(s, FluidParams(mu=1.0, lam=0.0, rho_bar=1.0, dim=n))
         # N + 1 full inverse, N + 1 + N(N-1)/2 band inverse and 2N + 1 band forward components
         assert sizes == {
-            "transform_to_physical": [{2: 3, 3: 4}[n]],
-            "transform_to_spectral": [],
+            "full_inverse": [{2: 3, 3: 4}[n]],
+            "full_forward": [],
             "band_inverse": [{2: 4, 3: 7}[n]],
             "band_forward": [{2: 5, 3: 7}[n]],
         }
 
     def test_one_batched_transform_each_way(self, grid3, monkeypatch):
-        # one full inverse, then one band inverse and one band forward
+        # one full inverse, then one band inverse and one band forward, each a `BandTransform` call
         from nspbox import spectral
 
         s = small_state(grid3, seed=36)
+        widths = {grid3.size // 2: "full", grid3.size // 3: "band"}
         calls = []
-        for owner, name in (
-            (spectral, "transform_to_physical"),
-            (spectral, "transform_to_spectral"),
-            (spectral.BandTransform, "to_physical"),
-            (spectral.BandTransform, "to_spectral"),
-        ):
+        for name in ("to_physical", "to_spectral"):
 
-            def counted(*args, _plain=getattr(owner, name), _name=name):
-                calls.append(_name)
-                return _plain(*args)
+            def counted(self, arg, _plain=getattr(spectral.BandTransform, name), _name=name):
+                calls.append((_name, widths[self.m]))
+                return _plain(self, arg)
 
-            monkeypatch.setattr(owner, name, counted)
+            monkeypatch.setattr(spectral.BandTransform, name, counted)
         explicit_rhs(s, PARAMS3)
-        assert calls == ["transform_to_physical", "to_physical", "to_spectral"]
+        assert calls == [("to_physical", "full"), ("to_physical", "band"), ("to_spectral", "band")]
 
     @pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
     @pytest.mark.parametrize("projected", [False, True], ids=["unprojected", "projected"])

@@ -20,7 +20,7 @@ from nspbox.spectral import (
 )
 
 from analysis import gradient, inner, poisson_solve
-from conftest import antisym_divergence, constant, dealias_mask, from_band, hermitian_defect, wave
+from conftest import antisym_divergence, constant, dealias_mask, hermitian_defect, wave
 
 
 def keep_mask(grid: Grid) -> np.ndarray:
@@ -33,6 +33,9 @@ def hermitian_symmetrize(f: SpectralField) -> SpectralField:
     from nspbox.spectral import _symmetrize_zero_plane
 
     return SpectralField(f.grid, _symmetrize_zero_plane(f.grid, f.coef.copy()))
+
+
+BAND_GRIDS = {f"{dim}d-M{size}": Grid(dim=dim, size=size) for dim in (2, 3) for size in (8, 16, 32, 64)}
 
 
 class TestGrid:
@@ -99,18 +102,18 @@ class TestTransforms:
         with pytest.raises(ValueError):
             transform_to_spectral(grid3, np.zeros((8, 8, 8)))
 
-    @pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
-    def test_inverse_matches_complex_transform(self, grid_name, request):
-        grid = request.getfixturevalue(grid_name)
+    @pytest.mark.parametrize("grid_name", list(BAND_GRIDS))
+    def test_inverse_matches_complex_transform(self, grid_name):
+        grid = BAND_GRIDS[grid_name]
         f = random_field(grid, 3, np.random.default_rng(4))
         axes = tuple(range(1, grid.dim + 1))
         expected = np.fft.ifftn(_full_lattice(f) * grid.size**grid.dim, axes=axes).real
         out = transform_to_physical(f)
         assert np.max(np.abs(out - expected)) <= 1e-14 * np.max(np.abs(expected))
 
-    @pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
-    def test_forward_matches_complex_transform_and_is_hermitian(self, grid_name, request):
-        grid = request.getfixturevalue(grid_name)
+    @pytest.mark.parametrize("grid_name", list(BAND_GRIDS))
+    def test_forward_matches_complex_transform_and_is_hermitian(self, grid_name):
+        grid = BAND_GRIDS[grid_name]
         values = np.random.default_rng(5).standard_normal((3,) + grid.shape)
         axes = tuple(range(1, grid.dim + 1))
         full = np.fft.fftn(values, axes=axes) / grid.size**grid.dim
@@ -360,40 +363,80 @@ class TestHalfLatticeProperties:
             assert abs(norm - l2_norm(dyadic_block(f, int(k)))) <= 1e-13 * l2_norm(f)
 
 
-BAND_GRIDS = {f"{dim}d-M{size}": Grid(dim=dim, size=size) for dim in (2, 3) for size in (8, 16, 32)}
+# both widths in use: the two-thirds-rule band (m = size // 3) and the full half lattice (m = size // 2)
+BAND_CASES = {name: (grid, grid.size // 3) for name, grid in BAND_GRIDS.items()} | {
+    f"{name}-full": (grid, grid.size // 2) for name, grid in BAND_GRIDS.items()
+}
 
 
-@pytest.mark.parametrize("grid_name", list(BAND_GRIDS))
+def band_index(grid: Grid, m: int) -> tuple:
+    """Index of the band of half-width m in a (ncomp, *spectral_shape) array: 0..m and -n..-1 per lead axis."""
+    n = min(m, grid.size - m - 1)
+    lead = np.r_[0 : m + 1, grid.size - n : grid.size]
+    return (slice(None),) + np.ix_(*[lead] * (grid.dim - 1), np.arange(m + 1))
+
+
+@pytest.mark.parametrize("case", list(BAND_CASES))
 class TestBandTransform:
-    """The band transforms are the full ones restricted to the two-thirds-rule band, bit for bit."""
+    """The band transforms are the full ones restricted to their band, bit for bit."""
+
+    @staticmethod
+    def make(case, ncomp=7):
+        grid, m = BAND_CASES[case]
+        return grid, BandTransform(grid, ncomp, m), band_index(grid, m)
+
+    def test_band_layout(self, case):
+        # the two-thirds band is the one `Grid.to_band` gathers; the widest band is the half lattice
+        grid, work, index = self.make(case)
+        coef = np.arange(np.prod(grid.spectral_shape)).reshape((1,) + grid.spectral_shape)
+        gathered = {grid.size // 3: grid.to_band(coef), grid.size // 2: coef}[work.m]
+        assert np.array_equal(coef[index], gathered)
+        assert work.shape == gathered.shape[1:] and work.inverse_input(3).shape == (3,) + work.shape
 
     @PROPERTY
     @given(seed=st.integers(0, 2**16), ncomp=st.integers(1, 7))
-    def test_inverse_equals_full_transform_of_band_limited_field(self, grid_name, seed, ncomp):
-        grid = BAND_GRIDS[grid_name]
-        band = grid.to_band(random_field(grid, ncomp, np.random.default_rng(seed)).coef)
-        full = transform_to_physical(SpectralField(grid, from_band(grid, band)))
-        assert BandTransform(grid, 7).to_physical(band).tobytes() == full.tobytes()
+    def test_inverse_equals_full_transform_of_band_limited_field(self, case, seed, ncomp):
+        grid, work, index = self.make(case)
+        coef = random_field(grid, ncomp, np.random.default_rng(seed)).coef
+        limited = np.zeros_like(coef)
+        limited[index] = coef[index]
+        full = transform_to_physical(SpectralField(grid, limited))
+        assert work.to_physical(coef[index]).tobytes() == full.tobytes()
 
     @PROPERTY
     @given(seed=st.integers(0, 2**16), ncomp=st.integers(1, 7))
-    def test_forward_equals_full_transform_on_the_band(self, grid_name, seed, ncomp):
-        grid = BAND_GRIDS[grid_name]
+    def test_forward_equals_full_transform_on_the_band(self, case, seed, ncomp):
+        # the full transform zeroes the Nyquist planes, which only the full width holds
+        grid, work, index = self.make(case)
         values = np.random.default_rng(seed).standard_normal((ncomp,) + grid.shape)
-        band = BandTransform(grid, 7).to_spectral(values)
-        assert band.tobytes() == grid.to_band(transform_to_spectral(grid, values).coef).tobytes()
-        assert hermitian_defect(SpectralField(grid, from_band(grid, band))) == 0.0
+        band = work.to_spectral(values)
+        nyquist = np.broadcast_to(grid.nyquist_mask, (ncomp,) + grid.spectral_shape)[index]
+        assert np.where(nyquist, 0.0, band).tobytes() == transform_to_spectral(grid, values).coef[index].tobytes()
+        scattered = np.zeros((ncomp,) + grid.spectral_shape, dtype=np.complex128)
+        scattered[index] = band
+        assert hermitian_defect(SpectralField(grid, scattered)) == 0.0
 
-    def test_buffers_are_reused_across_calls_and_sizes(self, grid_name):
+    def test_buffers_are_reused_across_calls_and_sizes(self, case):
         # one workspace serves both directions and every batch size up to its own
-        grid = BAND_GRIDS[grid_name]
+        grid, work, index = self.make(case)
         rng = np.random.default_rng(7)
-        work = BandTransform(grid, 7)
         for ncomp in (7, 2, 5, 1):
             values = rng.standard_normal((ncomp,) + grid.shape)
-            band = grid.to_band(random_field(grid, ncomp, rng).coef)
-            assert work.to_spectral(values).tobytes() == BandTransform(grid, ncomp).to_spectral(values).tobytes()
-            assert work.to_physical(band).tobytes() == BandTransform(grid, ncomp).to_physical(band).tobytes()
+            band = random_field(grid, ncomp, rng).coef[index]
+            alone = self.make(case, ncomp)[1]
+            assert work.to_spectral(values).tobytes() == alone.to_spectral(values).tobytes()
+            assert work.to_physical(band).tobytes() == alone.to_physical(band).tobytes()
+
+    def test_filling_the_input_in_place_matches_a_fresh_array(self, case):
+        # after a forward has left its output in the buffer, as in a step
+        grid, work, index = self.make(case)
+        rng = np.random.default_rng(8)
+        band = random_field(grid, 5, rng).coef[index]
+        fresh = work.to_physical(band)
+        work.to_spectral(rng.standard_normal((7,) + grid.shape))
+        view = work.inverse_input(5)
+        view[...] = band
+        assert work.to_physical(view).tobytes() == fresh.tobytes()
 
 
 @pytest.mark.parametrize("dim", [2, 3])

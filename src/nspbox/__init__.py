@@ -10,7 +10,6 @@ system), `stepper` (Friedrichs truncation and time integration), `energy`
 from .spectral import (
     Grid,
     SpectralField,
-    HelmholtzPair,
     apply_lambda,
     helmholtz_decompose,
     helmholtz_recompose,
@@ -23,7 +22,6 @@ from .energy import EnergyMonitor, EstimateConstants, compute_constants
 __all__ = [
     "Grid",
     "SpectralField",
-    "HelmholtzPair",
     "apply_lambda",
     "helmholtz_decompose",
     "helmholtz_recompose",

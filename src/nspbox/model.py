@@ -10,8 +10,8 @@ viscous quotient J, and their div/curl projections F, G, H.
 `explicit_rhs` evaluates all of them at once, with two-thirds-rule
 dealiased products, in conservative form for the mass transport
 (u.grad theta + theta div u = div(theta u)) and in rotational form for
-the momentum flux (u.grad u = grad(|u|^2/2) - sum_j u_j omega_ij, with
-the vorticity omega_ij = d_i u_j - d_j u_i).  Both identities are exact on
+the momentum flux (u.grad u = grad(|u|^2/2) + sum_j u_j (curl u)_ij, with
+(curl u)_ij = d_j u_i - d_i u_j).  Both identities are exact on
 the dealiased modes, which it transforms and forms on the two-thirds-rule
 band alone (`spectral.BandTransform`).  It returns one tendency stack in
 (h, c, I) row order on that band and knows nothing of the Friedrichs
@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import spectral as sp
-from .spectral import Grid, SpectralField, HelmholtzPair
+from .spectral import Grid, SpectralField
 
 __all__ = [
     "FluidParams",
@@ -108,7 +108,9 @@ class NspState:
         grid = self.h.grid
         if self.c.grid != grid or self.I.grid != grid:
             raise ValueError("state components live on different grids")
-        HelmholtzPair(self.c, self.I)  # validates component counts
+        npairs = len(sp.antisym_pairs(grid.dim))
+        if self.c.ncomp != 1 or self.I.ncomp != npairs:
+            raise ValueError(f"c and I must have 1 and {npairs} components, got {self.c.ncomp} and {self.I.ncomp}")
 
     @property
     def grid(self) -> Grid:
@@ -125,7 +127,7 @@ class NspState:
         )
 
     def velocity(self) -> SpectralField:
-        return sp.helmholtz_recompose(HelmholtzPair(self.c, self.I))
+        return sp.helmholtz_recompose(self.c, self.I)
 
     def theta(self) -> SpectralField:
         return sp.apply_lambda(self.h, 1.0)
@@ -201,8 +203,8 @@ def from_primitive(p: PrimitiveState, params: FluidParams) -> NspState:
         raise ValueError(f"mean density {mean_rho!r} does not match rho_bar {params.rho_bar!r}")
     theta = sp.transform_to_spectral(grid, p.rho - params.rho_bar)
     h = sp.apply_lambda(theta, -1.0)
-    pair = sp.helmholtz_decompose(sp.transform_to_spectral(grid, p.u))
-    return NspState(h=h, c=pair.c, I=pair.I)
+    c, I = sp.helmholtz_decompose(sp.transform_to_spectral(grid, p.u))
+    return NspState(h=h, c=c, I=I)
 
 
 # ---------------------------------------------------------------------------
@@ -225,15 +227,17 @@ class _RhsMultipliers:
     """Fourier multipliers and band transforms of `explicit_rhs` for one (grid, params).
 
     Each is the product of the operators it stands for, so every quantity is
-    one multiply of h, c, u or the forward transform away.  The stored
-    fields are Nyquist-free, hence so is every product.
+    one multiply of h, c, u or the forward transform away, or one
+    `spectral.div_curl` with a symbol stack: `ixi` (d_j on the band) or
+    `tend_j` (-Lambda^-1 d_j on the band).  The stored fields are
+    Nyquist-free, hence so is every product.
     """
 
     def __init__(self, grid: Grid, params: FluidParams):
         lam = grid.lam
         self.lam = lam  # theta = Lambda h
         self.visc_lap = -params.mu * grid.lam_sq  # mu lap u
-        ixi = 1j * np.stack(grid.wavenumbers)  # 1j * xi_j, one row per axis
+        ixi = grid.ixi
         self.visc_grad = (params.mu + params.lam) * ixi * lam  # (mu + lambda) grad div u, from c
         self.ixi = grid.to_band(ixi)
         self.lam_m = grid.to_band(lam)  # -Lambda^-1 div grad of |u|^2/2
@@ -264,19 +268,20 @@ def explicit_rhs(s: NspState, params: FluidParams) -> tuple[np.ndarray, RhsDiagn
     exactly on the kept modes and cut what is transformed:
 
     - conservative form: u.grad theta + theta div u = div(theta u);
-    - rotational form: u.grad u = grad(|u|^2/2) - sum_j u_j omega_ij with
-      omega_ij = d_i u_j - d_j u_i.  The gradient adds only Lambda |u|^2/2
-      to the c tendency and nothing to the I tendency.
+    - rotational form: u.grad u = grad(|u|^2/2) + sum_j u_j (curl u)_ij
+      with (curl u)_ij = d_j u_i - d_i u_j.  The gradient adds only
+      Lambda |u|^2/2 to the c tendency and nothing to the I tendency.
 
     All three are `spectral.BandTransform` calls.  A full inverse (the
     widest band, the half lattice) takes what must stay unaliased: raw theta
     (for the quotient and the diagnostics) and the viscous stress, N + 1
-    components.  A band inverse takes u, theta and the N(N-1)/2 vorticity
+    components.  A band inverse takes u, theta and the N(N-1)/2 curl u
     components, gathered onto the two-thirds-rule band: N + 1 + N(N-1)/2
     components, 7 in 3D.  Both inputs are written straight into the
     transforms' own buffers (`BandTransform.inverse_input`).  A band forward
     takes theta u, |u|^2/2 and the remaining flux: 2N + 1 components, 7 in
-    3D.  The tendencies are formed and returned on the band.
+    3D.  The tendencies are formed and returned on the band; curl u and the
+    c and I tendencies are each one `spectral.div_curl`.
     """
     grid = s.grid
     dim = grid.dim
@@ -292,17 +297,15 @@ def explicit_rhs(s: NspState, params: FluidParams) -> tuple[np.ndarray, RhsDiagn
     np.multiply(mult.visc_lap, u, out=visc)
     visc += mult.visc_grad * c
 
-    # band inverse: u, theta, omega_ij (i < j) in `antisym_pairs` order; theta is gathered
+    # band inverse: u, theta, (curl u)_ij (i < j) in `antisym_pairs` order; theta is gathered
     # before the full inverse, which transforms its input in place
     band = mult.band.inverse_input(dim + 1 + len(pairs))
-    u_m, theta_m, omega = np.split(band, (dim, dim + 1))
+    u_m, theta_m, curl_u = np.split(band, (dim, dim + 1))
     u_m[...], theta_m[...] = grid.to_band(u), grid.to_band(theta_raw)
-    for p, (i, j) in enumerate(pairs):
-        np.multiply(mult.ixi[i], u_m[j], out=omega[p])
-        omega[p] -= mult.ixi[j] * u_m[i]
+    curl_u[...] = sp.div_curl(mult.ixi, u_m)[1:]
     theta_raw_p, visc_p = np.split(mult.full.to_physical(full), (1,))
     theta_raw_p = theta_raw_p[0]
-    u_p, theta_p, omega_p = np.split(mult.band.to_physical(band), (dim, dim + 1))
+    u_p, theta_p, curl_p = np.split(mult.band.to_physical(band), (dim, dim + 1))
     speed_sq = np.sum(u_p**2, axis=0)
 
     diag = RhsDiagnostics(
@@ -311,20 +314,20 @@ def explicit_rhs(s: NspState, params: FluidParams) -> tuple[np.ndarray, RhsDiagn
         max_speed=float(np.sqrt(np.max(speed_sq))),
     )
 
-    # band forward: theta u; |u|^2/2; -sum_j u_j omega_ij + quotient * viscous stress
+    # band forward: theta u; |u|^2/2; sum_j u_j (curl u)_ij + quotient * viscous stress
     prod = np.empty((2 * dim + 1,) + grid.shape)
     theta_u, kinetic, flux = np.split(prod, (dim, dim + 1))
     np.multiply(u_p, theta_p, out=theta_u)
     np.multiply(speed_sq, 0.5, out=kinetic[0])
     np.multiply(_viscous_quotient(theta_raw_p, params), visc_p, out=flux)
     for p, (i, j) in enumerate(pairs):
-        flux[i] -= u_p[j] * omega_p[p]
-        flux[j] += u_p[i] * omega_p[p]
+        flux[i] += u_p[j] * curl_p[p]
+        flux[j] -= u_p[i] * curl_p[p]
     theta_u, kinetic, flux = np.split(mult.band.to_spectral(prod), (dim, dim + 1))
 
     # tendencies on the band: -Lambda^-1 div(theta u), -Lambda^-1 div J and -Lambda^-1 curl J
     tend_j = mult.tend_j
     tend_h = np.sum(tend_j * theta_u, axis=0, keepdims=True)
-    tend_c = np.sum(tend_j * flux, axis=0, keepdims=True) + mult.lam_m * kinetic
-    tend_I = np.stack([tend_j[j] * flux[i] - tend_j[i] * flux[j] for i, j in pairs])
-    return np.concatenate([tend_h, tend_c, tend_I]), diag
+    tend_cI = sp.div_curl(tend_j, flux)
+    tend_cI[0] += mult.lam_m * kinetic[0]
+    return np.concatenate([tend_h, tend_cI]), diag

@@ -37,6 +37,10 @@ and `Grid.add_band` adds a band array into one.  `BandTransform` at that
 m maps it to and from physical space with the passes of the full
 transforms, less the all-zero ones, in one buffer it owns.
 
+Div and curl: `div_curl` forms the rows sum_j s_j v_j and s_j v_i - s_i v_j
+(i < j) of a stack v for a symbol stack s: div v and curl v with `Grid.ixi`,
+Lambda^-1 div v and Lambda^-1 curl v with `Grid.riesz`.
+
 Zero-mode convention: fractional powers of the Laplacian and every inverse
 operator (Lambda^-1 gradients/divergences) annihilate the zero mode.
 Nyquist planes are zeroed on construction, so every multiplier acts on the
@@ -56,11 +60,9 @@ import numpy.random  # noqa: F401
 __all__ = [
     "Grid",
     "SpectralField",
-    "HelmholtzPair",
     "antisym_pairs",
     "apply_lambda",
-    "divergence",
-    "curl",
+    "div_curl",
     "helmholtz_decompose",
     "helmholtz_recompose",
     "transform_to_physical",
@@ -194,12 +196,17 @@ class Grid:
         """Add (ncomp, *band_shape) coefficients into a C-contiguous (ncomp, *spectral_shape) array, in place."""
         coef.reshape(len(coef), -1)[:, self._band_flat] += band
 
+    @property
+    def ixi(self) -> np.ndarray:
+        """Symbols 1j xi_j of d_j, one row per axis; built on each access, so the grid does not hold it."""
+        return 1j * np.stack(self.wavenumbers)
+
     @cached_property
     def riesz(self) -> np.ndarray:
         """Symbols 1j xi_j / |xi| of Lambda^-1 d_j, one row per axis; zero at the zero mode."""
         inv_lam = np.zeros_like(self.lam)
         np.divide(1.0, self.lam, out=inv_lam, where=self.lam > 0)
-        return 1j * np.stack(self.wavenumbers) * inv_lam
+        return self.ixi * inv_lam
 
     @cached_property
     def hermitian_weight(self) -> np.ndarray:
@@ -307,23 +314,6 @@ class SpectralField:
 
     def __neg__(self) -> "SpectralField":
         return SpectralField(self.grid, -self.coef)
-
-
-@dataclass
-class HelmholtzPair:
-    """Gradient-part potential c and solenoidal antisymmetric part I of a velocity."""
-
-    c: SpectralField
-    I: SpectralField
-
-    def __post_init__(self) -> None:
-        if self.c.grid != self.I.grid:
-            raise ValueError("Helmholtz parts live on different grids")
-        if not self.c.is_scalar:
-            raise ValueError("compressible part must be scalar")
-        npairs = len(antisym_pairs(self.c.grid.dim))
-        if self.I.ncomp != npairs:
-            raise ValueError(f"incompressible part must have {npairs} components, got {self.I.ncomp}")
 
 
 # ---------------------------------------------------------------------------
@@ -458,22 +448,24 @@ def apply_lambda(f: SpectralField, s: float) -> SpectralField:
     return SpectralField(f.grid, f.coef * mult)
 
 
-def divergence(u: SpectralField) -> SpectralField:
-    grid = u.grid
-    if u.ncomp != grid.dim:
-        raise ValueError("divergence expects a velocity field")
-    coef = sum(1j * xi * u.coef[i] for i, xi in enumerate(grid.wavenumbers))
-    return SpectralField(grid, coef[None])
+def div_curl(symbol: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rows sum_j s_j v_j, then s_j v_i - s_i v_j for each (i, j) of `antisym_pairs`.
 
-
-def curl(u: SpectralField) -> SpectralField:
-    """Antisymmetric curl with components (curl u)_{ij} = d_j u_i - d_i u_j, i < j."""
-    grid = u.grid
-    if u.ncomp != grid.dim:
-        raise ValueError("curl expects a velocity field")
-    xi = grid.wavenumbers
-    comps = [1j * (xi[j] * u.coef[i] - xi[i] * u.coef[j]) for i, j in antisym_pairs(grid.dim)]
-    return SpectralField(grid, np.stack(comps))
+    `symbol` and `v` are (N, ...) stacks, one row per axis, that broadcast
+    row by row.  With `Grid.ixi` the rows are div v and curl v, (curl v)_ij
+    = d_j v_i - d_i v_j; with `Grid.riesz` they are Lambda^-1 div v and
+    Lambda^-1 curl v.
+    """
+    pairs = antisym_pairs(len(symbol))
+    shape = np.broadcast_shapes(symbol.shape[1:], v.shape[1:])
+    out = np.empty((1 + len(pairs),) + shape, dtype=np.complex128)
+    np.multiply(symbol[0], v[0], out=out[0])
+    for j in range(1, len(symbol)):
+        out[0] += symbol[j] * v[j]
+    for row, (i, j) in zip(out[1:], pairs):
+        np.multiply(symbol[j], v[i], out=row)
+        row -= symbol[i] * v[j]
+    return out
 
 
 def _require_mean_free(f: SpectralField, what: str) -> None:
@@ -483,22 +475,21 @@ def _require_mean_free(f: SpectralField, what: str) -> None:
         raise ValueError(f"{what} must be mean-free (zero mode {mean:.3e} vs norm {scale:.3e})")
 
 
-def helmholtz_decompose(u: SpectralField) -> HelmholtzPair:
-    """Split a mean-free velocity into its gradient and solenoidal parts."""
+def helmholtz_decompose(u: SpectralField) -> tuple[SpectralField, SpectralField]:
+    """Split a mean-free velocity into its gradient and solenoidal parts (c, I) = Lambda^-1 (div u, curl u)."""
     grid = u.grid
     if u.ncomp != grid.dim:
         raise ValueError("Helmholtz decomposition expects a velocity field")
     _require_mean_free(u, "velocity")
-    c = apply_lambda(divergence(u), -1.0)
-    I = apply_lambda(curl(u), -1.0)
-    return HelmholtzPair(c=c, I=I)
+    parts = apply_lambda(SpectralField(grid, div_curl(grid.ixi, u.coef)), -1.0).coef
+    return SpectralField(grid, parts[:1]), SpectralField(grid, parts[1:])
 
 
-def helmholtz_recompose(p: HelmholtzPair) -> SpectralField:
+def helmholtz_recompose(c: SpectralField, I: SpectralField) -> SpectralField:
     """u = -Lambda^-1 grad c - Lambda^-1 div I, each term one `Grid.riesz` multiply."""
-    grid = p.c.grid
-    riesz, I = grid.riesz, p.I.coef
-    u = riesz * p.c.coef[0]
+    grid = c.grid
+    riesz, I = grid.riesz, I.coef
+    u = riesz * c.coef[0]
     for comp, (i, j) in enumerate(antisym_pairs(grid.dim)):
         u[i] += riesz[j] * I[comp]
         u[j] -= riesz[i] * I[comp]

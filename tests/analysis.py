@@ -1,4 +1,4 @@
-"""Analysis that only the checks read: spectral operators, the shell-form sandwich, the smoothing integral.
+"""Analysis only the checks read: spectral operators, energy budget, shell-form sandwich, smoothing integral.
 
 No solver or driver path forms these; the tests and `make_fixtures.py` measure the package with them.
 """
@@ -9,10 +9,21 @@ import numpy as np
 
 from nspbox import energy, spectral as sp
 from nspbox.energy import EnergyReport
-from nspbox.model import FluidParams
-from nspbox.spectral import Grid, SpectralField
+from nspbox.model import FluidParams, NspState
+from nspbox.spectral import Grid, SpectralField, antisym_pairs, l2_norm
 
-__all__ = ["inner", "gradient", "laplacian", "poisson_solve", "equivalence_bounds", "smoothing_integral"]
+__all__ = [
+    "inner",
+    "gradient",
+    "divergence",
+    "curl",
+    "laplacian",
+    "poisson_solve",
+    "physical_energy",
+    "dissipation",
+    "equivalence_bounds",
+    "smoothing_integral",
+]
 
 
 def inner(f: SpectralField, g: SpectralField) -> float:
@@ -24,6 +35,24 @@ def gradient(f: SpectralField) -> SpectralField:
     if not f.is_scalar:
         raise ValueError("gradient expects a scalar field")
     return SpectralField(f.grid, np.stack([1j * xi * f.coef[0] for xi in f.grid.wavenumbers]))
+
+
+def divergence(u: SpectralField) -> SpectralField:
+    grid = u.grid
+    if u.ncomp != grid.dim:
+        raise ValueError("divergence expects a velocity field")
+    coef = sum(1j * xi * u.coef[i] for i, xi in enumerate(grid.wavenumbers))
+    return SpectralField(grid, coef[None])
+
+
+def curl(u: SpectralField) -> SpectralField:
+    """Antisymmetric curl with components (curl u)_{ij} = d_j u_i - d_i u_j, i < j."""
+    grid = u.grid
+    if u.ncomp != grid.dim:
+        raise ValueError("curl expects a velocity field")
+    xi = grid.wavenumbers
+    comps = [1j * (xi[j] * u.coef[i] - xi[i] * u.coef[j]) for i, j in antisym_pairs(grid.dim)]
+    return SpectralField(grid, np.stack(comps))
 
 
 def laplacian(f: SpectralField) -> SpectralField:
@@ -39,6 +68,28 @@ def poisson_solve(theta: SpectralField) -> SpectralField:
     mult = np.zeros_like(lam_sq)
     np.divide(-1.0, lam_sq, out=mult, where=lam_sq > 0)
     return SpectralField(theta.grid, theta.coef * mult)
+
+
+def physical_energy(s: NspState, params: FluidParams) -> float:
+    """1/2 <rho |u|^2> + 1/2 ||theta||^2 + 1/2 ||h||^2, volume-normalized.
+
+    Kinetic, pressure (the quadratic law) and electrostatic energy: along the
+    fluid equations its rate is minus `dissipation`.  The mean of the cubic
+    kinetic term is exact when the state's wavenumbers stay below size/3 on
+    every axis, so no triple product aliases onto the zero mode.
+    """
+    theta = s.theta()
+    rho = params.rho_bar + theta.to_physical()[0]
+    u = s.velocity().to_physical()
+    kinetic = np.mean(rho * np.sum(u * u, axis=0))
+    return 0.5 * (kinetic + l2_norm(theta) ** 2 + l2_norm(s.h) ** 2)
+
+
+def dissipation(s: NspState, params: FluidParams) -> float:
+    """mu ||grad u||^2 + (mu + lambda) ||div u||^2, the viscous loss of `physical_energy`."""
+    u = s.velocity()
+    grad_sq = l2_norm(SpectralField(s.grid, u.coef * s.grid.lam)) ** 2
+    return params.mu * grad_sq + (params.mu + params.lam) * l2_norm(divergence(u)) ** 2
 
 
 def equivalence_bounds(grid: Grid, k: int, params: FluidParams, weights=None) -> tuple[float, float]:

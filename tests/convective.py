@@ -1,9 +1,10 @@
 """Convective-form nonlinearities, one component at a time through the public operators.
 
 The independent check of `model.explicit_rhs`, which evaluates the same
-terms in conservative and rotational form.  Every product is dealiased by
-the two-thirds rule: its factors are masked before the inverse transform
-and the product after the forward transform.
+terms in conservative and rotational form; its divergence and curl are
+those of `analysis`, not the solver's `spectral.div_curl`.  Every product
+is dealiased by the two-thirds rule: its factors are masked before the
+inverse transform and the product after the forward transform.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from nspbox import spectral as sp
 from nspbox.model import FluidParams, NspState, _viscous_quotient
 from nspbox.spectral import Grid, SpectralField
 
+from analysis import curl, divergence
 from conftest import dealias_mask
 
 __all__ = ["nonlinear_F", "nonlinear_J", "nonlinear_G", "nonlinear_H"]
@@ -45,7 +47,7 @@ def nonlinear_F(s: NspState) -> SpectralField:
     """F = -Lambda^-1 (Lambda h * div u), the quadratic mass-transport term."""
     grid = s.grid
     theta_phys = _masked_phys(s.theta())[0]
-    divu_phys = _masked_phys(sp.divergence(s.velocity()))[0]
+    divu_phys = _masked_phys(divergence(s.velocity()))[0]
     return -1.0 * sp.apply_lambda(_spectralize(grid, theta_phys * divu_phys), -1.0)
 
 
@@ -55,7 +57,7 @@ def nonlinear_J(s: NspState, params: FluidParams, guarded: bool = True) -> Spect
     xi = grid.wavenumbers
     u = s.velocity()
     u_phys = _masked_phys(u)
-    divu = sp.divergence(u)
+    divu = divergence(u)
     quot = _quotient(s.theta().to_physical()[0], params, guarded)
     out = np.zeros((grid.dim,) + grid.spectral_shape, dtype=np.complex128)
     for i in range(grid.dim):
@@ -82,10 +84,10 @@ def nonlinear_G(s: NspState, params: FluidParams, guarded: bool = True) -> Spect
         adv += u_phys[j] * dc_j
     conv = _spectralize(grid, adv)
     J = nonlinear_J(s, params, guarded=guarded)
-    return conv - sp.apply_lambda(sp.divergence(J), -1.0)
+    return conv - sp.apply_lambda(divergence(J), -1.0)
 
 
 def nonlinear_H(s: NspState, params: FluidParams, guarded: bool = True) -> SpectralField:
     """H = -Lambda^-1 curl J."""
     J = nonlinear_J(s, params, guarded=guarded)
-    return -1.0 * sp.apply_lambda(sp.curl(J), -1.0)
+    return -1.0 * sp.apply_lambda(curl(J), -1.0)

@@ -25,7 +25,6 @@ from nspbox.lp import dyadic_block, bernstein_ratio, hybrid_norm, shell_filters
 from nspbox.model import FluidParams, NspState
 from nspbox.spectral import (
     SpectralField,
-    divergence,
     helmholtz_decompose,
     helmholtz_recompose,
     l2_norm,
@@ -33,7 +32,7 @@ from nspbox.spectral import (
 )
 from nspbox.stepper import FriedrichsStepper, StepperConfig
 
-from analysis import inner, smoothing_integral
+from analysis import divergence, inner, smoothing_integral
 from conftest import antisym_divergence
 from frozen import FROZEN
 from test_model import small_state
@@ -102,19 +101,17 @@ def test_criterion_03_helmholtz_split(grid32):
     worst_rt, worst_orth, worst_dd = 0.0, 0.0, 0.0
     for _ in range(100):
         u = random_field(grid32, 3, rng)
-        pair = helmholtz_decompose(u)
-        back = helmholtz_recompose(pair)
+        c, I = helmholtz_decompose(u)
+        back = helmholtz_recompose(c, I)
         worst_rt = max(worst_rt, l2_norm(back - u) / l2_norm(u))
 
-        from nspbox.spectral import HelmholtzPair
-
-        grad_part = helmholtz_recompose(HelmholtzPair(pair.c, SpectralField.zeros(grid32, 3)))
-        sol_part = helmholtz_recompose(HelmholtzPair(SpectralField.zeros(grid32), pair.I))
+        grad_part = helmholtz_recompose(c, SpectralField.zeros(grid32, 3))
+        sol_part = helmholtz_recompose(SpectralField.zeros(grid32), I)
         denom = max(l2_norm(grad_part) * l2_norm(sol_part), 1e-300)
         worst_orth = max(worst_orth, abs(inner(grad_part, sol_part)) / denom)
 
-        dd = divergence(antisym_divergence(pair.I))
-        worst_dd = max(worst_dd, l2_norm(dd) / max(l2_norm(pair.I), 1e-300))
+        dd = divergence(antisym_divergence(I))
+        worst_dd = max(worst_dd, l2_norm(dd) / max(l2_norm(I), 1e-300))
     elapsed = time.monotonic() - start
     assert worst_rt < 1e-10
     assert worst_orth < 1e-10
@@ -227,8 +224,8 @@ def test_criterion_07_heat_smoothing(grid32):
     # solenoidal part: exact per-mode heat envelope
     rng = np.random.default_rng(105)
     u = random_field(grid32, 3, rng, xi_lo=1.5)
-    pair = helmholtz_decompose(u)
-    s0 = NspState(h=SpectralField.zeros(grid32), c=SpectralField.zeros(grid32), I=pair.I)
+    _, I = helmholtz_decompose(u)
+    s0 = NspState(h=SpectralField.zeros(grid32), c=SpectralField.zeros(grid32), I=I)
     cfg = StepperConfig(dt=1e-3, n=float(grid32.size), t_end=0.5)
 
     checked_times = []

@@ -433,7 +433,7 @@ class TestStatePowers:
         rng = np.random.default_rng(seed)
         h, c = random_field(grid, 1, rng), random_field(grid, 1, rng)
         if curl_image:
-            I = helmholtz_decompose(random_field(grid, grid.dim, rng)).I
+            _, I = helmholtz_decompose(random_field(grid, grid.dim, rng))
         else:
             I = random_field(grid, grid.dim * (grid.dim - 1) // 2, rng)
         s = NspState(h=h, c=c, I=I)

@@ -9,8 +9,7 @@ from nspbox.spectral import (
     Grid,
     SpectralField,
     apply_lambda,
-    divergence,
-    curl,
+    div_curl,
     helmholtz_decompose,
     helmholtz_recompose,
     l2_norm,
@@ -19,7 +18,7 @@ from nspbox.spectral import (
     transform_to_spectral,
 )
 
-from analysis import gradient, inner, poisson_solve
+from analysis import curl, divergence, gradient, inner, poisson_solve
 from conftest import antisym_divergence, constant, dealias_mask, hermitian_defect, wave
 
 
@@ -225,64 +224,56 @@ class TestPoisson:
 class TestHelmholtz:
     def test_gradient_field_has_no_rotational_part(self, grid3):
         g = random_field(grid3, 1, np.random.default_rng(5))
-        pair = helmholtz_decompose(gradient(g))
-        assert l2_norm(pair.I) < 1e-12 * max(l2_norm(pair.c), 1e-30)
+        c, I = helmholtz_decompose(gradient(g))
+        assert l2_norm(I) < 1e-12 * max(l2_norm(c), 1e-30)
         expected_c = -1.0 * apply_lambda(g, 1.0)
-        assert np.max(np.abs(pair.c.coef - expected_c.coef)) < 1e-10 * np.max(np.abs(expected_c.coef))
+        assert np.max(np.abs(c.coef - expected_c.coef)) < 1e-10 * np.max(np.abs(expected_c.coef))
 
     def test_divergence_free_2d_field_has_no_compressible_part(self, grid2):
         psi = random_field(grid2, 1, np.random.default_rng(6))
         xi = grid2.wavenumbers
         u = SpectralField(grid2, np.stack([-1j * xi[1] * psi.coef[0], 1j * xi[0] * psi.coef[0]]))
-        pair = helmholtz_decompose(u)
-        assert l2_norm(pair.c) < 1e-12 * l2_norm(u)
-        back = helmholtz_recompose(pair)
+        c, I = helmholtz_decompose(u)
+        assert l2_norm(c) < 1e-12 * l2_norm(u)
+        back = helmholtz_recompose(c, I)
         assert np.max(np.abs(back.coef - u.coef)) < 1e-10 * np.max(np.abs(u.coef))
 
     def test_shear_mode_3d(self, grid3):
         u = SpectralField.zeros(grid3, 3)
         shear = wave(grid3, (0, 1, 0), kind="sin")  # u = (sin x2, 0, 0)
         u = SpectralField(grid3, np.concatenate([shear.coef, np.zeros((2,) + grid3.spectral_shape)]))
-        pair = helmholtz_decompose(u)
-        assert l2_norm(pair.c) < 1e-13
-        back = helmholtz_recompose(pair)
+        c, I = helmholtz_decompose(u)
+        assert l2_norm(c) < 1e-13
+        back = helmholtz_recompose(c, I)
         assert np.max(np.abs(back.coef - u.coef)) < 1e-10
 
     def test_round_trip_random(self, grid3):
         rng = np.random.default_rng(7)
         for _ in range(10):
             u = random_field(grid3, 3, rng)
-            pair = helmholtz_decompose(u)
-            back = helmholtz_recompose(pair)
+            back = helmholtz_recompose(*helmholtz_decompose(u))
             assert np.max(np.abs(back.coef - u.coef)) < 1e-10 * np.max(np.abs(u.coef))
 
     def test_zero_pair_recomposes_to_zero(self, grid3):
-        from nspbox.spectral import HelmholtzPair
-
-        pair = HelmholtzPair(SpectralField.zeros(grid3), SpectralField.zeros(grid3, 3))
-        assert l2_norm(helmholtz_recompose(pair)) == 0.0
+        assert l2_norm(helmholtz_recompose(SpectralField.zeros(grid3), SpectralField.zeros(grid3, 3))) == 0.0
 
     def test_part_orthogonality(self, grid3):
-        from nspbox.spectral import HelmholtzPair
-
         u = random_field(grid3, 3, np.random.default_rng(8))
-        pair = helmholtz_decompose(u)
-        grad_part = helmholtz_recompose(HelmholtzPair(pair.c, SpectralField.zeros(grid3, 3)))
-        sol_part = helmholtz_recompose(HelmholtzPair(SpectralField.zeros(grid3), pair.I))
+        c, I = helmholtz_decompose(u)
+        grad_part = helmholtz_recompose(c, SpectralField.zeros(grid3, 3))
+        sol_part = helmholtz_recompose(SpectralField.zeros(grid3), I)
         ip = abs(inner(grad_part, sol_part))
         assert ip < 1e-10 * l2_norm(grad_part) * l2_norm(sol_part)
 
     def test_div_div_antisymmetric_vanishes(self, grid3):
         u = random_field(grid3, 3, np.random.default_rng(9))
-        pair = helmholtz_decompose(u)
-        dd = divergence(antisym_divergence(pair.I))
-        assert l2_norm(dd) < 1e-12 * max(l2_norm(pair.I), 1e-30)
+        _, I = helmholtz_decompose(u)
+        dd = divergence(antisym_divergence(I))
+        assert l2_norm(dd) < 1e-12 * max(l2_norm(I), 1e-30)
 
     def test_single_mode_potential_gives_curl_free_velocity(self, grid3):
-        from nspbox.spectral import HelmholtzPair
-
         c = wave(grid3, (2, 1, 0))
-        u = helmholtz_recompose(HelmholtzPair(c, SpectralField.zeros(grid3, 3)))
+        u = helmholtz_recompose(c, SpectralField.zeros(grid3, 3))
         assert l2_norm(curl(u)) < 1e-12 * l2_norm(u)
 
     def test_mean_velocity_rejected(self, grid3):
@@ -291,6 +282,20 @@ class TestHelmholtz:
         coef[0, 0, 0, 0] = 1.0
         with pytest.raises(ValueError, match="mean-free"):
             helmholtz_decompose(SpectralField(grid3, coef))
+
+
+DIV_CURL_GRIDS = {f"{dim}d-M{size}": Grid(dim=dim, size=size) for dim in (2, 3) for size in (8, 16, 32)}
+
+
+@pytest.mark.parametrize("grid_name", sorted(DIV_CURL_GRIDS))
+def test_div_curl_matches_divergence_and_curl(grid_name):
+    # the solver's one div/curl against the test-side operators: exact with d_j, 1e-14 with Lambda^-1 d_j
+    grid = DIV_CURL_GRIDS[grid_name]
+    v = random_field(grid, grid.dim, np.random.default_rng(11))
+    div, rot = divergence(v), curl(v)
+    assert np.array_equal(div_curl(grid.ixi, v.coef), np.concatenate([div.coef, rot.coef]))
+    lifted = np.concatenate([apply_lambda(div, -1.0).coef, apply_lambda(rot, -1.0).coef])
+    assert np.max(np.abs(div_curl(grid.riesz, v.coef) - lifted)) <= 1e-14 * np.max(np.abs(lifted))
 
 
 HALF_GRIDS = {"grid2": Grid(dim=2, size=16), "grid3": Grid(dim=3, size=16)}
@@ -339,7 +344,7 @@ class TestHalfLatticeProperties:
     def test_helmholtz_round_trip(self, grid_name, seed):
         grid = HALF_GRIDS[grid_name]
         u = random_field(grid, grid.dim, np.random.default_rng(seed))
-        back = helmholtz_recompose(helmholtz_decompose(u))
+        back = helmholtz_recompose(*helmholtz_decompose(u))
         assert np.max(np.abs(back.coef - u.coef)) <= 1e-13 * np.max(np.abs(u.coef))
 
     @PROPERTY

@@ -231,8 +231,8 @@ class TestStep:
     def test_heat_decay_of_solenoidal_part(self, grid3):
         rng = np.random.default_rng(43)
         u = random_field(grid3, 3, rng, xi_lo=1.5, xi_hi=4.0)
-        pair = helmholtz_decompose(u)
-        s0 = NspState(h=SpectralField.zeros(grid3), c=SpectralField.zeros(grid3), I=pair.I)
+        _, I = helmholtz_decompose(u)
+        s0 = NspState(h=SpectralField.zeros(grid3), c=SpectralField.zeros(grid3), I=I)
         cfg = StepperConfig(dt=2e-3, n=16.0, t_end=0.2)
         traj = FriedrichsStepper(grid3, PARAMS, cfg, linear_only=True).run(
             s0, monitor=lambda s, flags: l2_norm(s.I), stride=20
@@ -406,8 +406,9 @@ class TestMemory:
     def test_warm_nonlinear_step_peak(self):
         # one warmed step of the criterion-08 configuration (3D, M = 32), as `nonlinear3d` runs it: the
         # tracemalloc peak of its fresh allocations, in half-lattice complex components (0.266 MiB);
-        # 32.0 measured, with the tendencies and their phi-stages on the two-thirds-rule band and both
-        # inverse transforms of `explicit_rhs` reading inputs filled in their owned buffers
+        # 32.04 measured, with the tendencies and their phi-stages on the two-thirds-rule band, both
+        # inverse transforms of `explicit_rhs` reading inputs filled in their owned buffers, and its
+        # curl u and c and I tendencies each one `spectral.div_curl`
         import tracemalloc
 
         from nspbox.config import parse_config

@@ -67,7 +67,7 @@ def make_initial_data(cfg: RunConfig) -> NspState:
     projector = FriedrichsProjector(grid, cfg.stepper.n)
     rho, u = _primitive_fields(cfg)
     raw = from_primitive(PrimitiveState(grid=grid, rho=rho, u=u), cfg.params)
-    projected = NspState(projector(raw.h), projector(raw.c), projector(raw.I), t=0.0)
+    projected = NspState(projector(raw.x))
 
     if cfg.amplitude == 0.0:
         return NspState.zeros(grid)

@@ -1,11 +1,11 @@
 """The reformulated charged-fluid system in damped variables (h, c, I).
 
-State variables: h is the inverse-Lambda lift of the density deviation
-theta = rho - rho_bar, c the gradient-part velocity potential, I the
-antisymmetric solenoidal part.  The quadratic pressure law makes the
-pressure and electrostatic forces exactly linear in these variables, so
-the only nonlinearities are the convection terms, the density-weighted
-viscous quotient J, and their div/curl projections F, G, H.
+State variables, the rows of one `NspState` stack: h is the inverse-Lambda
+lift of the density deviation theta = rho - rho_bar, c the gradient-part
+velocity potential, I the antisymmetric solenoidal part.  The quadratic
+pressure law makes the pressure and electrostatic forces exactly linear in
+these variables, so the only nonlinearities are the convection terms, the
+density-weighted viscous quotient J, and their div/curl projections F, G, H.
 
 `explicit_rhs` evaluates all of them at once, with two-thirds-rule
 dealiased products, in conservative form for the mass transport
@@ -92,39 +92,41 @@ class FluidParams:
 
 @dataclass
 class NspState:
-    """Evolving state (h, c, I) at time t.
+    """Evolving state (h, c, I) at time t: one stack `x` of rows h, c, then I in `antisym_pairs` order.
 
-    Physical admissibility (pointwise positive density, I in the image of
-    the curl lift) is enforced by the generators and watched by the
-    stepper's flags rather than carried as a field here.
+    The stepper advances `x` and `explicit_rhs` returns its layout; `h`, `c`
+    and `I` are views of its rows.  Physical admissibility (pointwise
+    positive density, I in the image of the curl lift) is enforced by the
+    generators and watched by the stepper's flags rather than carried here.
     """
 
-    h: SpectralField
-    c: SpectralField
-    I: SpectralField
+    x: SpectralField
     t: float = 0.0
 
     def __post_init__(self) -> None:
-        grid = self.h.grid
-        if self.c.grid != grid or self.I.grid != grid:
-            raise ValueError("state components live on different grids")
-        npairs = len(sp.antisym_pairs(grid.dim))
-        if self.c.ncomp != 1 or self.I.ncomp != npairs:
-            raise ValueError(f"c and I must have 1 and {npairs} components, got {self.c.ncomp} and {self.I.ncomp}")
+        nrows = 2 + len(sp.antisym_pairs(self.grid.dim))
+        if self.x.ncomp != nrows:
+            raise ValueError(f"an (h, c, I) stack has {nrows} rows, got {self.x.ncomp}")
 
     @property
     def grid(self) -> Grid:
-        return self.h.grid
+        return self.x.grid
+
+    @property
+    def h(self) -> SpectralField:
+        return SpectralField.nyquist_free(self.grid, self.x.coef[:1])
+
+    @property
+    def c(self) -> SpectralField:
+        return SpectralField.nyquist_free(self.grid, self.x.coef[1:2])
+
+    @property
+    def I(self) -> SpectralField:
+        return SpectralField.nyquist_free(self.grid, self.x.coef[2:])
 
     @classmethod
     def zeros(cls, grid: Grid, t: float = 0.0) -> "NspState":
-        npairs = len(sp.antisym_pairs(grid.dim))
-        return cls(
-            h=SpectralField.zeros(grid),
-            c=SpectralField.zeros(grid),
-            I=SpectralField.zeros(grid, npairs),
-            t=t,
-        )
+        return cls(SpectralField.zeros(grid, 2 + len(sp.antisym_pairs(grid.dim))), t)
 
     def velocity(self) -> SpectralField:
         return sp.helmholtz_recompose(self.c, self.I)
@@ -133,10 +135,7 @@ class NspState:
         return sp.apply_lambda(self.h, 1.0)
 
     def scaled(self, factor: float) -> "NspState":
-        return NspState(self.h * factor, self.c * factor, self.I * factor, t=self.t)
-
-    def copy(self) -> "NspState":
-        return NspState(self.h.copy(), self.c.copy(), self.I.copy(), t=self.t)
+        return NspState(self.x * factor, self.t)
 
 
 @dataclass
@@ -204,7 +203,7 @@ def from_primitive(p: PrimitiveState, params: FluidParams) -> NspState:
     theta = sp.transform_to_spectral(grid, p.rho - params.rho_bar)
     h = sp.apply_lambda(theta, -1.0)
     c, I = sp.helmholtz_decompose(sp.transform_to_spectral(grid, p.u))
-    return NspState(h=h, c=c, I=I)
+    return NspState(SpectralField(grid, np.concatenate([h.coef, c.coef, I.coef])))
 
 
 # ---------------------------------------------------------------------------

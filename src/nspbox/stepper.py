@@ -8,9 +8,9 @@ convection and forcing terms are treated explicitly, by second-order
 exponential time differencing (ETDRK2, Cox & Matthews 2002).  The Friedrichs
 cutoff J_n commutes with the per-mode linear flow, so it is a factor of the
 phi-propagators, and projected states stay exactly zero off its annulus.  A
-step works on (h, c, I) row stacks: the state on the half lattice, the
-tendencies of `model.explicit_rhs` and their phi-stages on the
-two-thirds-rule band, which `Grid.add_band` adds into the state.
+step works on (h, c, I) row stacks: the state itself, `NspState.x`, on the
+half lattice, the tendencies of `model.explicit_rhs` and their phi-stages
+on the two-thirds-rule band, which `Grid.add_band` adds into the state.
 """
 
 from __future__ import annotations
@@ -165,19 +165,13 @@ def expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _rows(x: np.ndarray) -> list[np.ndarray]:
-    """The h, c and I rows of an (h, c, I) stack, as views."""
-    return np.split(x, (1, 2))
-
-
-def _apply(pair: np.ndarray, heat: np.ndarray, rows) -> np.ndarray:
-    """One stage as a new stack: the 2x2 `pair` on (h, c), `heat` on I; `rows` keep their component axis."""
-    h, c, I = rows
-    out = np.empty((2 + len(I),) + I.shape[1:], dtype=np.complex128)
+def _apply(pair: np.ndarray, heat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """One stage as a new stack: the 2x2 `pair` on the (h, c) rows of the state stack `x`, `heat` on its I rows."""
+    out = np.empty(x.shape, dtype=np.complex128)
     for i in range(2):
-        np.multiply(pair[i, 0], h, out=out[i : i + 1])
-        out[i : i + 1] += pair[i, 1] * c
-    np.multiply(heat, I, out=out[2:])
+        np.multiply(pair[i, 0], x[:1], out=out[i : i + 1])
+        out[i : i + 1] += pair[i, 1] * x[1:2]
+    np.multiply(heat, x[2:], out=out[2:])
     return out
 
 
@@ -195,9 +189,8 @@ class StepFlags:
 
 @dataclass
 class Trajectory:
-    """Monitored samples of one run: times, monitor records, final state and the run's flags."""
+    """Monitored samples of one run: monitor records, final state and the run's flags."""
 
-    times: list[float] = dc_field(default_factory=list)
     records: list = dc_field(default_factory=list)
     final_state: NspState | None = None
     flags: StepFlags | None = None
@@ -237,10 +230,11 @@ class FriedrichsStepper:
     def _check_health(self, s: NspState) -> None:
         # the peak of |h|^2 and |c|^2 propagates NaN and inf, so one pass of squared
         # magnitudes also checks h and c for finiteness; I is checked on its float view
-        peak_sq = float(np.max([np.max(f.coef.real**2 + f.coef.imag**2) for f in (s.h, s.c)]))
-        if not (np.isfinite(peak_sq) and np.isfinite(s.I.coef.view(np.float64)).all()):
+        hc, I = s.x.coef[:2], s.x.coef[2:]
+        peak_sq = float(np.max(hc.real**2 + hc.imag**2))
+        if not (np.isfinite(peak_sq) and np.isfinite(I.view(np.float64)).all()):
             raise NumericalAbort(f"non-finite coefficients at t = {s.t:.6g}")
-        drift = max(float(np.max(np.abs(f.zero_mode()))) for f in (s.h, s.c, s.I))
+        drift = float(np.max(np.abs(s.x.zero_mode())))
         scale = max(np.sqrt(peak_sq), 1.0)
         if drift > 1e-12 * scale:
             raise NumericalAbort(f"state acquired a mean at t = {s.t:.6g} (drift {drift:.3e})")
@@ -260,34 +254,28 @@ class FriedrichsStepper:
         and only the exact propagators remain.
         """
         blocks, t_new = self.blocks, s.t + self.cfg.dt
-        x = _apply(blocks.exp, blocks.heat_e, (s.h.coef, s.c.coef, s.I.coef))
+        # every term of a step is zero on the Nyquist planes (the inputs and the tendencies are), so `out` skips the scan
+        x = _apply(blocks.exp, blocks.heat_e, s.x.coef)
+        out = NspState(SpectralField.nyquist_free(self.grid, x), t_new)
         if not self.linear_only:
             n0 = self._tendencies(s)
-            self.grid.add_band(x, _apply(blocks.phi1, blocks.heat_p1, _rows(n0)))
-            n1 = self._tendencies(self._state(x, t_new))
+            self.grid.add_band(x, _apply(blocks.phi1, blocks.heat_p1, n0))
+            # `out` is the mid-stage state here: the RHS call reads it before `add_band` writes x again
+            n1 = self._tendencies(out)
             n1 -= n0
-            self.grid.add_band(x, _apply(blocks.phi2, blocks.heat_p2, _rows(n1)))
-        out = self._state(x, t_new)
+            self.grid.add_band(x, _apply(blocks.phi2, blocks.heat_p2, n1))
         # a non-finite or mean-carrying input gives such an output, so `prepare`
         # and the output check below cover every state of a run
         self._check_cfl(self.flags.max_speed, NumericalAbort, f"convective stability violated at t = {out.t:.6g}")
         self._check_health(out)
         return out
 
-    def _state(self, x: np.ndarray, t: float) -> NspState:
-        """The state whose h, c and I are views of the rows of a stepped (h, c, I) stack.
-
-        Every term of a step is zero on the Nyquist planes (the inputs and the
-        tendencies are), so the fields skip their Nyquist scan.
-        """
-        return NspState(*(SpectralField.nyquist_free(self.grid, rows) for rows in _rows(x)), t=t)
-
     # -- driving ---------------------------------------------------------------
 
     def prepare(self, s0: NspState) -> NspState:
         """The projected, checked start of a run; the run's flags start afresh."""
         self.flags = StepFlags()
-        s = NspState(self.projector(s0.h), self.projector(s0.c), self.projector(s0.I), t=s0.t)
+        s = NspState(self.projector(s0.x), s0.t)
         self._check_health(s)
         if not self.linear_only:
             u_phys = s.velocity().to_physical()
@@ -310,7 +298,6 @@ class FriedrichsStepper:
     def run(self, s0: NspState, monitor=None, stride: int = 1) -> Trajectory:
         traj = Trajectory()
         for s in self.iterate(s0, stride):
-            traj.times.append(s.t)
             if monitor is not None:
                 traj.records.append(monitor(s, self.flags))
         traj.final_state = s

@@ -1,4 +1,5 @@
-"""Analysis only the checks read: spectral operators, energy budget, shell-form sandwich, smoothing integral.
+"""Analysis only the checks read: a field-by-field state builder, spectral operators, energy budget,
+shell-form sandwich, smoothing integral.
 
 No solver or driver path forms these; the tests and `make_fixtures.py` measure the package with them.
 """
@@ -13,6 +14,7 @@ from nspbox.model import FluidParams, NspState
 from nspbox.spectral import Grid, SpectralField, antisym_pairs, l2_norm
 
 __all__ = [
+    "state_of",
     "inner",
     "gradient",
     "divergence",
@@ -24,6 +26,11 @@ __all__ = [
     "equivalence_bounds",
     "smoothing_integral",
 ]
+
+
+def state_of(h: SpectralField, c: SpectralField, I: SpectralField, t: float = 0.0) -> NspState:
+    """The state whose (h, c, I) stack is a copy of the three fields' rows."""
+    return NspState(SpectralField(h.grid, np.concatenate([h.coef, c.coef, I.coef])), t)
 
 
 def inner(f: SpectralField, g: SpectralField) -> float:

@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from nspbox import Grid, FluidParams, NspState
+from nspbox import Grid, FluidParams
 from nspbox.config import parse_config
 from nspbox.energy import EnergyMonitor, global_bound_check
 from nspbox.initial_data import make_initial_data
@@ -23,7 +23,7 @@ from nspbox.lp import composition_check, hybrid_norm, product_estimate_ratio
 from nspbox.spectral import SpectralField, random_field
 from nspbox.stepper import FriedrichsStepper, StepperConfig
 
-from analysis import smoothing_integral
+from analysis import smoothing_integral, state_of
 
 MARGIN_ENSEMBLE = 1.25
 MARGIN_RUN = 1.15
@@ -57,7 +57,7 @@ def smoothing_calibration() -> float:
     params = FluidParams(mu=1.0, lam=0.0, rho_bar=1.0, dim=3)
     rng = np.random.default_rng(77)
     c0 = random_field(grid, 1, rng, xi_lo=2.0)  # high-frequency shells only
-    s0 = NspState(h=SpectralField.zeros(grid), c=c0, I=SpectralField.zeros(grid, 3))
+    s0 = state_of(h=SpectralField.zeros(grid), c=c0, I=SpectralField.zeros(grid, 3))
     cfg = StepperConfig(dt=1e-3, n=float(grid.size), t_end=1.0)
     monitor = EnergyMonitor(params)
     traj = FriedrichsStepper(grid, params, cfg, linear_only=True).run(s0, monitor=monitor, stride=5)

@@ -22,7 +22,7 @@ from nspbox.energy import (
 from nspbox.experiments import experiment_perturb, experiment_refine
 from nspbox.initial_data import make_initial_data
 from nspbox.lp import dyadic_block, bernstein_ratio, hybrid_norm, shell_filters
-from nspbox.model import FluidParams, NspState
+from nspbox.model import FluidParams
 from nspbox.spectral import (
     SpectralField,
     helmholtz_decompose,
@@ -32,7 +32,7 @@ from nspbox.spectral import (
 )
 from nspbox.stepper import FriedrichsStepper, StepperConfig
 
-from analysis import divergence, inner, smoothing_integral
+from analysis import divergence, inner, smoothing_integral, state_of
 from conftest import antisym_divergence
 from frozen import FROZEN
 from test_model import small_state
@@ -159,7 +159,7 @@ def test_criterion_05_energy_form_positivity(grid3):
         h = random_field(grid3, 1, rng)
         c = random_field(grid3, 1, rng)
         scale = 2.0 ** ((i % 9) - 4)
-        s = NspState(
+        s = state_of(
             h=h * (scale / l2_norm(h)),
             c=c * (1.0 / l2_norm(c)),
             I=SpectralField.zeros(grid3, 3),
@@ -175,7 +175,7 @@ def test_criterion_06_linear_damping(grid32):
     rng = np.random.default_rng(104)
     h = random_field(grid32, 1, rng)
     c = random_field(grid32, 1, rng)
-    s0 = NspState(h=h * (1.0 / l2_norm(h)), c=c * (0.5 / l2_norm(c)), I=SpectralField.zeros(grid32, 3))
+    s0 = state_of(h=h * (1.0 / l2_norm(h)), c=c * (0.5 / l2_norm(c)), I=SpectralField.zeros(grid32, 3))
 
     dt, n_steps, stride = 1e-3, 1000, 10
     cfg = StepperConfig(dt=dt, n=float(grid32.size), t_end=n_steps * dt)
@@ -225,7 +225,7 @@ def test_criterion_07_heat_smoothing(grid32):
     rng = np.random.default_rng(105)
     u = random_field(grid32, 3, rng, xi_lo=1.5)
     _, I = helmholtz_decompose(u)
-    s0 = NspState(h=SpectralField.zeros(grid32), c=SpectralField.zeros(grid32), I=I)
+    s0 = state_of(h=SpectralField.zeros(grid32), c=SpectralField.zeros(grid32), I=I)
     cfg = StepperConfig(dt=1e-3, n=float(grid32.size), t_end=0.5)
 
     checked_times = []
@@ -245,7 +245,7 @@ def test_criterion_07_heat_smoothing(grid32):
     # gradient part: time-integrated high-shell norm under the frozen majorant
     rng = np.random.default_rng(77)
     c0 = random_field(grid32, 1, rng, xi_lo=2.0)
-    s0 = NspState(h=SpectralField.zeros(grid32), c=c0, I=SpectralField.zeros(grid32, 3))
+    s0 = state_of(h=SpectralField.zeros(grid32), c=c0, I=SpectralField.zeros(grid32, 3))
     cfg = StepperConfig(dt=1e-3, n=float(grid32.size), t_end=1.0)
     monitor = EnergyMonitor(PARAMS)
     traj = FriedrichsStepper(grid32, PARAMS, cfg, linear_only=True).run(s0, monitor=monitor, stride=5)

@@ -26,7 +26,7 @@ from nspbox.model import FluidParams, NspState
 from nspbox.spectral import Grid, SpectralField, helmholtz_decompose, l2_norm, random_field
 from nspbox.stepper import FriedrichsStepper, StepFlags, StepperConfig
 
-from analysis import equivalence_bounds, inner, smoothing_integral
+from analysis import equivalence_bounds, inner, smoothing_integral, state_of
 from conftest import wave
 from test_model import small_state
 
@@ -38,7 +38,7 @@ def random_pair_state(grid, seed, h_scale=1.0, c_scale=1.0, xi_lo=0.0, xi_hi=Non
     h = h_scale * random_field(grid, 1, rng, xi_lo=xi_lo, xi_hi=xi_hi)
     c = c_scale * random_field(grid, 1, rng, xi_lo=xi_lo, xi_hi=xi_hi)
     npairs = grid.dim * (grid.dim - 1) // 2
-    return NspState(h=h, c=c, I=SpectralField.zeros(grid, npairs))
+    return state_of(h=h, c=c, I=SpectralField.zeros(grid, npairs))
 
 
 class TestConstants:
@@ -94,7 +94,7 @@ class TestShellEnergy:
 
     def test_low_shell_single_mode_closed_form(self, grid3):
         amp = 0.4
-        s = NspState(
+        s = state_of(
             h=wave(grid3, (1, 0, 0), amp=amp),
             c=SpectralField.zeros(grid3),
             I=SpectralField.zeros(grid3, 3),
@@ -375,7 +375,7 @@ class TestSmoothing:
     def _c_only_run(self, grid, params, t_end=0.5):
         rng = np.random.default_rng(64)
         c0 = random_field(grid, 1, rng, xi_lo=2.0)
-        s0 = NspState(h=SpectralField.zeros(grid), c=c0, I=SpectralField.zeros(grid, 3))
+        s0 = state_of(h=SpectralField.zeros(grid), c=c0, I=SpectralField.zeros(grid, 3))
         cfg = StepperConfig(dt=1e-3, n=float(grid.size), t_end=t_end)
         monitor = EnergyMonitor(params)
         traj = FriedrichsStepper(grid, params, cfg, linear_only=True).run(s0, monitor=monitor, stride=10)
@@ -436,7 +436,7 @@ class TestStatePowers:
             _, I = helmholtz_decompose(random_field(grid, grid.dim, rng))
         else:
             I = random_field(grid, grid.dim * (grid.dim - 1) // 2, rng)
-        s = NspState(h=h, c=c, I=I)
+        s = state_of(h=h, c=c, I=I)
         power_h, power_c, cross, power_I, power_u = state_powers(s)
         assert np.array_equal(power_h, radial_power(h))
         assert np.array_equal(power_c, radial_power(c))
@@ -528,14 +528,14 @@ class TestMonitor:
         monitor = EnergyMonitor(PARAMS)
         s0 = small_state(grid3, seed=77, amp=1e-3)
         for t in (0.0, 0.1, 0.2):
-            monitor(NspState(s0.h, s0.c, s0.I, t=t))
+            monitor(NspState(s0.x, t))
         assert len(calls) == 1
 
     def test_decreasing_time_rejected(self, grid3):
         monitor = EnergyMonitor(PARAMS)
         s0 = small_state(grid3, seed=69, amp=1e-3)
         monitor(s0)
-        earlier = NspState(s0.h, s0.c, s0.I, t=-1.0)
+        earlier = NspState(s0.x, -1.0)
         with pytest.raises(ValueError, match="decreasing"):
             monitor(earlier)
 
@@ -552,7 +552,7 @@ class TestMonitor:
 
         rng = np.random.default_rng(71)
         c0 = random_field(grid3, 1, rng, xi_lo=2.0)
-        s0 = NspState(h=SpectralField.zeros(grid3), c=c0, I=SpectralField.zeros(grid3, 3))
+        s0 = state_of(h=SpectralField.zeros(grid3), c=c0, I=SpectralField.zeros(grid3, 3))
         cfg = StepperConfig(dt=1e-3, n=float(grid3.size), t_end=0.3)
         monitor = EnergyMonitor(PARAMS)
         traj = FriedrichsStepper(grid3, PARAMS, cfg, linear_only=True).run(s0, monitor=monitor, stride=10)
@@ -588,7 +588,7 @@ class TestNormTable:
     def states(self, grid):
         for i, t in enumerate(self.TIMES):
             s = small_state(grid, seed=80 + i, amp=1e-3 * (2, 3, 1)[i])  # the sup moves once
-            yield NspState(s.h, s.c, s.I, t=t)
+            yield NspState(s.x, t)
 
     def test_mixed_norms_equal_sup_and_trapezoid_of_standalone_norms(self, grid3):
         from nspbox.spectral import apply_lambda

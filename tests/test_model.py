@@ -27,7 +27,7 @@ from nspbox.spectral import (
     transform_to_spectral,
 )
 
-from analysis import dissipation, divergence, physical_energy
+from analysis import dissipation, divergence, physical_energy, state_of
 from conftest import dealias_mask, embed, hermitian_defect, wave
 from convective import nonlinear_F, nonlinear_G, nonlinear_H, nonlinear_J
 from primitive import check_potential, potential, to_primitive
@@ -47,7 +47,7 @@ def small_state(grid, seed=0, amp=1e-2) -> NspState:
     u = random_field(grid, grid.dim, rng)
     u = u * (amp / np.max(np.abs(u.to_physical())))
     c, I = helmholtz_decompose(u)
-    return NspState(h=h, c=c, I=I)
+    return state_of(h=h, c=c, I=I)
 
 
 class TestFluidParams:
@@ -145,12 +145,18 @@ class TestNspState:
     @pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
     def test_rejects_wrong_component_counts(self, grid_name, request):
         grid = request.getfixturevalue(grid_name)
-        h, npairs = SpectralField.zeros(grid), len_pairs(grid)
-        NspState(h, SpectralField.zeros(grid), SpectralField.zeros(grid, npairs))
-        with pytest.raises(ValueError, match="components"):
-            NspState(h, SpectralField.zeros(grid, 2), SpectralField.zeros(grid, npairs))
-        with pytest.raises(ValueError, match="components"):
-            NspState(h, SpectralField.zeros(grid), SpectralField.zeros(grid, npairs + 1))
+        rows = 2 + len_pairs(grid)
+        NspState(SpectralField.zeros(grid, rows))
+        for wrong in (rows - 1, rows + 1):  # one row short, one row over
+            with pytest.raises(ValueError, match=f"{rows} rows, got {wrong}"):
+                NspState(SpectralField.zeros(grid, wrong))
+
+    @pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
+    def test_fields_are_views_of_the_stack(self, grid_name, request):
+        s = small_state(request.getfixturevalue(grid_name), seed=32)
+        for f in (s.h, s.c, s.I):
+            assert np.shares_memory(f.coef, s.x.coef)
+        assert np.array_equal(np.concatenate([s.h.coef, s.c.coef, s.I.coef]), s.x.coef)
 
 
 class TestConversions:
@@ -194,7 +200,7 @@ class TestConversions:
 
     def test_potential_of_single_mode(self, grid3):
         h = wave(grid3, (2, 0, 0), amp=0.01)
-        s = NspState(h=h, c=SpectralField.zeros(grid3), I=SpectralField.zeros(grid3, 3))
+        s = state_of(h=h, c=SpectralField.zeros(grid3), I=SpectralField.zeros(grid3, 3))
         _, phi = to_primitive(s, PARAMS3)
         # phi-hat = -h-hat / |xi|, here |xi| = 2
         expected = wave(grid3, (2, 0, 0), amp=-0.005)
@@ -227,7 +233,7 @@ class TestConversions:
 
 
 def state_with(grid, h=None, c=None, I=None) -> NspState:
-    return NspState(
+    return state_of(
         h=h if h is not None else SpectralField.zeros(grid),
         c=c if c is not None else SpectralField.zeros(grid),
         I=I if I is not None else SpectralField.zeros(grid, len_pairs(grid)),
@@ -359,7 +365,7 @@ def projected_state(grid, s: NspState, n: float = 4.0) -> NspState:
     from nspbox.stepper import FriedrichsProjector
 
     projector = FriedrichsProjector(grid, n)
-    return NspState(projector(s.h), projector(s.c), projector(s.I))
+    return NspState(projector(s.x))
 
 
 class TestExplicitRhs:
@@ -476,19 +482,18 @@ def budget_residual(dim: int, scaled: slice | None = None) -> float:
     """
     cfg = parse_config(f"grid.N = {dim}\ngrid.M = 16\nparams.lambda = 0.3\ninit.amplitude = 0.3\ninit.band_hi = 1\n")
     coarse, grid, params = make_initial_data(cfg), Grid(dim=dim, size=32), cfg.params
-    s = NspState(*(embed(f, grid) for f in (coarse.h, coarse.c, coarse.I)))
+    s = NspState(embed(coarse.x, grid))
     h, c, I = s.h.coef, s.c.coef, s.I.coef
     gen = params.pair_matrix(grid.lam_sq)
     linear = [gen[..., k, 0] * h + gen[..., k, 1] * c for k in range(2)] + [-params.nu_i * grid.lam_sq * I]
-    tend, state = np.concatenate(linear), np.concatenate([h, c, I])
+    tend = np.concatenate(linear)
     nonlinear, _ = explicit_rhs(s, params)
     if scaled is not None:
         nonlinear[scaled] *= 1.1
     grid.add_band(tend, nonlinear)
 
     def energy_at(t: float) -> float:
-        rows = np.split(state + t * tend, (1, 2))
-        return physical_energy(NspState(*(SpectralField(grid, r) for r in rows)), params)
+        return physical_energy(NspState(SpectralField(grid, s.x.coef + t * tend)), params)
 
     dt = 1e-3
     rate = (8.0 * (energy_at(dt) - energy_at(-dt)) - (energy_at(2 * dt) - energy_at(-2 * dt))) / (12.0 * dt)

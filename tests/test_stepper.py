@@ -22,6 +22,7 @@ from nspbox.stepper import (
 )
 from nspbox import model
 
+from analysis import state_of
 from conftest import embed, wave
 from test_model import small_state
 
@@ -34,7 +35,7 @@ def unmasked(grid) -> np.ndarray:
 
 
 def pair_state(grid, h_amp=0.01, c_amp=0.02, nvec=(1, 0, 0)) -> NspState:
-    return NspState(
+    return state_of(
         h=wave(grid, nvec, amp=h_amp),
         c=wave(grid, nvec, amp=c_amp),
         I=SpectralField.zeros(grid, grid.dim * (grid.dim - 1) // 2),
@@ -232,7 +233,7 @@ class TestStep:
         rng = np.random.default_rng(43)
         u = random_field(grid3, 3, rng, xi_lo=1.5, xi_hi=4.0)
         _, I = helmholtz_decompose(u)
-        s0 = NspState(h=SpectralField.zeros(grid3), c=SpectralField.zeros(grid3), I=I)
+        s0 = state_of(h=SpectralField.zeros(grid3), c=SpectralField.zeros(grid3), I=I)
         cfg = StepperConfig(dt=2e-3, n=16.0, t_end=0.2)
         traj = FriedrichsStepper(grid3, PARAMS, cfg, linear_only=True).run(
             s0, monitor=lambda s, flags: l2_norm(s.I), stride=20
@@ -320,26 +321,40 @@ class TestStep:
         cfg = StepperConfig(dt=1e-3, n=8.0, t_end=0.0)
         s0 = small_state(grid3, seed=49, amp=1e-3)
         traj = FriedrichsStepper(grid3, PARAMS, cfg).run(s0, stride=3)
-        assert traj.times == [0.0]
+        assert [s.t for s in FriedrichsStepper(grid3, PARAMS, cfg).iterate(s0, stride=3)] == [0.0]
         projected = FriedrichsProjector(grid3, cfg.n)(s0.h)
         assert np.array_equal(traj.final_state.h.coef, projected.coef)
 
     def test_times_strictly_increasing_and_stride_respected(self, grid3):
         cfg = StepperConfig(dt=1e-3, n=8.0, t_end=0.01)
-        traj = FriedrichsStepper(grid3, PARAMS, cfg).run(small_state(grid3, seed=50, amp=1e-3), stride=4)
-        diffs = np.diff(traj.times)
-        assert np.all(diffs > 0)
-        assert len(traj.times) == 1 + 2 + 1  # t0, two stride hits, final step
+        states = FriedrichsStepper(grid3, PARAMS, cfg).iterate(small_state(grid3, seed=50, amp=1e-3), stride=4)
+        times = [s.t for s in states]
+        assert np.all(np.diff(times) > 0)
+        assert len(times) == 1 + 2 + 1  # t0, two stride hits, final step
 
     def test_iterate_matches_run_bitwise(self, grid3):
         cfg = StepperConfig(dt=2e-3, n=8.0, t_end=0.03)
         s0 = small_state(grid3, seed=52, amp=1e-2)
-        traj = FriedrichsStepper(grid3, PARAMS, cfg).run(s0, stride=4)
+        traj = FriedrichsStepper(grid3, PARAMS, cfg).run(s0, monitor=lambda s, flags: s.t, stride=4)
         states = list(FriedrichsStepper(grid3, PARAMS, cfg).iterate(s0, stride=4))
-        assert [s.t for s in states] == traj.times
+        assert [s.t for s in states] == traj.records
         assert len(states) == 1 + 3 + 1  # t0, three stride hits, final step 15
         for name in ("h", "c", "I"):
             assert np.array_equal(getattr(states[-1], name).coef, getattr(traj.final_state, name).coef)
+
+    def test_prepare_projects_into_a_fresh_stack(self, grid3):
+        cfg = StepperConfig(dt=1e-3, n=8.0, t_end=0.01)
+        s0 = small_state(grid3, seed=53, amp=1e-2)
+        assert not np.shares_memory(FriedrichsStepper(grid3, PARAMS, cfg).prepare(s0).x.coef, s0.x.coef)
+
+    @pytest.mark.parametrize("linear_only", [True, False], ids=["linear", "nonlinear"])
+    def test_run_leaves_its_input_unchanged(self, grid3, linear_only):
+        # `experiment_perturb` at delta = 0 hands one state to two steppers
+        cfg = StepperConfig(dt=1e-3, n=8.0, t_end=0.01)
+        s0 = small_state(grid3, seed=54, amp=1e-2)
+        before = s0.x.coef.tobytes()
+        FriedrichsStepper(grid3, PARAMS, cfg, linear_only=linear_only).run(s0, stride=3)
+        assert s0.x.coef.tobytes() == before
 
     def test_cfl_checked_on_every_step(self, grid3, monkeypatch):
         # the speed crosses the margin during step 5 only; the run stops there
@@ -520,29 +535,26 @@ class TestSchemes:
 
 
 class TestLatticeConvergence:
-    def test_2d_distance_falls_tenfold_per_doubling(self):
+    @pytest.mark.parametrize("dim, t_end", [(2, 0.5), (3, 0.1)], ids=["2d", "3d"])
+    def test_distance_falls_tenfold_per_doubling(self, dim, t_end):
         # one band-limited start embedded exactly into M = 16, 32 and 64; n = M keeps every mode
-        cfg = parse_config("grid.N = 2\ngrid.M = 16\ninit.band_hi = 1\ninit.amplitude = 0.2\n")
+        cfg = parse_config(f"grid.N = {dim}\ngrid.M = 16\ninit.band_hi = 1\ninit.amplitude = 0.2\n")
         s0 = make_initial_data(cfg)
         finals = []
         for size in (16, 32, 64):
-            grid = Grid(dim=2, size=size)
-            start = NspState(*(embed(f, grid) for f in (s0.h, s0.c, s0.I)))
-            stepper = FriedrichsStepper(grid, cfg.params, StepperConfig(dt=0.01, n=float(size), t_end=0.5))
-            finals.append(stepper.run(start, stride=50).final_state)
-
-        def fields(s):
-            return s.h, s.c, s.I
+            grid = Grid(dim=dim, size=size)
+            stepper = FriedrichsStepper(grid, cfg.params, StepperConfig(dt=0.01, n=float(size), t_end=t_end))
+            finals.append(stepper.run(NspState(embed(s0.x, grid)), stride=50).final_state)
 
         def difference(coarse, fine):
-            return [embed(a, fine.grid) - b for a, b in zip(fields(coarse), fields(fine))]
+            return NspState(embed(coarse.x, fine.grid) - fine.x)
 
         def distance(coarse, fine):
-            return np.sqrt(sum(l2_norm(f) ** 2 for f in difference(coarse, fine)) / sum(l2_norm(f) ** 2 for f in fields(fine)))
+            return l2_norm(difference(coarse, fine).x) / l2_norm(fine.x)
 
         def e0_distance(coarse, fine):
             # the hybrid norms of h and u at the E(0) indices (`energy.e0_indices`), relative to the fine run's
-            return initial_energy(NspState(*difference(coarse, fine))) / initial_energy(fine)
+            return initial_energy(difference(coarse, fine)) / initial_energy(fine)
 
         for metric in (distance, e0_distance):
             d = [metric(a, b) for a, b in zip(finals, finals[1:])]

@@ -172,13 +172,15 @@ def zeta(x, rho_bar: float):
     band_lo, band_hi = CLAMP_BAND
     r = np.abs(np.asarray(x, dtype=np.float64))
     scalar = r.ndim == 0
-    r = np.atleast_1d(r) / rho_bar
-    # plateaus and the identity branch; the ramps overwrite the two gaps
-    out = np.clip(r, 0.25, 1.75)
-    lo = (r > 0.25) & (r < band_lo)
-    out[lo] = _hermite(r[lo], 0.25, band_lo, 0.25, band_lo, 0.0, 1.0)
-    hi = (r > band_hi) & (r < 1.75)
-    out[hi] = _hermite(r[hi], band_hi, 1.75, band_hi, 1.75, 1.0, 0.0)
+    out = np.atleast_1d(r)
+    out /= rho_bar
+    # plateaus and the identity branch, in place; clipping leaves the two gaps as they are, so
+    # their masks read the clipped values and the ramps overwrite them
+    np.clip(out, 0.25, 1.75, out=out)
+    lo = (out > 0.25) & (out < band_lo)
+    hi = (out > band_hi) & (out < 1.75)
+    out[lo] = _hermite(out[lo], 0.25, band_lo, 0.25, band_lo, 0.0, 1.0)
+    out[hi] = _hermite(out[hi], band_hi, 1.75, band_hi, 1.75, 1.0, 0.0)
 
     out *= rho_bar
     return float(out[0]) if scalar else out
@@ -211,8 +213,10 @@ def from_primitive(p: PrimitiveState, params: FluidParams) -> NspState:
 
 
 def _viscous_quotient(theta_phys: np.ndarray, params: FluidParams) -> np.ndarray:
-    """theta / (rho_bar * rho) with the density clamped by `zeta`."""
-    return theta_phys / (params.rho_bar * zeta(theta_phys + params.rho_bar, params.rho_bar))
+    """theta / (rho_bar * rho) with the density clamped by `zeta`, formed in the clamp's own array."""
+    q = zeta(theta_phys + params.rho_bar, params.rho_bar)
+    q *= params.rho_bar
+    return np.divide(theta_phys, q, out=q)
 
 
 @dataclass
@@ -228,17 +232,18 @@ class _RhsMultipliers:
     Each is the product of the operators it stands for, so every quantity is
     one multiply of h, c, u or the forward transform away, or one
     `spectral.div_curl` with a symbol stack: `ixi` (d_j on the band) or
-    `tend_j` (-Lambda^-1 d_j on the band).  The stored fields are
-    Nyquist-free, hence so is every product.
+    `tend_j` (-Lambda^-1 d_j on the band).  `visc_grad` is stored as the real
+    factor (mu + lambda) xi_j Lambda of the purely imaginary symbol
+    (mu + lambda) i xi_j Lambda, whose real part is +0 on every mode.  The
+    stored fields are Nyquist-free, hence so is every product.
     """
 
     def __init__(self, grid: Grid, params: FluidParams):
         lam = grid.lam
         self.lam = lam  # theta = Lambda h
         self.visc_lap = -params.mu * grid.lam_sq  # mu lap u
-        ixi = grid.ixi
-        self.visc_grad = (params.mu + params.lam) * ixi * lam  # (mu + lambda) grad div u, from c
-        self.ixi = grid.to_band(ixi)
+        self.visc_grad = (params.mu + params.lam) * np.stack(grid.wavenumbers) * lam  # (mu + lambda) grad div u, from c
+        self.ixi = grid.to_band(grid.ixi)
         self.lam_m = grid.to_band(lam)  # -Lambda^-1 div grad of |u|^2/2
         self.tend_j = grid.to_band(-grid.riesz)  # rows of -Lambda^-1 div and -Lambda^-1 curl of the fluxes
         self.full = sp.BandTransform(grid, grid.dim + 1, grid.size // 2)
@@ -255,7 +260,9 @@ def explicit_rhs(s: NspState, params: FluidParams) -> tuple[np.ndarray, RhsDiagn
     """Convection plus forcing tendencies for (h, c, I) in three batched transforms.
 
     Returns one fresh (2 + N(N-1)/2, *band_shape) stack in (h, c, I) row
-    order, untruncated (the stepper's propagators carry the cutoff).
+    order, untruncated (the stepper's propagators carry the cutoff).  It
+    shares no memory with the state, the multipliers or the transforms'
+    buffers, so a later call leaves it as it is.
 
     The advection of c cancels exactly between the left-hand convection term
     and the forcing G, so the net c tendency is -Lambda^-1 div J and the I
@@ -276,11 +283,18 @@ def explicit_rhs(s: NspState, params: FluidParams) -> tuple[np.ndarray, RhsDiagn
     (for the quotient and the diagnostics) and the viscous stress, N + 1
     components.  A band inverse takes u, theta and the N(N-1)/2 curl u
     components, gathered onto the two-thirds-rule band: N + 1 + N(N-1)/2
-    components, 7 in 3D.  Both inputs are written straight into the
-    transforms' own buffers (`BandTransform.inverse_input`).  A band forward
-    takes theta u, |u|^2/2 and the remaining flux: 2N + 1 components, 7 in
-    3D.  The tendencies are formed and returned on the band; curl u and the
-    c and I tendencies are each one `spectral.div_curl`.
+    components, 7 in 3D.  A band forward takes theta u, |u|^2/2 and the
+    remaining flux: 2N + 1 components, 7 in 3D.  The tendencies are formed
+    and returned on the band; curl u and the c and I tendencies are each one
+    `spectral.div_curl`.
+
+    Memory: both inverse inputs are written straight into the transforms'
+    own buffers (`BandTransform.inverse_input`).  Besides the returned
+    stack, the only fresh lattice arrays are the velocity, the full
+    inverse's output, the band forward's input stack, into which the band
+    inverse writes, and the forward's output; every other quantity is formed
+    in place in one of them, and each is dropped once its last reader is
+    done.
     """
     grid = s.grid
     dim = grid.dim
@@ -289,44 +303,56 @@ def explicit_rhs(s: NspState, params: FluidParams) -> tuple[np.ndarray, RhsDiagn
     c = s.c.coef[0]
     u = s.velocity().coef
 
-    # full inverse: raw theta, viscous stress mu lap u + (mu + lambda) grad div u
+    # band inverse: u, theta, (curl u)_ij (i < j) in `antisym_pairs` order; theta and u are gathered
+    # before the full inverse transforms its input in place and before u's rows are reused below
     full = mult.full.inverse_input(1 + dim)
     theta_raw, visc = full[:1], full[1:]
     np.multiply(mult.lam, s.h.coef, out=theta_raw)
-    np.multiply(mult.visc_lap, u, out=visc)
-    visc += mult.visc_grad * c
-
-    # band inverse: u, theta, (curl u)_ij (i < j) in `antisym_pairs` order; theta is gathered
-    # before the full inverse, which transforms its input in place
     band = mult.band.inverse_input(dim + 1 + len(pairs))
     u_m, theta_m, curl_u = np.split(band, (dim, dim + 1))
     u_m[...], theta_m[...] = grid.to_band(u), grid.to_band(theta_raw)
     curl_u[...] = sp.div_curl(mult.ixi, u_m)[1:]
-    theta_raw_p, visc_p = np.split(mult.full.to_physical(full), (1,))
-    theta_raw_p = theta_raw_p[0]
-    u_p, theta_p, curl_p = np.split(mult.band.to_physical(band), (dim, dim + 1))
-    speed_sq = np.sum(u_p**2, axis=0)
 
-    diag = RhsDiagnostics(
-        min_density=float(np.min(theta_raw_p)) + params.rho_bar,
-        max_density=float(np.max(theta_raw_p)) + params.rho_bar,
-        max_speed=float(np.sqrt(np.max(speed_sq))),
-    )
+    # full inverse: raw theta, viscous stress mu lap u + (mu + lambda) grad div u; u[k], read, holds
+    # the symbol (mu + lambda) i xi_k Lambda (real part +0) and then its product with c
+    for k, grad in enumerate(u):
+        np.multiply(mult.visc_lap, grad, out=visc[k])
+        grad.real, grad.imag = 0.0, mult.visc_grad[k]
+        grad *= c
+        visc[k] += grad
+    del u, grad
+    full_p = mult.full.to_physical(full)
+    theta_raw_p, flux = full_p[0], full_p[1:]
+    min_density = float(np.min(theta_raw_p)) + params.rho_bar
+    max_density = float(np.max(theta_raw_p)) + params.rho_bar
+    flux *= _viscous_quotient(theta_raw_p, params)
 
-    # band forward: theta u; |u|^2/2; sum_j u_j (curl u)_ij + quotient * viscous stress
-    prod = np.empty((2 * dim + 1,) + grid.shape)
-    theta_u, kinetic, flux = np.split(prod, (dim, dim + 1))
-    np.multiply(u_p, theta_p, out=theta_u)
-    np.multiply(speed_sq, 0.5, out=kinetic[0])
-    np.multiply(_viscous_quotient(theta_raw_p, params), visc_p, out=flux)
+    # band forward input: the band inverse's u, theta, curl u rows become theta u; |u|^2/2; the flux
+    # quotient * viscous stress + sum_j u_j (curl u)_ij, whose products pass through raw theta's row
+    prod = np.empty((max(2 * dim + 1, len(band)),) + grid.shape)
+    u_p, theta_p, curl_p = np.split(mult.band.to_physical(band, out=prod[: len(band)]), (dim, dim + 1))
     for p, (i, j) in enumerate(pairs):
-        flux[i] += u_p[j] * curl_p[p]
-        flux[j] -= u_p[i] * curl_p[p]
-    theta_u, kinetic, flux = np.split(mult.band.to_spectral(prod), (dim, dim + 1))
+        np.multiply(u_p[j], curl_p[p], out=theta_raw_p)
+        flux[i] += theta_raw_p
+        np.multiply(u_p[i], curl_p[p], out=theta_raw_p)
+        flux[j] -= theta_raw_p
+    speed_sq = theta_raw_p  # the squares pass through a curl u row
+    np.square(u_p[0], out=speed_sq)
+    for k in range(1, dim):
+        np.square(u_p[k], out=curl_p[0])
+        speed_sq += curl_p[0]
+    diag = RhsDiagnostics(min_density, max_density, max_speed=float(np.sqrt(np.max(speed_sq))))
+    u_p *= theta_p
+    np.multiply(speed_sq, 0.5, out=theta_p[0])
+    prod[dim + 1 : 2 * dim + 1] = flux
+    del full_p, theta_raw_p, flux, speed_sq, u_p, theta_p, curl_p
+    theta_u, kinetic, flux = np.split(mult.band.to_spectral(prod[: 2 * dim + 1]), (dim, dim + 1))
+    del prod
 
     # tendencies on the band: -Lambda^-1 div(theta u), -Lambda^-1 div J and -Lambda^-1 curl J
     tend_j = mult.tend_j
-    tend_h = np.sum(tend_j * theta_u, axis=0, keepdims=True)
-    tend_cI = sp.div_curl(tend_j, flux)
-    tend_cI[0] += mult.lam_m * kinetic[0]
-    return np.concatenate([tend_h, tend_cI]), diag
+    tend = np.empty((2 + len(pairs),) + theta_u.shape[1:], dtype=np.complex128)
+    np.sum(tend_j * theta_u, axis=0, out=tend[0])
+    tend[1:] = sp.div_curl(tend_j, flux)
+    tend[1] += mult.lam_m * kinetic[0]
+    return tend, diag

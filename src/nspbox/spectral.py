@@ -193,8 +193,13 @@ class Grid:
         return coef.reshape(coef.shape[: coef.ndim - self.dim] + (-1,))[..., self._band_flat]
 
     def add_band(self, coef: np.ndarray, band: np.ndarray) -> None:
-        """Add (ncomp, *band_shape) coefficients into a C-contiguous (ncomp, *spectral_shape) array, in place."""
-        coef.reshape(len(coef), -1)[:, self._band_flat] += band
+        """Add (ncomp, *band_shape) coefficients into a C-contiguous (ncomp, *spectral_shape) array, in place.
+
+        One unbuffered `np.add.at` a row, which gathers and scatters no temporary.
+        """
+        flat = self._band_flat.ravel()
+        for row, add in zip(coef.reshape(len(coef), -1), band):
+            np.add.at(row, flat, add.ravel())
 
     @property
     def ixi(self) -> np.ndarray:
@@ -388,7 +393,10 @@ class BandTransform:
     `ncomp` half-lattice components that the transform owns, so a step does
     not refault fresh pages for them: the inverse reads its band's m + 1
     last-axis columns, overwriting them as far as it reads them, and the
-    forward writes its ``rfft`` output there.  The results are fresh arrays.
+    forward writes its ``rfft`` output there.  The results are fresh arrays,
+    except that `to_physical` writes into the caller's `out` when given one.
+    The row moves go one component at a time: numpy buffers a move whose
+    source and target bounds overlap, so a whole-box move would copy it.
     """
 
     def __init__(self, grid: Grid, ncomp: int, m: int):
@@ -406,26 +414,28 @@ class BandTransform:
         """The (ncomp, *shape) view `to_physical` reads: fill it in place and pass it back; either transform overwrites it."""
         return self._corner(self._half[:ncomp], self.shape[:-1])
 
-    def to_physical(self, band: np.ndarray) -> np.ndarray:
-        """(ncomp, *shape) coefficients to real (ncomp, *grid.shape) values."""
+    def to_physical(self, band: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """(ncomp, *shape) coefficients to real (ncomp, *grid.shape) values, written into `out` if given."""
         size, m, n = self.grid.size, self.m, self._n
         half = self._half[: len(band)]
         self._corner(half, self.shape[:-1])[...] = band
         for a in range(1, self.grid.dim):
-            box, pre = self._corner(half, (size,) * a + self.shape[a:-1]), (slice(None),) * a
-            box[pre + (slice(size - n, None),)] = box[pre + (slice(m + 1, m + 1 + n),)]
-            box[pre + (slice(m + 1, size - n),)] = 0.0
+            box, pre = self._corner(half, (size,) * a + self.shape[a:-1]), (slice(None),) * (a - 1)
+            for row in box:  # a component at a time, so numpy does not buffer the move
+                row[pre + (slice(size - n, None),)] = row[pre + (slice(m + 1, m + 1 + n),)]
+                row[pre + (slice(m + 1, size - n),)] = 0.0
             np.fft.ifft(box, axis=a, norm="forward", out=box)
-        return np.fft.irfft(half, n=size, axis=-1, norm="forward")
+        return np.fft.irfft(half, n=size, axis=-1, norm="forward", out=out)
 
     def to_spectral(self, values: np.ndarray) -> np.ndarray:
         """Real (ncomp, *grid.shape) values to (ncomp, *shape) coefficients, exactly Hermitian."""
         dim, size, m, n = self.grid.dim, self.grid.size, self.m, self._n
         coef = np.fft.rfft(values, axis=-1, norm="forward", out=self._spec[: len(values)])
         for a in range(1, dim):
-            box, pre = self._corner(coef, self.shape[: a - 1] + (size,) * (dim - a)), (slice(None),) * a
+            box, pre = self._corner(coef, self.shape[: a - 1] + (size,) * (dim - a)), (slice(None),) * (a - 1)
             np.fft.fft(box, axis=a, norm="forward", out=box)
-            box[pre + (slice(m + 1, m + 1 + n),)] = box[pre + (slice(size - n, None),)]
+            for row in box:  # as in `to_physical`, a row at a time
+                row[pre + (slice(m + 1, m + 1 + n),)] = row[pre + (slice(size - n, None),)]
         return _symmetrize_zero_plane(self.grid, self._corner(coef, self.shape[:-1]).copy())
 
 

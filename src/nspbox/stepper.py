@@ -166,11 +166,15 @@ def expm(a: np.ndarray) -> np.ndarray:
 
 
 def _apply(pair: np.ndarray, heat: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """One stage as a new stack: the 2x2 `pair` on the (h, c) rows of the state stack `x`, `heat` on its I rows."""
+    """One stage as a new stack: the 2x2 `pair` on the (h, c) rows of the state stack `x`, `heat` on its I rows.
+
+    The pair's second products pass through the first I row before `heat` writes it.
+    """
     out = np.empty(x.shape, dtype=np.complex128)
     for i in range(2):
         np.multiply(pair[i, 0], x[:1], out=out[i : i + 1])
-        out[i : i + 1] += pair[i, 1] * x[1:2]
+        np.multiply(pair[i, 1], x[1:2], out=out[2:3])
+        out[i : i + 1] += out[2:3]
     np.multiply(heat, x[2:], out=out[2:])
     return out
 
@@ -288,6 +292,7 @@ class FriedrichsStepper:
         if stride < 1:
             raise ValueError("monitor stride must be >= 1")
         s = self.prepare(s0)
+        del s0  # `prepare` projected it into a fresh stack
         n_steps = round(self.cfg.t_end / self.cfg.dt)
         yield s
         for i in range(n_steps):
@@ -297,7 +302,9 @@ class FriedrichsStepper:
 
     def run(self, s0: NspState, monitor=None, stride: int = 1) -> Trajectory:
         traj = Trajectory()
-        for s in self.iterate(s0, stride):
+        states = self.iterate(s0, stride)
+        del s0  # held by `iterate` alone, which drops it once prepared
+        for s in states:
             if monitor is not None:
                 traj.records.append(monitor(s, self.flags))
         traj.final_state = s

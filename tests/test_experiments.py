@@ -229,6 +229,33 @@ class TestDrivers:
         assert (tmp_path / "summary.json").read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
 
+    @pytest.mark.parametrize("driver", [experiment_nonlinear, experiment_linear])
+    def test_initial_data_released_once_prepared(self, driver, tmp_path, monkeypatch):
+        # `prepare` projects the initial data into a fresh stack, so no frame of a monitored
+        # run keeps them through its steps
+        import gc
+        import weakref
+
+        from nspbox import experiments, stepper
+
+        made, alive = [], []
+        plain_make, plain_step = experiments.make_initial_data, stepper.FriedrichsStepper.step
+
+        def make(cfg):
+            s0 = plain_make(cfg)
+            made.append(weakref.ref(s0))
+            return s0
+
+        def step(self, s):
+            gc.collect()
+            alive.append(made[0]() is not None)
+            return plain_step(self, s)
+
+        monkeypatch.setattr(experiments, "make_initial_data", make)
+        monkeypatch.setattr(stepper.FriedrichsStepper, "step", step)
+        assert driver(parse_config(FAST_NONLINEAR), tmp_path).exit_code == 0
+        assert len(made) == 1 and alive and not any(alive)
+
 
 class TestCli:
     def test_run_ok(self, tmp_path):

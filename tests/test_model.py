@@ -1,9 +1,12 @@
 """Fluid parameters, the density clamp, primitive conversions, nonlinearities."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nspbox import model
 from nspbox.config import parse_config
 from nspbox.initial_data import make_initial_data
 from nspbox.model import (
@@ -360,6 +363,11 @@ def assert_matches_oracle(s: NspState, params: FluidParams) -> None:
         assert np.max(np.abs(g - w)) < 1e-13 * np.max(np.abs(w))
 
 
+def bits(a: np.ndarray) -> bytes:
+    """The bytes of `a`: equal for bitwise-equal arrays, signed zeros included."""
+    return np.ascontiguousarray(a).tobytes()
+
+
 def projected_state(grid, s: NspState, n: float = 4.0) -> NspState:
     """`s` cut to the annulus 1/n <= |xi| <= n, as a stepper feeds it to the RHS."""
     from nspbox.stepper import FriedrichsProjector
@@ -398,11 +406,11 @@ class TestExplicitRhs:
         sizes = {"full_inverse": [], "full_forward": [], "band_inverse": [], "band_forward": []}
         plain_inverse, plain_forward = spectral.BandTransform.to_physical, spectral.BandTransform.to_spectral
 
-        def to_physical(self, band):
+        def to_physical(self, band, **out):
             width, shape = shapes[self.m]
             assert band.shape[1:] == self.shape == shape
             sizes[f"{width}_inverse"].append(len(band))
-            return plain_inverse(self, band)
+            return plain_inverse(self, band, **out)
 
         def to_spectral(self, values):
             sizes[f"{shapes[self.m][0]}_forward"].append(len(values))
@@ -428,9 +436,9 @@ class TestExplicitRhs:
         calls = []
         for name in ("to_physical", "to_spectral"):
 
-            def counted(self, arg, _plain=getattr(spectral.BandTransform, name), _name=name):
+            def counted(self, arg, _plain=getattr(spectral.BandTransform, name), _name=name, **out):
                 calls.append((_name, widths[self.m]))
-                return _plain(self, arg)
+                return _plain(self, arg, **out)
 
             monkeypatch.setattr(spectral.BandTransform, name, counted)
         explicit_rhs(s, PARAMS3)
@@ -462,6 +470,50 @@ class TestExplicitRhs:
         tend, _ = explicit_rhs(NspState.zeros(grid3), PARAMS3)
         assert tend.shape == (2 + len_pairs(grid3),) + grid3.band_shape
         assert np.max(np.abs(tend)) == 0.0
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("size", [16, 32])
+    def test_real_viscous_gradient_factor_gives_the_complex_products(self, dim, size):
+        # `visc_grad` stores (mu + lambda) xi_j Lambda; the complex symbol it stands for,
+        # (mu + lambda) i xi_j Lambda, has real part +0 on every mode, so the product with c that
+        # `explicit_rhs` forms from it is the complex form's, bit for bit, signed zeros included
+        grid = Grid(dim, size)
+        params = FluidParams(mu=1.0, lam=0.25, rho_bar=1.0, dim=dim)
+        mult = model._rhs_multipliers(grid, params)
+        symbol = (params.mu + params.lam) * grid.ixi * grid.lam
+        assert bits(symbol.real) == bits(np.zeros(symbol.shape))
+        assert bits(symbol.imag) == bits(mult.visc_grad)
+        s = small_state(grid, seed=size + dim)
+        for state in (s, projected_state(grid, s)):
+            c, u = state.c.coef[0], state.velocity().coef
+            want = mult.visc_lap * u
+            want += symbol * c
+            got = mult.visc_lap * u
+            grad = np.zeros_like(u)
+            grad.imag = mult.visc_grad
+            grad *= c
+            got += grad
+            assert bits(got) == bits(want)
+
+    @pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
+    def test_no_aliasing_across_calls(self, grid_name, request):
+        # the multipliers and their transforms' buffers are shared by every caller of one
+        # (grid, params): a call on B leaves what a call on A returned as it was
+        grid = request.getfixturevalue(grid_name)
+        params = FluidParams(mu=1.0, lam=0.25, rho_bar=1.0, dim=grid.dim)
+        a, b = small_state(grid, seed=70, amp=0.3), small_state(grid, seed=71)
+        tend_a, diag_a = explicit_rhs(a, params)
+        kept = bits(tend_a), bits(np.array(dataclasses.astuple(diag_a)))
+        tend_b, diag_b = explicit_rhs(b, params)
+        assert (bits(tend_a), bits(np.array(dataclasses.astuple(diag_a)))) == kept
+        assert bits(tend_b) != kept[0]
+        mult = model._rhs_multipliers(grid, params)
+        shared = [mult.full._spec, mult.band._spec, a.x.coef, b.x.coef, tend_b]
+        shared += [v for v in vars(mult).values() if isinstance(v, np.ndarray)]
+        for buffer in shared:
+            assert not np.shares_memory(tend_a, buffer)
+        again, _ = explicit_rhs(a, params)
+        assert bits(again) == kept[0]
 
 
 # |(dE/dt + D) / D| of `budget_residual`: 4.2e-7 in 2D and -2.0e-8 in 3D measured; the faults

@@ -418,21 +418,20 @@ class TestStep:
 
 
 class TestMemory:
+    # the criterion-08 configuration (3D, M = 32) as `nonlinear3d` runs it; tracemalloc sizes in
+    # half-lattice complex components (0.266 MiB)
+    CONFIG = (
+        "grid.N = 3\ngrid.M = 32\nstepper.dt = 0.02\n"
+        "init.kind = random-band\ninit.amplitude = 1e-3\ninit.band_lo = 0\ninit.band_hi = 2\n"
+    )
+
     def test_warm_nonlinear_step_peak(self):
-        # one warmed step of the criterion-08 configuration (3D, M = 32), as `nonlinear3d` runs it: the
-        # tracemalloc peak of its fresh allocations, in half-lattice complex components (0.266 MiB);
-        # 32.04 measured, with the tendencies and their phi-stages on the two-thirds-rule band, both
-        # inverse transforms of `explicit_rhs` reading inputs filled in their owned buffers, and its
-        # curl u and c and I tendencies each one `spectral.div_curl`
+        # the peak of one warmed step's fresh allocations: 16.97 measured, with the new state (5),
+        # the first tendencies (1.4), and at most the full inverse's output (3.8) and the band
+        # forward's input stack (6.6) of `explicit_rhs`, which forms everything else in place
         import tracemalloc
 
-        from nspbox.config import parse_config
-        from nspbox.initial_data import make_initial_data
-
-        cfg = parse_config(
-            "grid.N = 3\ngrid.M = 32\nstepper.dt = 0.02\n"
-            "init.kind = random-band\ninit.amplitude = 1e-3\ninit.band_lo = 0\ninit.band_hi = 2\n"
-        )
+        cfg = parse_config(self.CONFIG)
         stepper = FriedrichsStepper(cfg.grid, cfg.params, cfg.stepper)
         s = stepper.step(stepper.prepare(make_initial_data(cfg)))
         tracemalloc.start()
@@ -444,7 +443,28 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         component = 16 * np.prod(cfg.grid.spectral_shape)
-        assert peak / component <= 33.0
+        assert peak / component <= 17.0
+
+    def test_live_set_after_prepare(self):
+        # what set-up leaves alive once the caller has dropped the initial data: 15.77 measured,
+        # the prepared state (5), the propagators and projector mask (4.4) and the grid's
+        # cached symbols (6.2, the complex Riesz symbols 3 of them)
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            cfg = parse_config(self.CONFIG)
+            s0 = make_initial_data(cfg)
+            stepper = FriedrichsStepper(cfg.grid, cfg.params, cfg.stepper)
+            s = stepper.prepare(s0)
+            del s0
+            live = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        component = 16 * np.prod(cfg.grid.spectral_shape)
+        assert s.x.ncomp == 5
+        assert live / component <= 16.0
 
 
 class TestInterleaving:

@@ -42,7 +42,6 @@ DEFAULTS: dict[str, tuple] = {
     "init.seed": (int, 0, "RNG seed for random data"),
     "init.band_lo": (int, 0, "lowest shell populated by random-band"),
     "init.band_hi": (int, 2, "highest shell populated by random-band"),
-    "init.decay": (float, 1.0, "spectral decay rate of smooth-random data"),
     "monitor.stride": (int, 10, "steps between monitor samples"),
     "energy.K": (float, 0.0, "convection-weight gain in post-processing"),
     "energy.bound": (float, 16.0, "global-bound factor: E(t) <= bound * E(0), > 0"),
@@ -61,7 +60,6 @@ class RunConfig:
     seed: int
     band_lo: int
     band_hi: int
-    decay: float
     monitor_stride: int
     k_weight: float
     bound: float
@@ -148,7 +146,6 @@ def parse_config(text: str) -> RunConfig:
         seed=values["init.seed"],
         band_lo=values["init.band_lo"],
         band_hi=values["init.band_hi"],
-        decay=values["init.decay"],
         monitor_stride=values["monitor.stride"],
         k_weight=values["energy.K"],
         bound=values["energy.bound"],

@@ -75,6 +75,16 @@ def _monitored_run(cfg: RunConfig, out_dir, linear_only: bool):
     return monitor, traj
 
 
+def _lockstep(cfg: RunConfig, cfg_b: RunConfig, state_a: NspState, state_b: NspState):
+    """The states of runs `cfg` from `state_a` and `cfg_b` from `state_b`, paired every `cfg.monitor_stride` steps.
+
+    zip advances each stepper a stride in turn; they share no state, so the
+    pairs are the same instants on a shared clock.
+    """
+    runs = ((cfg, state_a), (cfg_b, state_b))
+    return zip(*(FriedrichsStepper(c.grid, c.params, c.stepper).iterate(s, cfg.monitor_stride) for c, s in runs))
+
+
 def _write_rows(out_dir, name: str, rows: list[dict]) -> None:
     """Write `rows` to `name` under `out_dir`, one JSON object per line."""
     os.makedirs(out_dir, exist_ok=True)
@@ -144,18 +154,9 @@ def experiment_refine(cfg: RunConfig, out_dir, do_assert: bool = False) -> Exper
     cfg_fine = dataclasses.replace(
         cfg, stepper=dataclasses.replace(cfg.stepper, n=2.0 * cfg.stepper.n)
     )
-    state_a = make_initial_data(cfg)
-    state_b = make_initial_data(cfg_fine)
-
     idx_h, idx_u = energy.e0_indices(cfg.grid.dim)
-    stepper_a = FriedrichsStepper(cfg.grid, cfg.params, cfg.stepper)
-    stepper_b = FriedrichsStepper(cfg_fine.grid, cfg_fine.params, cfg_fine.stepper)
     rows = []
-    # zip advances each stepper a stride in turn; they share no state, so the
-    # pairs are the same instants on a shared clock
-    for sa, sb in zip(
-        stepper_a.iterate(state_a, cfg.monitor_stride), stepper_b.iterate(state_b, cfg.monitor_stride)
-    ):
+    for sa, sb in _lockstep(cfg, cfg_fine, make_initial_data(cfg), make_initial_data(cfg_fine)):
         dh, du = sb.h - sa.h, sb.velocity() - sa.velocity()
         rows.append({"t": sa.t, "dist_h": lp.hybrid_norm(dh, idx_h), "dist_u": lp.hybrid_norm(du, idx_u)})
 
@@ -178,12 +179,8 @@ def experiment_perturb(cfg: RunConfig, out_dir, do_assert: bool = False) -> Expe
         state_b = state_a  # `prepare` projects into a fresh stack, so neither stepper writes it
 
     diff_monitor = energy.EnergyMonitor(cfg.params)
-    stepper_a = FriedrichsStepper(cfg.grid, cfg.params, cfg.stepper)
-    stepper_b = FriedrichsStepper(cfg.grid, cfg.params, cfg.stepper)
     rows = []
-    for sa, sb in zip(
-        stepper_a.iterate(state_a, cfg.monitor_stride), stepper_b.iterate(state_b, cfg.monitor_stride)
-    ):
+    for sa, sb in _lockstep(cfg, cfg, state_a, state_b):
         diff = NspState(sb.x - sa.x, sa.t)
         diff_e = diff_monitor(diff).e_value
         rows.append({"t": sa.t, "diff_e": diff_e, "normalized": diff_e / delta if delta > 0 else diff_e})
@@ -204,9 +201,7 @@ def experiment_check_lemmas(cfg: RunConfig, out_dir, do_assert: bool = False) ->
     grid = cfg.grid
     rng = np.random.default_rng(cfg.seed)
     filters = lp.shell_filters(grid)
-    nz = grid.lam > 0
-
-    partition = float(np.max(np.abs(filters.masks.sum(axis=0)[nz] - 1.0)))
+    partition = float(np.max(np.abs(filters.radial_masks.sum(axis=0)[grid.radii > 0] - 1.0)))
 
     recon_defect = 0.0
     bernstein_ok = True

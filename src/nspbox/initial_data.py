@@ -19,6 +19,8 @@ __all__ = ["make_initial_data"]
 
 # raw density contrast before the exact rescale; keeps the generator positive
 _RAW_CONTRAST = 0.05
+# spectral decay rate of smooth-random data, exp(-_DECAY |xi|)
+_DECAY = 1.0
 
 
 def _band_edges(k_lo: int, k_hi: int) -> tuple[float, float]:
@@ -44,9 +46,8 @@ def _primitive_fields(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
         theta = sp.random_field(grid, 1, rng, xi_lo=lo, xi_hi=min(hi, grid.xi_max))
         u_spec = sp.random_field(grid, grid.dim, rng, xi_lo=lo, xi_hi=min(hi, grid.xi_max))
     elif cfg.init_kind == "smooth-random":
-        decay = cfg.decay
-        theta = sp.random_field(grid, 1, rng, spectrum=lambda lam: np.exp(-decay * lam))
-        u_spec = sp.random_field(grid, grid.dim, rng, spectrum=lambda lam: np.exp(-decay * lam))
+        theta = sp.random_field(grid, 1, rng, spectrum=lambda lam: np.exp(-_DECAY * lam))
+        u_spec = sp.random_field(grid, grid.dim, rng, spectrum=lambda lam: np.exp(-_DECAY * lam))
     else:
         raise ValueError(f"unsupported generator kind {cfg.init_kind!r}")
 

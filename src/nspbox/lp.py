@@ -15,9 +15,9 @@ shells `ShellFilters.ks` with it for each index.  `hybrid_norm` and
 `besov_norm`, the field-level entry points, reject non-finite exponents.
 
 The cutoffs are radial, so `shell_filters` evaluates the profile once per
-distinct |xi| of the grid (`Grid.radii`) and keeps those (shells, radii)
-masks; `ShellFilters.masks` is their gather onto the half lattice, and
-`ShellFilters.mask` and `dyadic_block` stay plain multipliers.  A shell
+distinct |xi| of the grid (`Grid.radii`) and keeps only those (shells,
+radii) masks; `ShellFilters.mask` gathers one shell's row onto the half
+lattice, so it and `dyadic_block` stay plain multipliers.  A shell
 spectrum needs only the radial power `radial_power(f)`: `mode_power` (re^2 +
 im^2 summed over the components) Hermitian-weighted and summed over each
 radius.  Block norm k is sqrt(sum_r mask_k(r)^2 power(r)); a hybrid norm is
@@ -27,7 +27,7 @@ one dot product of the block norms with the weights 2^{ks} or 2^{kt}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -130,14 +130,10 @@ class ShellFilters:
     ks: np.ndarray
     radial_masks: np.ndarray
 
-    @cached_property
-    def masks(self) -> np.ndarray:
-        """The radial masks gathered onto the half lattice, shape (shells, *spectral_shape)."""
-        return self.radial_masks[:, self.grid.radial_index]
-
     def mask(self, k: int) -> np.ndarray:
+        """Shell k's radial row gathered onto the half lattice; zero for a k outside `ks`."""
         if k in self.ks:
-            return self.masks[k - self.ks[0]]
+            return self.radial_masks[k - self.ks[0]][self.grid.radial_index]
         return np.zeros(self.grid.spectral_shape)
 
     def spectrum(self, power: np.ndarray) -> np.ndarray:

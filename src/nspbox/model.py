@@ -242,8 +242,8 @@ class _RhsMultipliers:
         lam = grid.lam
         self.lam = lam  # theta = Lambda h
         self.visc_lap = -params.mu * grid.lam_sq  # mu lap u
-        self.visc_grad = (params.mu + params.lam) * np.stack(grid.wavenumbers) * lam  # (mu + lambda) grad div u, from c
-        self.ixi = grid.to_band(grid.ixi)
+        self.visc_grad = np.stack([(params.mu + params.lam) * x * lam for x in grid.wavenumbers])  # (mu + lambda) grad div u
+        self.ixi = grid.to_band(np.stack(np.broadcast_arrays(*grid.ixi)))
         self.lam_m = grid.to_band(lam)  # -Lambda^-1 div grad of |u|^2/2
         self.tend_j = grid.to_band(-grid.riesz)  # rows of -Lambda^-1 div and -Lambda^-1 curl of the fluxes
         self.full = sp.BandTransform(grid, grid.dim + 1, grid.size // 2)

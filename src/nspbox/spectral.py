@@ -24,11 +24,15 @@ mode once on the last-axis zero (and Nyquist) plane and twice on the
 interior planes, which carry their unstored mirrors.  `l2_norm` and
 `Grid.radial_sum` use it; pointwise multipliers need no weight.
 
-Radial table: Littlewood-Paley cutoffs, shell energy forms, the linear
-propagators and the form bounds depend on |xi| alone, so they are evaluated
-once per distinct |xi| (``Grid.radii``, 464 values for the 17,408 stored
-modes of a 3D M=32 grid) and gathered with ``Grid.radial_index``;
-``Grid.radial_sum`` reduces a per-mode array onto the same radii.
+Lattice tables, each in one form: what separates by axis is open axes that
+broadcast to the half lattice (``Grid.wavenumbers``, ``Grid.ixi``), and only
+what a step or a monitor sample reads per mode (``Grid.lam``, ``radial_index``,
+``riesz``, ``nyquist_mask``) is a full half-lattice array.  Littlewood-Paley
+cutoffs, shell energy forms, the linear propagators and the form bounds depend
+on |xi| alone, so they are evaluated once per distinct |xi| (``Grid.radii``,
+464 values for the 17,408 stored modes of a 3D M=32 grid) and gathered with
+``Grid.radial_index``; ``Grid.radial_sum`` reduces a per-mode array onto the
+same radii.
 
 Dealiased band: the two-thirds rule keeps |k_i| <= size/3 on every axis,
 the box ``Grid.band_shape`` (2m+1 lead wavenumbers [0..m, -m..-1], 0..m
@@ -38,8 +42,9 @@ m maps it to and from physical space with the passes of the full
 transforms, less the all-zero ones, in one buffer it owns.
 
 Div and curl: `div_curl` forms the rows sum_j s_j v_j and s_j v_i - s_i v_j
-(i < j) of a stack v for a symbol stack s: div v and curl v with `Grid.ixi`,
-Lambda^-1 div v and Lambda^-1 curl v with `Grid.riesz`.
+(i < j) of a stack v for symbol rows s that broadcast against it: div v and
+curl v with the open axes `Grid.ixi`, Lambda^-1 div v and Lambda^-1 curl v
+with `Grid.riesz`.
 
 Zero-mode convention: fractional powers of the Laplacian and every inverse
 operator (Lambda^-1 gradients/divergences) annihilate the zero mode.
@@ -50,7 +55,7 @@ data-carrying, exactly Hermitian lattice only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 # numpy >= 2 loads fft and random on first use; load them with the package, not inside a driver
@@ -117,22 +122,15 @@ class Grid:
         return self.length / self.size
 
     @cached_property
-    def _freq1d(self) -> np.ndarray:
-        # integer FFT frequencies scaled to physical wavenumbers
-        return 2.0 * np.pi / self.length * np.fft.fftfreq(self.size, d=1.0 / self.size)
-
-    def _mesh(self, per_axis: np.ndarray) -> list[np.ndarray]:
-        """A full-lattice 1-D axis array meshed over the half lattice, one array per axis."""
-        axes = [per_axis] * (self.dim - 1) + [per_axis[: self.size // 2 + 1]]
-        return np.meshgrid(*axes, indexing="ij")
-
-    @cached_property
     def wavenumbers(self) -> tuple[np.ndarray, ...]:
-        """Meshed wavenumber arrays xi_i, one per axis, each of shape `spectral_shape`."""
-        return tuple(self._mesh(self._freq1d))
+        """Wavenumbers xi_i as open axes (a sparse meshgrid), one per axis, that broadcast to `spectral_shape`."""
+        freq = 2.0 * np.pi / self.length * np.fft.fftfreq(self.size, d=1.0 / self.size)
+        axes = [freq] * (self.dim - 1) + [freq[: self.size // 2 + 1]]
+        return tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
 
-    @cached_property
+    @property
     def lam_sq(self) -> np.ndarray:
+        """|xi|^2 on the half lattice; built on each access, as only set-up reads it."""
         return sum(x * x for x in self.wavenumbers)
 
     @cached_property
@@ -169,7 +167,8 @@ class Grid:
     @cached_property
     def nyquist_mask(self) -> np.ndarray:
         """True where any axis sits on the (zeroed-by-convention) Nyquist plane."""
-        return np.logical_or.reduce(self._mesh(np.arange(self.size) == self.size // 2))
+        nyquist = self.wavenumbers[0].flat[self.size // 2]
+        return reduce(np.logical_or, (x == nyquist for x in self.wavenumbers))
 
     @cached_property
     def _nyquist_planes(self) -> tuple[tuple, ...]:
@@ -202,16 +201,16 @@ class Grid:
             np.add.at(row, flat, add.ravel())
 
     @property
-    def ixi(self) -> np.ndarray:
-        """Symbols 1j xi_j of d_j, one row per axis; built on each access, so the grid does not hold it."""
-        return 1j * np.stack(self.wavenumbers)
+    def ixi(self) -> tuple[np.ndarray, ...]:
+        """Symbols 1j xi_j of d_j as open axes, one per axis (see `wavenumbers`); built on each access."""
+        return tuple(1j * x for x in self.wavenumbers)
 
     @cached_property
     def riesz(self) -> np.ndarray:
         """Symbols 1j xi_j / |xi| of Lambda^-1 d_j, one row per axis; zero at the zero mode."""
         inv_lam = np.zeros_like(self.lam)
         np.divide(1.0, self.lam, out=inv_lam, where=self.lam > 0)
-        return self.ixi * inv_lam
+        return np.stack([x * inv_lam for x in self.ixi])
 
     @cached_property
     def hermitian_weight(self) -> np.ndarray:
@@ -461,13 +460,13 @@ def apply_lambda(f: SpectralField, s: float) -> SpectralField:
 def div_curl(symbol: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rows sum_j s_j v_j, then s_j v_i - s_i v_j for each (i, j) of `antisym_pairs`.
 
-    `symbol` and `v` are (N, ...) stacks, one row per axis, that broadcast
-    row by row.  With `Grid.ixi` the rows are div v and curl v, (curl v)_ij
-    = d_j v_i - d_i v_j; with `Grid.riesz` they are Lambda^-1 div v and
-    Lambda^-1 curl v.
+    `symbol` and `v` are sequences of N rows, one per axis, whose rows all
+    broadcast together: an (N, ...) stack or the open axes of `Grid.ixi`.
+    With `Grid.ixi` the rows are div v and curl v, (curl v)_ij = d_j v_i -
+    d_i v_j; with `Grid.riesz` they are Lambda^-1 div v and Lambda^-1 curl v.
     """
     pairs = antisym_pairs(len(symbol))
-    shape = np.broadcast_shapes(symbol.shape[1:], v.shape[1:])
+    shape = np.broadcast_shapes(*(row.shape for row in symbol), *(row.shape for row in v))
     out = np.empty((1 + len(pairs),) + shape, dtype=np.complex128)
     np.multiply(symbol[0], v[0], out=out[0])
     for j in range(1, len(symbol)):
@@ -528,13 +527,8 @@ def random_field(
     if xi_hi is None:
         xi_hi = grid.xi_max
     size, half = grid.size, grid.size // 2 + 1
-    # |xi| on the stored half from broadcast 1-D frequencies; band and spectrum are even in xi
-    freqs = [grid._freq1d] * (grid.dim - 1) + [grid._freq1d[:half]]
-    axes = [x.reshape((-1,) + (1,) * (grid.dim - 1 - i)) for i, x in enumerate(freqs)]
-    lam = np.sqrt(sum(x * x for x in axes))
-    band = (lam > xi_lo) & (lam <= xi_hi)
-    for x in axes:  # no Nyquist plane
-        band &= x != grid._freq1d[size // 2]
+    lam = grid.lam  # band and spectrum are even in xi
+    band = (lam > xi_lo) & (lam <= xi_hi) & ~grid.nyquist_mask
     band[(0,) * grid.dim] = False
     if not band.any():
         raise ValueError(f"band ({xi_lo}, {xi_hi}] is empty on this grid")

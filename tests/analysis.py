@@ -1,5 +1,5 @@
-"""Analysis only the checks read: a field-by-field state builder, spectral operators, energy budget,
-shell-form sandwich, smoothing integral.
+"""Analysis only the checks read: a field-by-field state builder, a meshed-lattice oracle, spectral operators,
+energy budget, shell-form sandwich, smoothing integral.
 
 No solver or driver path forms these; the tests and `make_fixtures.py` measure the package with them.
 """
@@ -15,6 +15,7 @@ from nspbox.spectral import Grid, SpectralField, antisym_pairs, l2_norm
 
 __all__ = [
     "state_of",
+    "meshed_lattice",
     "inner",
     "gradient",
     "divergence",
@@ -31,6 +32,39 @@ __all__ = [
 def state_of(h: SpectralField, c: SpectralField, I: SpectralField, t: float = 0.0) -> NspState:
     """The state whose (h, c, I) stack is a copy of the three fields' rows."""
     return NspState(SpectralField(h.grid, np.concatenate([h.coef, c.coef, I.coef])), t)
+
+
+def meshed_lattice(grid: Grid, params: FluidParams) -> dict[str, np.ndarray]:
+    """The grid's lattice tables and `model._rhs_multipliers`' symbols, formed from full meshed arrays.
+
+    The oracle of `Grid`'s open axes: the wavenumbers are one meshed (dim,
+    *spectral_shape) stack, the Nyquist test reads lattice indices, the radii
+    come from `np.unique` and the band is a direct `np.ix_` gather.  Each
+    entry is what `Grid` or the multipliers should hold, bit for bit.
+    """
+    size, half, m = grid.size, grid.size // 2 + 1, grid.size // 3
+    freq = 2.0 * np.pi / grid.length * np.fft.fftfreq(size, d=1.0 / size)
+    xi = np.stack(np.meshgrid(*[freq] * (grid.dim - 1), freq[:half], indexing="ij"))
+    on_nyquist = np.arange(size) == size // 2
+    nyquist = np.logical_or.reduce(np.meshgrid(*[on_nyquist] * (grid.dim - 1), on_nyquist[:half], indexing="ij"))
+    lam_sq = sum(x * x for x in xi)
+    lam = np.sqrt(lam_sq)
+    radii_sq = np.unique(lam_sq)
+    inv_lam = np.zeros_like(lam)
+    np.divide(1.0, lam, out=inv_lam, where=lam > 0)
+    lead = np.r_[0 : m + 1, size - m : size]
+    band = (slice(None),) + np.ix_(*[lead] * (grid.dim - 1), np.arange(m + 1))
+    return {
+        "lam_sq": lam_sq,
+        "lam": lam,
+        "radii": np.sqrt(radii_sq),
+        "radial_index": np.searchsorted(radii_sq, lam_sq),
+        "nyquist_mask": nyquist,
+        "ixi": 1j * xi,
+        "riesz": 1j * xi * inv_lam,
+        "visc_grad": (params.mu + params.lam) * xi * lam,
+        "band_ixi": (1j * xi)[band],
+    }
 
 
 def inner(f: SpectralField, g: SpectralField) -> float:

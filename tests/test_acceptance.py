@@ -60,7 +60,7 @@ def test_criterion_01_shell_decomposition_exactness(grid32):
     start = time.monotonic()
     filters = shell_filters(grid32)
     data_band = (grid32.lam > 0) & ~grid32.nyquist_mask
-    partition = float(np.max(np.abs(filters.masks.sum(axis=0)[data_band] - 1.0)))
+    partition = float(np.max(np.abs(filters.radial_masks.sum(axis=0)[grid32.radial_index[data_band]] - 1.0)))
     assert partition < 1e-12
 
     rng = np.random.default_rng(100)

@@ -83,6 +83,12 @@ class TestParseConfig:
             parse_config(f"grid.M = 16\n{key} = 16\n")
         assert err.value.line == 2
 
+    def test_removed_decay_key_rejected(self):
+        # smooth-random data decay at one fixed rate; an old config that sets it fails at its line
+        with pytest.raises(ConfigError, match="^line 2: unknown key 'init.decay'$") as err:
+            parse_config("grid.M = 16\ninit.decay = 2.0\n")
+        assert err.value.line == 2
+
     @pytest.mark.parametrize("dt, t_end", [(0.3, 1.0), (0.3, 0.1), (0.02, 1.21)])
     def test_fractional_step_count_rejected_with_stepper_prefix(self, dt, t_end):
         with pytest.raises(ConfigError, match="^stepper: t_end must be a whole number of steps"):

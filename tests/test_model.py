@@ -480,7 +480,7 @@ class TestExplicitRhs:
         grid = Grid(dim, size)
         params = FluidParams(mu=1.0, lam=0.25, rho_bar=1.0, dim=dim)
         mult = model._rhs_multipliers(grid, params)
-        symbol = (params.mu + params.lam) * grid.ixi * grid.lam
+        symbol = (params.mu + params.lam) * np.stack(np.broadcast_arrays(*grid.ixi)) * grid.lam
         assert bits(symbol.real) == bits(np.zeros(symbol.shape))
         assert bits(symbol.imag) == bits(mult.visc_grad)
         s = small_state(grid, seed=size + dim)

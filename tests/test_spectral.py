@@ -18,8 +18,12 @@ from nspbox.spectral import (
     transform_to_spectral,
 )
 
-from analysis import curl, divergence, gradient, inner, poisson_solve
+from nspbox import model
+from nspbox.model import FluidParams
+
+from analysis import curl, divergence, gradient, inner, meshed_lattice, poisson_solve
 from conftest import antisym_divergence, constant, dealias_mask, hermitian_defect, wave
+from test_model import bits
 
 
 def keep_mask(grid: Grid) -> np.ndarray:
@@ -32,6 +36,30 @@ def hermitian_symmetrize(f: SpectralField) -> SpectralField:
     from nspbox.spectral import _symmetrize_zero_plane
 
     return SpectralField(f.grid, _symmetrize_zero_plane(f.grid, f.coef.copy()))
+
+
+def random_field_oracle(grid: Grid, ncomp: int, rng, xi_lo=0.0, xi_hi=None, spectrum=None) -> np.ndarray:
+    """`random_field`'s coefficients derived from its own broadcast 1-D frequencies and a per-axis Nyquist test."""
+    if xi_hi is None:
+        xi_hi = grid.xi_max
+    size, half = grid.size, grid.size // 2 + 1
+    freq = 2.0 * np.pi / grid.length * np.fft.fftfreq(size, d=1.0 / size)
+    axes = [x.reshape((-1,) + (1,) * (grid.dim - 1 - i)) for i, x in enumerate([freq] * (grid.dim - 1) + [freq[:half]])]
+    lam = np.sqrt(sum(x * x for x in axes))
+    band = (lam > xi_lo) & (lam <= xi_hi)
+    for x in axes:
+        band &= x != freq[size // 2]
+    band[(0,) * grid.dim] = False
+    shape = (ncomp,) + grid.shape
+    coef = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    lead = tuple(range(1, grid.dim))
+    mirror = np.roll(np.flip(coef[..., -np.arange(half) % size], axis=lead), shift=1, axis=lead)
+    coef = coef[..., :half] * band
+    mirror *= band
+    if spectrum is not None:
+        coef *= spectrum(lam)
+        mirror *= spectrum(lam)
+    return 0.5 * (coef + np.conj(mirror))
 
 
 BAND_GRIDS = {f"{dim}d-M{size}": Grid(dim=dim, size=size) for dim in (2, 3) for size in (8, 16, 32, 64)}
@@ -52,9 +80,35 @@ class TestGrid:
         # on the last-axis zero plane, every surviving wavenumber has its negative
         keep = keep_mask(grid3)[..., 0] > 0
         for xi in grid3.wavenumbers:
-            plane = xi[..., 0]
+            plane = np.broadcast_to(xi, grid3.spectral_shape)[..., 0]
             flipped = np.roll(np.flip(plane, axis=(0, 1)), 1, axis=(0, 1))
             assert np.array_equal(plane[keep], -flipped[keep])
+
+    @pytest.mark.parametrize("length", [2.0 * np.pi, 3.0], ids=["2pi", "3"])
+    @pytest.mark.parametrize("size", [8, 16, 32])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_lattice_tables_equal_the_meshed_oracle(self, dim, size, length):
+        # the open wavenumber axes broadcast to the tables a meshed lattice gives, bit for bit
+        grid = Grid(dim, size, length)
+        params = FluidParams(mu=0.7, lam=0.2, rho_bar=1.3, dim=dim)
+        want = meshed_lattice(grid, params)
+        assert all(x.ndim == dim and x.size == grid.spectral_shape[i] for i, x in enumerate(grid.wavenumbers))
+        mult = model._rhs_multipliers(grid, params)
+        got = {
+            "lam_sq": grid.lam_sq,
+            "lam": grid.lam,
+            "radii": grid.radii,
+            "radial_index": grid.radial_index,
+            "nyquist_mask": grid.nyquist_mask,
+            "ixi": np.stack(np.broadcast_arrays(*grid.ixi)),
+            "riesz": grid.riesz,
+            "visc_grad": mult.visc_grad,
+            "band_ixi": mult.ixi,
+        }
+        for name, table in want.items():
+            assert got[name].shape == table.shape, name
+            assert got[name].dtype == table.dtype, name
+            assert bits(got[name]) == bits(table), name
 
     def test_half_lattice_layout(self, grid3):
         assert grid3.spectral_shape == (16, 16, 9)
@@ -96,6 +150,18 @@ class TestTransforms:
         assert np.all(f.coef[:, grid3.nyquist_mask] == 0)
         phys = transform_to_physical(f)
         assert phys.dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "band", [{}, {"xi_lo": 1.5, "xi_hi": 5.0}, {"spectrum": lambda lam: np.exp(-lam)},
+                 {"xi_lo": 2.0, "spectrum": lambda lam: 1.0 / (1.0 + lam**2)}],
+        ids=["plain", "band", "spectrum", "band-spectrum"],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("grid", [Grid(2, 16), Grid(3, 16), Grid(3, 8, 3.0)], ids=["2d", "3d", "3d-L3"])
+    def test_random_field_equals_its_full_lattice_derivation(self, grid, seed, band):
+        got = random_field(grid, grid.dim, np.random.default_rng(seed), **band)
+        want = random_field_oracle(grid, grid.dim, np.random.default_rng(seed), **band)
+        assert bits(got.coef) == bits(want)
 
     def test_shape_mismatch_rejected(self, grid3):
         with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ from .spectral import (
     helmholtz_recompose,
 )
 from .lp import besov_norm, hybrid_norm, dyadic_block
-from .model import FluidParams, NspState, PrimitiveState, from_primitive
+from .model import FluidParams, NspState
 from .stepper import FriedrichsProjector, FriedrichsStepper, StepperConfig
 from .energy import EnergyMonitor, EstimateConstants, compute_constants
 
@@ -30,8 +30,6 @@ __all__ = [
     "dyadic_block",
     "FluidParams",
     "NspState",
-    "PrimitiveState",
-    "from_primitive",
     "FriedrichsProjector",
     "FriedrichsStepper",
     "StepperConfig",

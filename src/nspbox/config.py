@@ -28,7 +28,7 @@ INIT_KINDS = ("single-mode", "random-band", "smooth-random")
 
 # key -> (parser, default, description)
 DEFAULTS: dict[str, tuple] = {
-    "grid.N": (int, 3, "space dimension (2 or 3)"),
+    "grid.N": (int, 3, "space dimension, >= 2"),
     "grid.M": (int, 32, "points per axis, power of two >= 8"),
     "grid.L": (float, 2.0 * math.pi, "box edge length"),
     "params.mu": (float, 1.0, "shear viscosity, mu > 0"),

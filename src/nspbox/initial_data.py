@@ -1,9 +1,11 @@
 """Deterministic initial-data generation for the experiment drivers.
 
-All kinds produce a primitive (density, velocity) pair, convert it to the
-damped variables, project onto the truncation annulus, and finally rescale
-the state so the measured initial energy norm equals the requested
-amplitude exactly.
+Every kind is made on the half lattice, where the state lives: a density
+deviation theta and a velocity u (the random kinds scale each to its peak
+with one inverse transform) become the (h, c, I) stack h = Lambda^-1 theta,
+(c, I) = `spectral.helmholtz_decompose(u)`.  The stack is projected onto the
+truncation annulus and rescaled, in place, so the measured initial energy
+norm equals the requested amplitude exactly.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import numpy as np
 
 from . import energy, lp, spectral as sp
 from .config import RunConfig
-from .model import NspState, from_primitive, PrimitiveState
+from .model import NspState
 from .stepper import FriedrichsProjector
 
 __all__ = ["make_initial_data"]
@@ -29,54 +31,54 @@ def _band_edges(k_lo: int, k_hi: int) -> tuple[float, float]:
     return lo * 2.0**k_lo, hi * 2.0**k_hi
 
 
-def _primitive_fields(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
-    grid, rho_bar = cfg.grid, cfg.params.rho_bar
-    rng = np.random.default_rng(cfg.seed)
+def _raw_fields(cfg: RunConfig) -> tuple[sp.SpectralField, sp.SpectralField]:
+    """h = Lambda^-1 theta and u before projection: theta peaks at _RAW_CONTRAST * rho_bar, u at speed 1 (or zero)."""
+    grid, contrast = cfg.grid, _RAW_CONTRAST * cfg.params.rho_bar
 
     if cfg.init_kind == "single-mode":
-        x1 = grid.coordinates()[0]
-        rho = rho_bar + _RAW_CONTRAST * rho_bar * np.cos(2.0 * np.pi / grid.length * x1)
-        u = np.zeros((grid.dim,) + grid.shape)
-        return rho, u
+        # contrast * cos(xi_min x_1): half its amplitude at each of the lattice points +-e_1, which
+        # the last-axis zero plane both stores
+        theta = sp.SpectralField.zeros(grid)
+        theta.coef[(0, [1, -1]) + (0,) * (grid.dim - 1)] = 0.5 * contrast
+        return sp.apply_lambda(theta, -1.0), sp.SpectralField.zeros(grid, grid.dim)
 
     if cfg.init_kind == "random-band":
         lo, hi = _band_edges(cfg.band_lo, cfg.band_hi)
         if hi <= grid.xi_min or lo >= grid.xi_max:
             raise ValueError(f"shell band [{cfg.band_lo}, {cfg.band_hi}] is empty on this grid")
-        theta = sp.random_field(grid, 1, rng, xi_lo=lo, xi_hi=min(hi, grid.xi_max))
-        u_spec = sp.random_field(grid, grid.dim, rng, xi_lo=lo, xi_hi=min(hi, grid.xi_max))
-    elif cfg.init_kind == "smooth-random":
-        theta = sp.random_field(grid, 1, rng, spectrum=lambda lam: np.exp(-_DECAY * lam))
-        u_spec = sp.random_field(grid, grid.dim, rng, spectrum=lambda lam: np.exp(-_DECAY * lam))
-    else:
-        raise ValueError(f"unsupported generator kind {cfg.init_kind!r}")
+        support = dict(xi_lo=lo, xi_hi=min(hi, grid.xi_max))
+    else:  # smooth-random
+        support = dict(spectrum=lambda lam: np.exp(-_DECAY * lam))
+    rng = np.random.default_rng(cfg.seed)
+    theta = sp.random_field(grid, 1, rng, **support)
+    u = sp.random_field(grid, grid.dim, rng, **support)
 
-    theta_phys = theta.to_physical()[0]
-    peak = np.max(np.abs(theta_phys))
+    peak = np.max(np.abs(theta.to_physical()))
     if peak > 0:
-        theta_phys = theta_phys * (_RAW_CONTRAST * rho_bar / peak)
-    u_phys = u_spec.to_physical()
-    speed = np.max(np.abs(u_phys))
+        theta.coef *= contrast / peak
+    speed = np.max(np.abs(u.to_physical()))
     if speed > 0:
-        u_phys = u_phys / speed
-    return rho_bar + theta_phys, u_phys
+        u.coef /= speed
+    return sp.apply_lambda(theta, -1.0), u
 
 
 def make_initial_data(cfg: RunConfig) -> NspState:
     """Generate, project and rescale the initial state; E(0) == amplitude."""
     grid = cfg.grid
-    projector = FriedrichsProjector(grid, cfg.stepper.n)
-    rho, u = _primitive_fields(cfg)
-    raw = from_primitive(PrimitiveState(grid=grid, rho=rho, u=u), cfg.params)
-    projected = NspState(projector(raw.x))
+    h, u = _raw_fields(cfg)
+    c, I = sp.helmholtz_decompose(u)
+    del u
+    state = NspState(sp.SpectralField.nyquist_free(grid, np.concatenate([h.coef, c.coef, I.coef])))
+    del h, c, I
+    state.x.coef *= FriedrichsProjector(grid, cfg.stepper.n).mask
 
     if cfg.amplitude == 0.0:
         return NspState.zeros(grid)
 
-    measured = energy.initial_energy(projected)
+    measured = energy.initial_energy(state)
     if measured == 0.0:
         raise ValueError("generated data vanished after projection; widen the band or raise n")
-    state = projected.scaled(cfg.amplitude / measured)
+    state.x.coef *= cfg.amplitude / measured
 
     min_density = cfg.params.rho_bar + float(np.min(state.theta().to_physical()))
     if min_density <= 0.0:

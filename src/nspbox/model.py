@@ -17,9 +17,9 @@ band alone (`spectral.BandTransform`).  It returns one tendency stack in
 (h, c, I) row order on that band and knows nothing of the Friedrichs
 truncation, which lives in the stepper's propagators.
 
-Initial data enter as physical (density, velocity) pairs, `PrimitiveState`,
-through `from_primitive`; the electrostatic potential is slaved to the
-density by the Poisson coupling and is never formed.
+Initial data are made in these variables, on the half lattice
+(`initial_data`); the electrostatic potential is slaved to the density by
+the Poisson coupling and is never formed.
 """
 
 from __future__ import annotations
@@ -35,10 +35,8 @@ from .spectral import Grid, SpectralField
 __all__ = [
     "FluidParams",
     "NspState",
-    "PrimitiveState",
     "zeta",
     "CLAMP_BAND",
-    "from_primitive",
     "explicit_rhs",
     "RhsDiagnostics",
 ]
@@ -62,8 +60,8 @@ class FluidParams:
             )
         if not (self.rho_bar > 0):
             raise ValueError(f"background density must be positive, got {self.rho_bar}")
-        if self.dim not in (2, 3):
-            raise ValueError(f"dimension must be 2 or 3, got {self.dim}")
+        if self.dim < 2:
+            raise ValueError(f"dimension must be at least 2, got {self.dim}")
 
     @property
     def beta(self) -> float:
@@ -134,26 +132,6 @@ class NspState:
     def theta(self) -> SpectralField:
         return sp.apply_lambda(self.h, 1.0)
 
-    def scaled(self, factor: float) -> "NspState":
-        return NspState(self.x * factor, self.t)
-
-
-@dataclass
-class PrimitiveState:
-    """Physical-space density and velocity, the input of `from_primitive`."""
-
-    grid: Grid
-    rho: np.ndarray
-    u: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.rho = np.asarray(self.rho, dtype=np.float64)
-        self.u = np.asarray(self.u, dtype=np.float64)
-        if self.rho.shape != self.grid.shape:
-            raise ValueError("density shape does not match grid")
-        if self.u.shape != (self.grid.dim,) + self.grid.shape:
-            raise ValueError("velocity shape does not match grid")
-
 
 CLAMP_BAND = (0.5, 1.5)  # `zeta` is the identity on this band times rho_bar and clamps outside it
 
@@ -193,19 +171,6 @@ def _hermite(x, a, b, fa, fb, da, db):
     h01 = t * t * (3.0 - 2.0 * t)
     h11 = t * t * (t - 1.0)
     return fa * h00 + fb * h01 + (b - a) * (da * h10 + db * h11)
-
-
-def from_primitive(p: PrimitiveState, params: FluidParams) -> NspState:
-    grid = p.grid
-    if np.min(p.rho) <= 0.0:
-        raise ValueError(f"density must be positive everywhere, min = {np.min(p.rho):.6e}")
-    mean_rho = float(np.mean(p.rho))
-    if abs(mean_rho - params.rho_bar) > 1e-12 * max(1.0, params.rho_bar):
-        raise ValueError(f"mean density {mean_rho!r} does not match rho_bar {params.rho_bar!r}")
-    theta = sp.transform_to_spectral(grid, p.rho - params.rho_bar)
-    h = sp.apply_lambda(theta, -1.0)
-    c, I = sp.helmholtz_decompose(sp.transform_to_spectral(grid, p.u))
-    return NspState(SpectralField(grid, np.concatenate([h.coef, c.coef, I.coef])))
 
 
 # ---------------------------------------------------------------------------

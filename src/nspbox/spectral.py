@@ -89,8 +89,8 @@ class Grid:
 
     Parameters
     ----------
-    dim : 2 or 3.  Three is the physically meaningful case; two is a cheap
-        testing mode.
+    dim : at least 2.  Three is the physically meaningful case, two a cheap
+        testing mode, and four and up the higher dimensions of the theory.
     size : points per axis, a power of two >= 8.
     length : box edge, default 2*pi so the lattice is the integer one.
     """
@@ -100,8 +100,8 @@ class Grid:
     length: float = 2.0 * np.pi
 
     def __post_init__(self) -> None:
-        if self.dim not in (2, 3):
-            raise ValueError(f"grid dimension must be 2 or 3, got {self.dim}")
+        if self.dim < 2:
+            raise ValueError(f"grid dimension must be at least 2, got {self.dim}")
         if self.size < 8 or self.size & (self.size - 1):
             raise ValueError(f"grid size must be a power of two >= 8, got {self.size}")
         if not (np.isfinite(self.length) and self.length > 0):
@@ -233,10 +233,6 @@ class Grid:
     def xi_min(self) -> float:
         """Smallest nonzero |xi|."""
         return 2.0 * np.pi / self.length
-
-    def coordinates(self) -> tuple[np.ndarray, ...]:
-        x1d = np.arange(self.size) * self.spacing
-        return tuple(np.meshgrid(*([x1d] * self.dim), indexing="ij"))
 
 
 def antisym_pairs(dim: int) -> tuple[tuple[int, int], ...]:

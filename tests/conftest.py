@@ -28,6 +28,11 @@ def grid2() -> Grid:
 
 
 @pytest.fixture(scope="session")
+def grid4() -> Grid:
+    return Grid(dim=4, size=8)
+
+
+@pytest.fixture(scope="session")
 def grid32() -> Grid:
     return Grid(dim=3, size=32)
 

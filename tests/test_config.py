@@ -6,13 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from nspbox.config import ConfigError, DEFAULTS, config_help, parse_config
+from nspbox.config import INIT_KINDS, ConfigError, DEFAULTS, config_help, parse_config
 from nspbox.energy import EnergyReport, initial_energy
 from nspbox.initial_data import make_initial_data
 from nspbox.lp import hybrid_norm
 from nspbox.records import ALPHA_CUTOFF, CSV_COLUMNS, read_records, write_records
 from nspbox.spectral import l2_norm
 from nspbox.model import FluidParams
+
+from primitive import check_potential, physical_initial_data, to_primitive
 
 
 FLOAT_KEYS = [key for key, (caster, _, _) in DEFAULTS.items() if caster is float]
@@ -147,6 +149,25 @@ class TestInitialData:
         assert l2_norm(s.c) == 0.0 and l2_norm(s.I) == 0.0
         # all content sits in the single density mode; its hybrid norm is E(0)
         assert hybrid_norm(s.h, (0.0, 2.5)) == pytest.approx(1e-3, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("kind", INIT_KINDS)
+    def test_matches_physical_derivation(self, kind, dim, seed):
+        # the same draws taken through physical (density, velocity) data and `from_primitive`
+        cfg = parse_config(f"grid.N = {dim}\ngrid.M = 16\ninit.kind = {kind}\ninit.seed = {seed}")
+        got, want = make_initial_data(cfg).x.coef, physical_initial_data(cfg).x.coef
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_single_mode_is_one_lattice_mode(self, dim):
+        # a cosine along x_1: equal real h coefficients at the lattice points +-e_1, nothing else
+        cfg = parse_config(f"grid.N = {dim}\ngrid.M = 16\ninit.kind = single-mode")
+        s = make_initial_data(cfg)
+        plus, minus = (1,) + (0,) * (dim - 1), (cfg.grid.size - 1,) + (0,) * (dim - 1)
+        assert {tuple(ix) for ix in np.argwhere(s.h.coef[0])} == {plus, minus}
+        assert s.h.coef[0][plus] == s.h.coef[0][minus] and s.h.coef[0][plus].imag == 0.0
+        check_potential(*to_primitive(s, cfg.params))
 
     def test_empty_band_rejected(self):
         with pytest.raises(ValueError, match="band"):

@@ -419,7 +419,7 @@ class TestGlobalBound:
         assert not verdict.passed
 
 
-POWER_GRIDS = {"grid2": Grid(dim=2, size=16), "grid3": Grid(dim=3, size=16)}
+POWER_GRIDS = {"grid2": Grid(dim=2, size=16), "grid3": Grid(dim=3, size=16), "grid4": Grid(dim=4, size=8)}
 
 
 @pytest.mark.parametrize("grid_name", sorted(POWER_GRIDS))
@@ -428,7 +428,8 @@ class TestStatePowers:
     @given(seed=st.integers(0, 2**16), curl_image=st.booleans())
     def test_rows_match_per_field_powers(self, grid_name, seed, curl_image):
         # the u row comes from the 2-form identity, without recomposing u; it
-        # must hold for I off the curl image too (an NspState may carry any 2-form I)
+        # must hold for I off the curl image too (an NspState may carry any 2-form I).
+        # The identity has no wedge term in 2D, one in 3D and four in 4D
         grid = POWER_GRIDS[grid_name]
         rng = np.random.default_rng(seed)
         h, c = random_field(grid, 1, rng), random_field(grid, 1, rng)

@@ -263,6 +263,21 @@ class TestCli:
         cfg.write_text(FAST_NONLINEAR)
         assert main(["run", "--config", str(cfg), "--assert", "--out", str(tmp_path / "out")]) == 0
 
+    def test_four_dimensional_drivers_pass_their_assertions(self, tmp_path, capsys):
+        # N = 4, the first of the higher dimensions, from the command line with every assertion
+        # enforced: random-band data on shells 0-1, 20 steps at dt 0.02, a zero perturbation
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            "grid.N = 4\ngrid.M = 8\nstepper.dt = 0.02\nstepper.t_end = 0.4\n"
+            "init.kind = random-band\ninit.band_lo = 0\ninit.band_hi = 1\nperturb.delta = 0\nmonitor.stride = 1\n"
+        )
+        for command in ("run", "linear", "perturb", "check-lemmas"):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg), "--assert", "--out", str(out)]) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["assertions"] and all(summary["assertions"].values())
+        assert "grid 4D M=8" in capsys.readouterr().out
+
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.txt")]) == 2
 

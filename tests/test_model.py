@@ -12,11 +12,9 @@ from nspbox.initial_data import make_initial_data
 from nspbox.model import (
     FluidParams,
     NspState,
-    PrimitiveState,
     _hermite,
     _viscous_quotient,
     explicit_rhs,
-    from_primitive,
     zeta,
 )
 from nspbox.spectral import (
@@ -33,7 +31,7 @@ from nspbox.spectral import (
 from analysis import dissipation, divergence, physical_energy, state_of
 from conftest import dealias_mask, embed, hermitian_defect, wave
 from convective import nonlinear_F, nonlinear_G, nonlinear_H, nonlinear_J
-from primitive import check_potential, potential, to_primitive
+from primitive import PrimitiveState, check_potential, coordinates, from_primitive, potential, to_primitive
 
 PARAMS3 = FluidParams(mu=1.0, lam=0.0, rho_bar=1.0, dim=3)
 
@@ -74,6 +72,11 @@ class TestFluidParams:
     def test_background_density_positive(self):
         with pytest.raises(ValueError, match="density"):
             FluidParams(mu=1.0, lam=0.0, rho_bar=0.0, dim=3)
+
+    def test_any_dimension_from_two(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            FluidParams(mu=1.0, lam=0.0, rho_bar=1.0, dim=1)
+        assert FluidParams(mu=1.0, lam=0.0, rho_bar=1.0, dim=4).dim == 4
 
 
 class TestZeta:
@@ -154,7 +157,7 @@ class TestNspState:
             with pytest.raises(ValueError, match=f"{rows} rows, got {wrong}"):
                 NspState(SpectralField.zeros(grid, wrong))
 
-    @pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
+    @pytest.mark.parametrize("grid_name", ["grid2", "grid3", "grid4"])
     def test_fields_are_views_of_the_stack(self, grid_name, request):
         s = small_state(request.getfixturevalue(grid_name), seed=32)
         for f in (s.h, s.c, s.I):
@@ -172,7 +175,7 @@ class TestConversions:
 
     def test_unit_mode_density_bump(self, grid3):
         eps = 1e-3
-        x1 = grid3.coordinates()[0]
+        x1 = coordinates(grid3)[0]
         rho = PARAMS3.rho_bar + eps * np.cos(x1)
         prim = PrimitiveState(grid=grid3, rho=rho, u=np.zeros((3,) + grid3.shape))
         s = from_primitive(prim, PARAMS3)
@@ -211,7 +214,7 @@ class TestConversions:
         assert np.max(np.abs(got.coef - expected.coef)) < 1e-14
 
     def test_nonpositive_density_rejected(self, grid3):
-        x1 = grid3.coordinates()[0]
+        x1 = coordinates(grid3)[0]
         rho = 1.0 + 1.5 * np.cos(x1)
         rho = rho - np.mean(rho) + 1.0
         prim_kwargs = dict(grid=grid3, u=np.zeros((3,) + grid3.shape))
@@ -220,7 +223,7 @@ class TestConversions:
 
     def test_potential_is_derived_or_validated(self, grid3):
         eps = 1e-2
-        x1 = grid3.coordinates()[0]
+        x1 = coordinates(grid3)[0]
         rho = 1.0 + eps * np.cos(x1)
         prim = PrimitiveState(grid=grid3, rho=rho, u=np.zeros((3,) + grid3.shape))
         assert np.max(np.abs(potential(prim) + eps * np.cos(x1))) < 1e-12
@@ -262,7 +265,7 @@ class TestNonlinearF:
         a, g = 0.2, 0.3
         s = state_with(grid3, h=wave(grid3, (1, 0, 0), amp=a), c=wave(grid3, (1, 0, 0), amp=g))
         u = s.velocity().to_physical()
-        x1 = grid3.coordinates()[0]
+        x1 = coordinates(grid3)[0]
         assert np.max(np.abs(u[0] - g * np.sin(x1))) < 1e-12
         expected = wave(grid3, (2, 0, 0), amp=-a * g / 4.0)
         out = nonlinear_F(s)
@@ -377,7 +380,9 @@ def projected_state(grid, s: NspState, n: float = 4.0) -> NspState:
 
 
 class TestExplicitRhs:
-    @pytest.mark.parametrize("grid_name", ["grid2", "grid3"], ids=["dealiased-grid2", "dealiased-grid3"])
+    @pytest.mark.parametrize(
+        "grid_name", ["grid2", "grid3", "grid4"], ids=["dealiased-grid2", "dealiased-grid3", "dealiased-grid4"]
+    )
     @pytest.mark.parametrize("projected", [False, True], ids=["unprojected", "projected"])
     def test_matches_public_operations(self, grid_name, projected, request):
         grid = request.getfixturevalue(grid_name)
@@ -390,7 +395,7 @@ class TestExplicitRhs:
         # x50: products and the guarded quotient far from linear, density still positive
         grid = request.getfixturevalue(grid_name)
         params = FluidParams(mu=1.0, lam=0.25, rho_bar=1.0, dim=grid.dim)
-        assert_matches_oracle(projected_state(grid, small_state(grid, seed=36).scaled(50.0)), params)
+        assert_matches_oracle(projected_state(grid, NspState(small_state(grid, seed=36).x * 50.0)), params)
 
     @pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
     def test_batch_sizes(self, grid_name, request, monkeypatch):

@@ -63,6 +63,7 @@ def random_field_oracle(grid: Grid, ncomp: int, rng, xi_lo=0.0, xi_hi=None, spec
 
 
 BAND_GRIDS = {f"{dim}d-M{size}": Grid(dim=dim, size=size) for dim in (2, 3) for size in (8, 16, 32, 64)}
+BAND_GRIDS["4d-M8"] = Grid(dim=4, size=8)
 
 
 class TestGrid:
@@ -71,8 +72,8 @@ class TestGrid:
             Grid(dim=3, size=12)
         with pytest.raises(ValueError):
             Grid(dim=3, size=4)
-        with pytest.raises(ValueError):
-            Grid(dim=4, size=16)
+        with pytest.raises(ValueError, match="at least 2"):
+            Grid(dim=1, size=16)
         with pytest.raises(ValueError):
             Grid(dim=3, size=16, length=-1.0)
 
@@ -351,6 +352,7 @@ class TestHelmholtz:
 
 
 DIV_CURL_GRIDS = {f"{dim}d-M{size}": Grid(dim=dim, size=size) for dim in (2, 3) for size in (8, 16, 32)}
+DIV_CURL_GRIDS["4d-M8"] = Grid(dim=4, size=8)
 
 
 @pytest.mark.parametrize("grid_name", sorted(DIV_CURL_GRIDS))
@@ -364,7 +366,7 @@ def test_div_curl_matches_divergence_and_curl(grid_name):
     assert np.max(np.abs(div_curl(grid.riesz, v.coef) - lifted)) <= 1e-14 * np.max(np.abs(lifted))
 
 
-HALF_GRIDS = {"grid2": Grid(dim=2, size=16), "grid3": Grid(dim=3, size=16)}
+HALF_GRIDS = {"grid2": Grid(dim=2, size=16), "grid3": Grid(dim=3, size=16), "grid4": Grid(dim=4, size=8)}
 PROPERTY = settings(max_examples=15, deadline=None, derandomize=True)
 
 

@@ -24,6 +24,7 @@ from nspbox import model
 
 from analysis import state_of
 from conftest import embed, wave
+from primitive import PrimitiveState, coordinates, from_primitive
 from test_model import small_state
 
 PARAMS = FluidParams(mu=1.0, lam=0.0, rho_bar=1.0, dim=3)
@@ -425,6 +426,25 @@ class TestMemory:
         "init.kind = random-band\ninit.amplitude = 1e-3\ninit.band_lo = 0\ninit.band_hi = 2\n"
     )
 
+    def test_warm_step_minor_faults(self):
+        # a warmed step reuses the pages its predecessor freed: 0-0.5 minor faults a step measured
+        # here, where a fresh tendency stack per step (np.concatenate) faulted 843.  The count also
+        # hangs on the process's heap history: glibc trims the heap top once twice the largest freed
+        # mmapped block (the 1.8 MB product stack of `explicit_rhs`) lies free there, and a step's
+        # growth of the heap sits near that edge, so other histories read about 900
+        import resource
+
+        cfg = parse_config(self.CONFIG)
+        stepper = FriedrichsStepper(cfg.grid, cfg.params, cfg.stepper)
+        s = stepper.prepare(make_initial_data(cfg))
+        for _ in range(3):
+            s = stepper.step(s)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(20):
+            s = stepper.step(s)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults / 20 <= 50
+
     def test_warm_nonlinear_step_peak(self):
         # the peak of one warmed step's fresh allocations: 16.97 measured, with the new state (5),
         # the first tendencies (1.4), and at most the full inverse's output (3.8) and the band
@@ -467,6 +487,26 @@ class TestMemory:
         assert s.x.ncomp == 5
         assert live / component <= 14.0
 
+    def test_initial_data_high_water(self):
+        # the peak of a cold `make_initial_data`: 14.24 measured, set by the velocity draw of
+        # `random_field` beside the density draw; the (h, c, I) stack is formed and projected in
+        # place once each raw field has been dropped
+        import tracemalloc
+
+        from nspbox import lp
+
+        cfg = parse_config(self.CONFIG)
+        lp.shell_filters.cache_clear()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            make_initial_data(cfg)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        component = 16 * np.prod(cfg.grid.spectral_shape)
+        assert peak / component <= 16.0
+
 
 class TestInterleaving:
     @pytest.mark.parametrize("n_b", [8.0, 4.0], ids=["refine", "perturb"])
@@ -499,10 +539,10 @@ class TestGuardFlag:
     def test_flag_marks_either_clamp_edge(self, grid3, amp, guarded):
         # a Gaussian density bump at rest: the peak reaches 1.79 rho_bar with its minimum near
         # rho_bar, the dip 0.21 rho_bar with its maximum near rho_bar; `zeta` clamps both
-        x = np.stack(grid3.coordinates())
+        x = np.stack(coordinates(grid3))
         bump = np.exp(-np.sum((x - np.pi) ** 2, axis=0) / 0.5)
         rho = 1.0 + amp * (bump - bump.mean())
-        s0 = model.from_primitive(model.PrimitiveState(grid3, rho, np.zeros((3,) + grid3.shape)), PARAMS)
+        s0 = from_primitive(PrimitiveState(grid3, rho, np.zeros((3,) + grid3.shape)), PARAMS)
         stepper = FriedrichsStepper(grid3, PARAMS, StepperConfig(dt=1e-2, n=16.0, t_end=1e-2))
         stepper.step(stepper.prepare(s0))
         assert stepper.flags.guard_active is guarded

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,6 +162,14 @@ def experiment_refine(cfg: RunConfig, out_dir, do_assert: bool = False) -> Exper
         rows.append({"t": sa.t, "dist_h": lp.hybrid_norm(dh, idx_h), "dist_u": lp.hybrid_norm(du, idx_u)})
 
     _write_rows(out_dir, "distance.ndjson", rows)
+    n, grid = cfg.stepper.n, cfg.grid
+    if 1.0 / n <= grid.xi_min and n >= grid.xi_max:
+        print(
+            f"refine: the annulus of n = {n:g} already covers the lattice"
+            f" (|xi| in [{grid.xi_min:g}, {grid.xi_max:.6g}]), as does 2n's,"
+            " so the two runs are one and every distance is 0",
+            file=sys.stderr,
+        )
 
     max_u = max(row["dist_u"] for row in rows)
     max_h = max(row["dist_h"] for row in rows)

@@ -136,19 +136,20 @@ class NspState:
 CLAMP_BAND = (0.5, 1.5)  # `zeta` is the identity on this band times rho_bar and clamps outside it
 
 
-def zeta(x, rho_bar: float):
+def zeta(x, rho_bar: float, out: np.ndarray | None = None):
     """Smooth even clamp of the density argument onto [rho_bar/4, 7*rho_bar/4].
 
     Identity on `CLAMP_BAND` * rho_bar, constant plateaus outside
     [rho_bar/4, 7*rho_bar/4], monotone cubic Hermite ramps between (zero
     slope at the clamped ends, unit slope at the identity ends).  Reading
     the middle branch through |x| is what keeps the clamp >= rho_bar/4 for
-    negative arguments.
+    negative arguments.  An array is clamped in a fresh array, or in `out`,
+    which may be `x` itself.
     """
     if rho_bar <= 0:
         raise ValueError("rho_bar must be positive")
     band_lo, band_hi = CLAMP_BAND
-    r = np.abs(np.asarray(x, dtype=np.float64))
+    r = np.abs(np.asarray(x, dtype=np.float64), out=out)
     scalar = r.ndim == 0
     out = np.atleast_1d(r)
     out /= rho_bar
@@ -178,8 +179,9 @@ def _hermite(x, a, b, fa, fb, da, db):
 
 
 def _viscous_quotient(theta_phys: np.ndarray, params: FluidParams) -> np.ndarray:
-    """theta / (rho_bar * rho) with the density clamped by `zeta`, formed in the clamp's own array."""
-    q = zeta(theta_phys + params.rho_bar, params.rho_bar)
+    """theta / (rho_bar * rho) with the density clamped by `zeta`, formed in one array: rho_bar + theta's."""
+    q = np.add(theta_phys, params.rho_bar)
+    zeta(q, params.rho_bar, out=q)
     q *= params.rho_bar
     return np.divide(theta_phys, q, out=q)
 
@@ -192,28 +194,51 @@ class RhsDiagnostics:
 
 
 class _RhsMultipliers:
-    """Fourier multipliers and band transforms of `explicit_rhs` for one (grid, params).
+    """Stored symbols, band transforms and physical rows of `explicit_rhs` for one (grid, params).
 
-    Each is the product of the operators it stands for, so every quantity is
-    one multiply of h, c, u or the forward transform away, or one
-    `spectral.div_curl` with a symbol stack: `ixi` (d_j on the band) or
-    `tend_j` (-Lambda^-1 d_j on the band).  `visc_grad` is stored as the real
-    factor (mu + lambda) xi_j Lambda of the purely imaginary symbol
-    (mu + lambda) i xi_j Lambda, whose real part is +0 on every mode.  The
-    stored fields are Nyquist-free, hence so is every product.
+    Only what a call reads per mode and cannot form from the open axes of
+    `Grid.wavenumbers` is kept: `lam` (theta = Lambda h), its band gather
+    `lam_m` (-Lambda^-1 div grad of |u|^2/2) and `tend_j`, the band rows of
+    -Lambda^-1 d_j, which form -Lambda^-1 div and -Lambda^-1 curl of the
+    fluxes.  `ixi_m`, the symbols of d_j on the band, are open band axes.
+    The viscous symbols are products of open axes, formed per call
+    (`visc_lap`, `visc_grad`).  The state is Nyquist-free, hence so is every
+    product with it.
+
+    The band and full transforms take turns in one spectral `buffer` of
+    max(2N + 1, N + 1 + N(N-1)/2) half-lattice components, 7 in 3D, which
+    also holds the call's spectral scratch rows.  `rows` are the real
+    physical rows both inverses write: the full inverse's N + 1 (raw theta,
+    then the flux), then the band inverse's, which become the band
+    forward's input.  Owning them keeps a warm call from faulting pages in.
     """
 
     def __init__(self, grid: Grid, params: FluidParams):
-        lam = grid.lam
-        self.lam = lam  # theta = Lambda h
-        self.visc_lap = -params.mu * grid.lam_sq  # mu lap u
-        self.visc_grad = np.stack([(params.mu + params.lam) * x * lam for x in grid.wavenumbers])  # (mu + lambda) grad div u
-        self.ixi = grid.to_band(np.stack(np.broadcast_arrays(*grid.ixi)))
-        self.lam_m = grid.to_band(lam)  # -Lambda^-1 div grad of |u|^2/2
-        self.tend_j = grid.to_band(-grid.riesz)  # rows of -Lambda^-1 div and -Lambda^-1 curl of the fluxes
-        self.full = sp.BandTransform(grid, grid.dim + 1, grid.size // 2)
-        npairs = len(sp.antisym_pairs(grid.dim))
-        self.band = sp.BandTransform(grid, max(2 * grid.dim + 1, grid.dim + 1 + npairs), grid.size // 3)
+        dim = grid.dim
+        self.grid, self.params = grid, params
+        self.lam = grid.lam
+        self.lam_m = grid.to_band(self.lam)
+        self.tend_j = grid.to_band(-grid.riesz)
+        self.ixi_m = grid.band_axes(grid.ixi)
+        nband = max(2 * dim + 1, dim + 1 + len(sp.antisym_pairs(dim)))
+        self.buffer = np.empty((nband,) + grid.spectral_shape, dtype=np.complex128)
+        self.full = sp.BandTransform(grid, dim + 1, grid.size // 2, self.buffer)
+        self.band = sp.BandTransform(grid, nband, grid.size // 3, self.buffer)
+        self.rows = np.empty((dim + 1 + nband,) + grid.shape)
+
+    def visc_lap(self) -> np.ndarray:
+        """-mu |xi|^2, the symbol of mu lap, in a fresh |xi|^2."""
+        lap = self.grid.lam_sq
+        lap *= -self.params.mu
+        return lap
+
+    def visc_grad(self, k: int, out: np.ndarray) -> np.ndarray:
+        """((mu + lambda) xi_k) Lambda into `out`, the first factor on the open axis.
+
+        The real factor of the purely imaginary symbol (mu + lambda) i xi_k
+        Lambda of (mu + lambda) d_k div, whose real part is +0 on every mode.
+        """
+        return np.multiply((self.params.mu + self.params.lam) * self.grid.wavenumbers[k], self.lam, out=out)
 
 
 @lru_cache(maxsize=4)
@@ -226,8 +251,8 @@ def explicit_rhs(s: NspState, params: FluidParams) -> tuple[np.ndarray, RhsDiagn
 
     Returns one fresh (2 + N(N-1)/2, *band_shape) stack in (h, c, I) row
     order, untruncated (the stepper's propagators carry the cutoff).  It
-    shares no memory with the state, the multipliers or the transforms'
-    buffers, so a later call leaves it as it is.
+    shares no memory with the state or the multipliers, their buffer and
+    rows included, so a later call leaves it as it is.
 
     The advection of c cancels exactly between the left-hand convection term
     and the forcing G, so the net c tendency is -Lambda^-1 div J and the I
@@ -243,50 +268,66 @@ def explicit_rhs(s: NspState, params: FluidParams) -> tuple[np.ndarray, RhsDiagn
       with (curl u)_ij = d_j u_i - d_i u_j.  The gradient adds only
       Lambda |u|^2/2 to the c tendency and nothing to the I tendency.
 
-    All three are `spectral.BandTransform` calls.  A full inverse (the
-    widest band, the half lattice) takes what must stay unaliased: raw theta
-    (for the quotient and the diagnostics) and the viscous stress, N + 1
-    components.  A band inverse takes u, theta and the N(N-1)/2 curl u
-    components, gathered onto the two-thirds-rule band: N + 1 + N(N-1)/2
-    components, 7 in 3D.  A band forward takes theta u, |u|^2/2 and the
-    remaining flux: 2N + 1 components, 7 in 3D.  The tendencies are formed
-    and returned on the band; curl u and the c and I tendencies are each one
-    `spectral.div_curl`.
+    All three are `spectral.BandTransform` calls, in this order, taking
+    turns in the multipliers' one spectral buffer:
 
-    Memory: both inverse inputs are written straight into the transforms'
-    own buffers (`BandTransform.inverse_input`).  Besides the returned
-    stack, the only fresh lattice arrays are the velocity, the full
-    inverse's output, the band forward's input stack, into which the band
-    inverse writes, and the forward's output; every other quantity is formed
-    in place in one of them, and each is dropped once its last reader is
-    done.
+    1. a band inverse of u, theta and the N(N-1)/2 curl u components,
+       N + 1 + N(N-1)/2 components (7 in 3D), formed on the two-thirds-rule
+       band from the band gathers of h, c and I; u is `spectral.recompose_rows`
+       of the Riesz rows gathered onto the band, the operations of
+       `helmholtz_recompose`;
+    2. a full inverse (the widest band, the half lattice) of what must stay
+       unaliased: raw theta = Lambda h (for the quotient and the
+       diagnostics) and the viscous stress, N + 1 components, with u
+       formed in the stress rows and the viscous symbols formed per call,
+       from the open axes, in the buffer's spare rows;
+    3. a band forward of theta u, |u|^2/2 and the remaining flux, 2N + 1
+       components (7 in 3D), whose output, a view of the buffer, is read in
+       place into the tendencies before any call rewrites it.
+
+    The tendencies are formed and returned on the band; curl u and the c
+    and I tendencies are each one `spectral.div_curl`, written in place.
+
+    Memory: the inverses write the multipliers' physical `rows`, and the
+    physical stage forms every product in place in them.  The fresh arrays
+    of a call are the returned stack, the quotient and band-sized or
+    per-axis temporaries.
     """
     grid = s.grid
     dim = grid.dim
     pairs = sp.antisym_pairs(dim)
     mult = _rhs_multipliers(grid, params)
-    c = s.c.coef[0]
-    u = s.velocity().coef
+    h, c, I = s.x.coef[:1], s.x.coef[1], s.x.coef[2:]
+    full_p, prod = mult.rows[: dim + 1], mult.rows[dim + 1 :]
 
-    # band inverse: u, theta, (curl u)_ij (i < j) in `antisym_pairs` order; theta and u are gathered
-    # before the full inverse transforms its input in place and before u's rows are reused below
+    # band inverse: u, theta, (curl u)_ij (i < j) in `antisym_pairs` order; div u, unread, passes
+    # through theta's row.  The Riesz rows on the band are -tend_j, negated exactly, so u has
+    # `helmholtz_recompose`'s operations and signed zeros
+    band = mult.band.inverse_input(dim + 1 + len(pairs))
+    u_m, theta_m = band[:dim], band[dim : dim + 1]
+    c_m = grid.to_band(c)
+    sp.recompose_rows(np.negative(mult.tend_j), c_m, grid.to_band(I), u_m, np.empty_like(c_m))
+    sp.div_curl(mult.ixi_m, u_m, out=band[dim:])
+    np.multiply(mult.lam_m, grid.to_band(h), out=theta_m)
+    mult.band.to_physical(band, out=prod[: len(band)])
+
+    # full inverse: raw theta, viscous stress mu lap u + (mu + lambda) grad div u; u is formed in the
+    # stress rows, and buffer row N + 1 holds the symbol (mu + lambda) i xi_k Lambda (real part +0)
+    # and then its product with c
     full = mult.full.inverse_input(1 + dim)
     theta_raw, visc = full[:1], full[1:]
-    np.multiply(mult.lam, s.h.coef, out=theta_raw)
-    band = mult.band.inverse_input(dim + 1 + len(pairs))
-    u_m, theta_m, curl_u = np.split(band, (dim, dim + 1))
-    u_m[...], theta_m[...] = grid.to_band(u), grid.to_band(theta_raw)
-    curl_u[...] = sp.div_curl(mult.ixi, u_m)[1:]
-
-    # full inverse: raw theta, viscous stress mu lap u + (mu + lambda) grad div u; u[k], read, holds
-    # the symbol (mu + lambda) i xi_k Lambda (real part +0) and then its product with c
-    for k, grad in enumerate(u):
-        np.multiply(mult.visc_lap, grad, out=visc[k])
-        grad.real, grad.imag = 0.0, mult.visc_grad[k]
+    grad = mult.buffer[dim + 1]
+    np.multiply(mult.lam, h, out=theta_raw)
+    sp.recompose_rows(grid.riesz, c, I, visc, grad)
+    visc_lap = mult.visc_lap()
+    for k in range(dim):
+        np.multiply(visc_lap, visc[k], out=visc[k])
+        grad.real = 0.0
+        mult.visc_grad(k, out=grad.imag)
         grad *= c
         visc[k] += grad
-    del u, grad
-    full_p = mult.full.to_physical(full)
+    del visc_lap
+    mult.full.to_physical(full, out=full_p)
     theta_raw_p, flux = full_p[0], full_p[1:]
     min_density = float(np.min(theta_raw_p)) + params.rho_bar
     max_density = float(np.max(theta_raw_p)) + params.rho_bar
@@ -294,8 +335,7 @@ def explicit_rhs(s: NspState, params: FluidParams) -> tuple[np.ndarray, RhsDiagn
 
     # band forward input: the band inverse's u, theta, curl u rows become theta u; |u|^2/2; the flux
     # quotient * viscous stress + sum_j u_j (curl u)_ij, whose products pass through raw theta's row
-    prod = np.empty((max(2 * dim + 1, len(band)),) + grid.shape)
-    u_p, theta_p, curl_p = np.split(mult.band.to_physical(band, out=prod[: len(band)]), (dim, dim + 1))
+    u_p, theta_p, curl_p = np.split(prod[: dim + 1 + len(pairs)], (dim, dim + 1))
     for p, (i, j) in enumerate(pairs):
         np.multiply(u_p[j], curl_p[p], out=theta_raw_p)
         flux[i] += theta_raw_p
@@ -310,14 +350,12 @@ def explicit_rhs(s: NspState, params: FluidParams) -> tuple[np.ndarray, RhsDiagn
     u_p *= theta_p
     np.multiply(speed_sq, 0.5, out=theta_p[0])
     prod[dim + 1 : 2 * dim + 1] = flux
-    del full_p, theta_raw_p, flux, speed_sq, u_p, theta_p, curl_p
     theta_u, kinetic, flux = np.split(mult.band.to_spectral(prod[: 2 * dim + 1]), (dim, dim + 1))
-    del prod
 
     # tendencies on the band: -Lambda^-1 div(theta u), -Lambda^-1 div J and -Lambda^-1 curl J
     tend_j = mult.tend_j
-    tend = np.empty((2 + len(pairs),) + theta_u.shape[1:], dtype=np.complex128)
+    tend = np.empty((2 + len(pairs),) + grid.band_shape, dtype=np.complex128)
     np.sum(tend_j * theta_u, axis=0, out=tend[0])
-    tend[1:] = sp.div_curl(tend_j, flux)
+    sp.div_curl(tend_j, flux, out=tend[1:])
     tend[1] += mult.lam_m * kinetic[0]
     return tend, diag

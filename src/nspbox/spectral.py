@@ -37,14 +37,16 @@ same radii.
 Dealiased band: the two-thirds rule keeps |k_i| <= size/3 on every axis,
 the box ``Grid.band_shape`` (2m+1 lead wavenumbers [0..m, -m..-1], 0..m
 last, m = size // 3).  `Grid.to_band` gathers a half-lattice array onto it
-and `Grid.add_band` adds a band array into one.  `BandTransform` at that
-m maps it to and from physical space with the passes of the full
-transforms, less the all-zero ones, in one buffer it owns.
+and `Grid.add_band` adds a band array into one; `Grid.band_axes` gathers
+open axes onto it.  `BandTransform` at that m maps it to and from physical
+space with the passes of the full transforms, less the all-zero ones, in
+one buffer it owns or shares.
 
 Div and curl: `div_curl` forms the rows sum_j s_j v_j and s_j v_i - s_i v_j
 (i < j) of a stack v for symbol rows s that broadcast against it: div v and
 curl v with the open axes `Grid.ixi`, Lambda^-1 div v and Lambda^-1 curl v
-with `Grid.riesz`.
+with `Grid.riesz`.  `recompose_rows` is its inverse on the Helmholtz split,
+u = -(s c + div_s I).
 
 Zero-mode convention: fractional powers of the Laplacian and every inverse
 operator (Lambda^-1 gradients/divergences) annihilate the zero mode.
@@ -68,6 +70,7 @@ __all__ = [
     "antisym_pairs",
     "apply_lambda",
     "div_curl",
+    "recompose_rows",
     "helmholtz_decompose",
     "helmholtz_recompose",
     "transform_to_physical",
@@ -182,14 +185,23 @@ class Grid:
         return (2 * m + 1,) * (self.dim - 1) + (m + 1,)
 
     @cached_property
-    def _band_flat(self) -> np.ndarray:
+    def _band_axes(self) -> tuple[np.ndarray, ...]:
+        """The band's lattice indices along each axis: [0..m, size-m..size-1] on the lead axes, 0..m last."""
         m = self.size // 3
         lead = np.r_[0 : m + 1, self.size - m : self.size]
-        return np.ravel_multi_index(np.ix_(*[lead] * (self.dim - 1), np.arange(m + 1)), self.spectral_shape)
+        return (lead,) * (self.dim - 1) + (np.arange(m + 1),)
+
+    @cached_property
+    def _band_flat(self) -> np.ndarray:
+        return np.ravel_multi_index(np.ix_(*self._band_axes), self.spectral_shape)
 
     def to_band(self, coef: np.ndarray) -> np.ndarray:
         """Gather a (..., *spectral_shape) array onto the band, shape (..., *band_shape)."""
         return coef.reshape(coef.shape[: coef.ndim - self.dim] + (-1,))[..., self._band_flat]
+
+    def band_axes(self, axes: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+        """Gather open axes (one per axis, as `wavenumbers`) onto the band: open axes that broadcast to `band_shape`."""
+        return tuple(np.take(x, index, axis=a) for a, (x, index) in enumerate(zip(axes, self._band_axes)))
 
     def add_band(self, coef: np.ndarray, band: np.ndarray) -> None:
         """Add (ncomp, *band_shape) coefficients into a C-contiguous (ncomp, *spectral_shape) array, in place.
@@ -384,20 +396,27 @@ class BandTransform:
     passes of the full transforms in their order, less all-zero or discarded
     columns, so on band-limited data the results are the full ones on the
     band, bitwise (1/size^dim as 1/size a pass is exact for a power-of-two
-    size).  The passes run in place (``out=``) in one buffer of up to
-    `ncomp` half-lattice components that the transform owns, so a step does
-    not refault fresh pages for them: the inverse reads its band's m + 1
-    last-axis columns, overwriting them as far as it reads them, and the
-    forward writes its ``rfft`` output there.  The results are fresh arrays,
-    except that `to_physical` writes into the caller's `out` when given one.
-    The row moves go one component at a time: numpy buffers a move whose
-    source and target bounds overlap, so a whole-box move would copy it.
+    size).
+
+    The passes run in place (``out=``) in one buffer of up to `ncomp`
+    half-lattice components, so a step does not refault fresh pages for
+    them.  The transform owns it, or runs in the leading components of the
+    caller's `buffer`: transforms whose calls take turns may share one, as
+    `model.explicit_rhs`'s do.  The inverse reads its band's m + 1 last-axis
+    columns, overwriting them as far as it reads them, and returns a fresh
+    array, or writes into the caller's `out`.  The forward writes its
+    ``rfft`` output there and returns a view of the buffer, which the next
+    call on the buffer overwrites: read or copy it before then.  The row
+    moves go one component at a time: numpy buffers a move whose source and
+    target bounds overlap, so a whole-box move would copy it.
     """
 
-    def __init__(self, grid: Grid, ncomp: int, m: int):
+    def __init__(self, grid: Grid, ncomp: int, m: int, buffer: np.ndarray | None = None):
         self.grid, self.m, self._n = grid, m, min(m, grid.size - m - 1)
         self.shape = (m + 1 + self._n,) * (grid.dim - 1) + (m + 1,)
-        self._spec = np.empty((ncomp,) + grid.spectral_shape, dtype=np.complex128)
+        if buffer is None:
+            buffer = np.empty((ncomp,) + grid.spectral_shape, dtype=np.complex128)
+        self._spec = buffer[:ncomp]
         half_shape = (ncomp,) + grid.spectral_shape[:-1] + (m + 1,)
         self._half = self._spec.reshape(-1)[: np.prod(half_shape)].reshape(half_shape)
 
@@ -423,7 +442,7 @@ class BandTransform:
         return np.fft.irfft(half, n=size, axis=-1, norm="forward", out=out)
 
     def to_spectral(self, values: np.ndarray) -> np.ndarray:
-        """Real (ncomp, *grid.shape) values to (ncomp, *shape) coefficients, exactly Hermitian."""
+        """Real (ncomp, *grid.shape) values to (ncomp, *shape) coefficients, exactly Hermitian; a view of the buffer."""
         dim, size, m, n = self.grid.dim, self.grid.size, self.m, self._n
         coef = np.fft.rfft(values, axis=-1, norm="forward", out=self._spec[: len(values)])
         for a in range(1, dim):
@@ -431,7 +450,7 @@ class BandTransform:
             np.fft.fft(box, axis=a, norm="forward", out=box)
             for row in box:  # as in `to_physical`, a row at a time
                 row[pre + (slice(m + 1, m + 1 + n),)] = row[pre + (slice(size - n, None),)]
-        return _symmetrize_zero_plane(self.grid, self._corner(coef, self.shape[:-1]).copy())
+        return _symmetrize_zero_plane(self.grid, self._corner(coef, self.shape[:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +472,8 @@ def apply_lambda(f: SpectralField, s: float) -> SpectralField:
     return SpectralField(f.grid, f.coef * mult)
 
 
-def div_curl(symbol: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rows sum_j s_j v_j, then s_j v_i - s_i v_j for each (i, j) of `antisym_pairs`.
+def div_curl(symbol: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Rows sum_j s_j v_j, then s_j v_i - s_i v_j for each (i, j) of `antisym_pairs`, written into `out` if given.
 
     `symbol` and `v` are sequences of N rows, one per axis, whose rows all
     broadcast together: an (N, ...) stack or the open axes of `Grid.ixi`.
@@ -462,8 +481,9 @@ def div_curl(symbol: np.ndarray, v: np.ndarray) -> np.ndarray:
     d_i v_j; with `Grid.riesz` they are Lambda^-1 div v and Lambda^-1 curl v.
     """
     pairs = antisym_pairs(len(symbol))
-    shape = np.broadcast_shapes(*(row.shape for row in symbol), *(row.shape for row in v))
-    out = np.empty((1 + len(pairs),) + shape, dtype=np.complex128)
+    if out is None:
+        shape = np.broadcast_shapes(*(row.shape for row in symbol), *(row.shape for row in v))
+        out = np.empty((1 + len(pairs),) + shape, dtype=np.complex128)
     np.multiply(symbol[0], v[0], out=out[0])
     for j in range(1, len(symbol)):
         out[0] += symbol[j] * v[j]
@@ -471,6 +491,26 @@ def div_curl(symbol: np.ndarray, v: np.ndarray) -> np.ndarray:
         np.multiply(symbol[j], v[i], out=row)
         row -= symbol[i] * v[j]
     return out
+
+
+def recompose_rows(
+    symbol: np.ndarray, c: np.ndarray, I: np.ndarray, out: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """Rows u = -(s c + sum_(i<j) (s_j I_ij e_i - s_i I_ij e_j)) for symbol rows s, written into `out`.
+
+    The inverse of `div_curl`'s Helmholtz split: with `Grid.riesz`, u =
+    -Lambda^-1 grad c - Lambda^-1 div I.  `symbol` is an (N, ...) stack, `c`
+    one row and `I` the N(N-1)/2 rows in `antisym_pairs` order, on any
+    layout whose rows broadcast to a row of `out`; each product with an I
+    row passes through `scratch`, one such row.
+    """
+    np.multiply(symbol, c, out=out)
+    for comp, (i, j) in enumerate(antisym_pairs(len(out))):
+        np.multiply(symbol[j], I[comp], out=scratch)
+        out[i] += scratch
+        np.multiply(symbol[i], I[comp], out=scratch)
+        out[j] -= scratch
+    return np.negative(out, out=out)
 
 
 def _require_mean_free(f: SpectralField, what: str) -> None:
@@ -491,14 +531,10 @@ def helmholtz_decompose(u: SpectralField) -> tuple[SpectralField, SpectralField]
 
 
 def helmholtz_recompose(c: SpectralField, I: SpectralField) -> SpectralField:
-    """u = -Lambda^-1 grad c - Lambda^-1 div I, each term one `Grid.riesz` multiply."""
+    """u = -Lambda^-1 grad c - Lambda^-1 div I, each term one `Grid.riesz` multiply (`recompose_rows`)."""
     grid = c.grid
-    riesz, I = grid.riesz, I.coef
-    u = riesz * c.coef[0]
-    for comp, (i, j) in enumerate(antisym_pairs(grid.dim)):
-        u[i] += riesz[j] * I[comp]
-        u[j] -= riesz[i] * I[comp]
-    return SpectralField(grid, np.negative(u, out=u))
+    u = np.empty((grid.dim,) + grid.spectral_shape, dtype=np.complex128)
+    return SpectralField(grid, recompose_rows(grid.riesz, c.coef[0], I.coef, u, np.empty_like(u[0])))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ on the two-thirds-rule band, which `Grid.add_band` adds into the state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
 
 import numpy as np
 
@@ -53,8 +52,9 @@ class FriedrichsProjector:
         if not (self.n > 1.0):
             raise ValueError(f"truncation parameter must exceed 1, got {self.n}")
 
-    @cached_property
+    @property
     def mask(self) -> np.ndarray:
+        """1.0 on the annulus and 0.0 off it, on the half lattice; formed on each access, as set-up alone reads it."""
         lam = self.grid.lam
         inside = (lam >= 1.0 / self.n) & (lam <= self.n)
         return np.where(inside, 1.0, 0.0)
@@ -87,29 +87,31 @@ class LinearBlock:
     I' = -nu_i |xi|^2 I, a 1x1 generator.  Both depend on |xi| alone, so each
     block's exponential and first two phi-functions are read off one augmented
     exponential (`_phi_table`: 6x6 for the pair, 3x3 for the heat) per
-    distinct |xi|^2 of the grid's radial table (`Grid.radii_sq`) and gathered
-    with `Grid.radial_index`: the state's factors `exp`, of shape (2, 2,
-    *spectral_shape), and `heat_e` onto the half lattice, the tendencies'
-    factors `phi1` and `phi2`, of shape (2, 2, *band_shape), and `heat_p1`
-    and `heat_p2` onto the band, where `model.explicit_rhs` returns the
-    tendencies.  Each 2x2 entry is a contiguous per-mode array.  The
-    tendencies' factors carry the projector's `mask`: they are 0 off its
-    annulus.
+    distinct |xi|^2 of the grid's radial table (`Grid.radii_sq`).  The
+    state's factors `exp`, of shape (2, 2, *spectral_shape), and `heat_e` are
+    gathered onto the half lattice with `Grid.radial_index`, as a step reads
+    them whole.  The tendencies' factors `phi1` and `phi2`, of shape (2, 2,
+    radii), and `heat_p1` and `heat_p2` stay per-radius tables: a stage
+    gathers each entry at `band_index`, the radial index of the
+    two-thirds-rule band where `model.explicit_rhs` returns the tendencies,
+    just before it reads it (`_apply`).  Each 2x2 entry is a contiguous
+    array.  The truncation `mask` depends on |xi| alone, so it is a factor
+    of each tendency table per radius: they are 0 off its annulus.
     """
 
     def __init__(self, grid: Grid, params: FluidParams, dt: float, mask: np.ndarray):
         q = grid.radii_sq
-        band = grid.to_band(grid.radial_index)
-        at = (grid.radial_index, band, band)  # exp on the half lattice, phi1 and phi2 on the band
-        pair = _phi_table(params.pair_matrix(q), dt)
-        self.exp, self.phi1, self.phi2 = (
-            np.ascontiguousarray(np.moveaxis(M[i], (-2, -1), (0, 1))) for M, i in zip(pair, at)
-        )
-        heat = _phi_table(-params.nu_i * q[:, None, None], dt)
-        self.heat_e, self.heat_p1, self.heat_p2 = (M[:, 0, 0][i] for M, i in zip(heat, at))
-        band_mask = grid.to_band(mask)
-        for stack in (self.phi1, self.phi2, self.heat_p1, self.heat_p2):
-            stack *= band_mask
+        radial_mask = np.zeros(q.size)
+        radial_mask[grid.radial_index] = mask
+        if not np.array_equal(radial_mask[grid.radial_index], mask):
+            raise ValueError("the truncation mask must depend on |xi| alone")
+        self.band_index = grid.to_band(grid.radial_index)
+        pair = [np.ascontiguousarray(np.moveaxis(M, 0, -1)) for M in _phi_table(params.pair_matrix(q), dt)]
+        self.exp = np.take(pair[0], grid.radial_index, axis=-1)
+        self.phi1, self.phi2 = (P * radial_mask for P in pair[1:])
+        heat_e, heat_p1, heat_p2 = (M[:, 0, 0] for M in _phi_table(-params.nu_i * q[:, None, None], dt))
+        self.heat_e = heat_e[grid.radial_index]
+        self.heat_p1, self.heat_p2 = heat_p1 * radial_mask, heat_p2 * radial_mask
 
 
 def _phi_table(gen: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -165,17 +167,25 @@ def expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _apply(pair: np.ndarray, heat: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _apply(pair: np.ndarray, heat: np.ndarray, x: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
     """One stage as a new stack: the 2x2 `pair` on the (h, c) rows of the state stack `x`, `heat` on its I rows.
 
-    The pair's second products pass through the first I row before `heat` writes it.
+    The factors are per-mode arrays shaped like a row of `x`, or, with
+    `index`, per-radius tables that are gathered at `index` (x's radial
+    index) into one scratch row just before each is read.  The pair's
+    second products pass through the first I row before `heat` writes it.
     """
     out = np.empty(x.shape, dtype=np.complex128)
+    scratch = None if index is None else np.empty(index.shape)
+
+    def at(factor):
+        return factor if index is None else np.take(factor, index, out=scratch)
+
     for i in range(2):
-        np.multiply(pair[i, 0], x[:1], out=out[i : i + 1])
-        np.multiply(pair[i, 1], x[1:2], out=out[2:3])
+        np.multiply(at(pair[i, 0]), x[:1], out=out[i : i + 1])
+        np.multiply(at(pair[i, 1]), x[1:2], out=out[2:3])
         out[i : i + 1] += out[2:3]
-    np.multiply(heat, x[2:], out=out[2:])
+    np.multiply(at(heat), x[2:], out=out[2:])
     return out
 
 
@@ -263,11 +273,11 @@ class FriedrichsStepper:
         out = NspState(SpectralField.nyquist_free(self.grid, x), t_new)
         if not self.linear_only:
             n0 = self._tendencies(s)
-            self.grid.add_band(x, _apply(blocks.phi1, blocks.heat_p1, n0))
+            self.grid.add_band(x, _apply(blocks.phi1, blocks.heat_p1, n0, blocks.band_index))
             # `out` is the mid-stage state here: the RHS call reads it before `add_band` writes x again
             n1 = self._tendencies(out)
             n1 -= n0
-            self.grid.add_band(x, _apply(blocks.phi2, blocks.heat_p2, n1))
+            self.grid.add_band(x, _apply(blocks.phi2, blocks.heat_p2, n1, blocks.band_index))
         # a non-finite or mean-carrying input gives such an output, so `prepare`
         # and the output check below cover every state of a run
         self._check_cfl(self.flags.max_speed, NumericalAbort, f"convective stability violated at t = {out.t:.6g}")
@@ -288,7 +298,7 @@ class FriedrichsStepper:
         return s
 
     def iterate(self, s0: NspState, stride: int = 1):
-        """Yield the prepared state, every stride-th stepped state, and the final one."""
+        """Yield the prepared state, every stride-th stepped state, and the final one, which it also returns."""
         if stride < 1:
             raise ValueError("monitor stride must be >= 1")
         s = self.prepare(s0)
@@ -299,15 +309,25 @@ class FriedrichsStepper:
             s = self.step(s)
             if (i + 1) % stride == 0 or i + 1 == n_steps:
                 yield s
+        return s
 
     def run(self, s0: NspState, monitor=None, stride: int = 1) -> Trajectory:
+        """Step a run to its end under `monitor`, which reads each sample as `iterate` yields it.
+
+        A sample is dropped once read, so it does not sit beside the states
+        of the next `stride` steps; the final state is `iterate`'s return value.
+        """
         traj = Trajectory()
         states = self.iterate(s0, stride)
         del s0  # held by `iterate` alone, which drops it once prepared
-        for s in states:
+        while True:
+            try:
+                s = next(states)
+            except StopIteration as end:
+                traj.final_state = end.value
+                break
             if monitor is not None:
                 traj.records.append(monitor(s, self.flags))
-        traj.final_state = s
+            del s
         traj.flags = self.flags
         return traj
-

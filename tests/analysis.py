@@ -40,7 +40,7 @@ def meshed_lattice(grid: Grid, params: FluidParams) -> dict[str, np.ndarray]:
     The oracle of `Grid`'s open axes: the wavenumbers are one meshed (dim,
     *spectral_shape) stack, the Nyquist test reads lattice indices, the radii
     come from `np.unique` and the band is a direct `np.ix_` gather.  Each
-    entry is what `Grid` or the multipliers should hold, bit for bit.
+    entry is what `Grid` or the multipliers should hold or form, bit for bit.
     """
     size, half, m = grid.size, grid.size // 2 + 1, grid.size // 3
     freq = 2.0 * np.pi / grid.length * np.fft.fftfreq(size, d=1.0 / size)

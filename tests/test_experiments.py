@@ -109,6 +109,21 @@ class TestDrivers:
         assert result.summary["max_dist_u"] == 0.0
         assert result.summary["max_dist_h"] == 0.0
 
+    @pytest.mark.parametrize("n, covers", [(None, True), (8.0, False)], ids=["default-n", "n-8"])
+    def test_refine_says_when_both_runs_cover_the_lattice(self, tmp_path, capsys, n, covers):
+        # the default n is M, whose annulus covers the lattice (2D M=16: |xi| <= 7 sqrt 2 = 9.9), as
+        # does 2n's: one stderr line says so, and stdout and the artifacts are as without it
+        text = "grid.N = 2\ngrid.M = 16\nstepper.dt = 1e-3\nstepper.t_end = 0.005\ninit.kind = smooth-random\n"
+        result = experiment_refine(parse_config(text + (f"stepper.n = {n}\n" if n else "")), tmp_path)
+        out, err = capsys.readouterr()
+        assert out.startswith("refine: assertions") and "covers" not in out
+        if covers:
+            assert err.count("\n") == 1 and "already covers the lattice" in err and "every distance is 0" in err
+            assert result.summary["max_dist_u"] == result.summary["max_dist_h"] == 0.0
+        else:
+            assert err == ""
+            assert result.summary["max_dist_u"] > 0.0
+
     def test_refine_truncation_distance_decreases(self, tmp_path):
         base = [
             "grid.N = 2",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nspbox import model
+from nspbox import model, spectral
 from nspbox.config import parse_config
 from nspbox.initial_data import make_initial_data
 from nspbox.model import (
@@ -28,7 +28,7 @@ from nspbox.spectral import (
     transform_to_spectral,
 )
 
-from analysis import dissipation, divergence, physical_energy, state_of
+from analysis import dissipation, divergence, meshed_lattice, physical_energy, state_of
 from conftest import dealias_mask, embed, hermitian_defect, wave
 from convective import nonlinear_F, nonlinear_G, nonlinear_H, nonlinear_J
 from primitive import PrimitiveState, check_potential, coordinates, from_primitive, potential, to_primitive
@@ -145,6 +145,10 @@ class TestZeta:
             default=1.75,
         )
         assert np.array_equal(zeta(x, rho), branches * rho)
+        # in place, as the viscous quotient clamps rho_bar + theta in its own array
+        inplace = x.copy()
+        assert zeta(inplace, rho, out=inplace) is inplace
+        assert np.array_equal(inplace, branches * rho)
 
 
 class TestNspState:
@@ -433,7 +437,8 @@ class TestExplicitRhs:
         }
 
     def test_one_batched_transform_each_way(self, grid3, monkeypatch):
-        # one full inverse, then one band inverse and one band forward, each a `BandTransform` call
+        # one band inverse, then one full inverse and one band forward, each a `BandTransform` call;
+        # they take turns in one buffer, so the band inverse must be done before the full input is written
         from nspbox import spectral
 
         s = small_state(grid3, seed=36)
@@ -447,7 +452,7 @@ class TestExplicitRhs:
 
             monkeypatch.setattr(spectral.BandTransform, name, counted)
         explicit_rhs(s, PARAMS3)
-        assert calls == [("to_physical", "full"), ("to_physical", "band"), ("to_spectral", "band")]
+        assert calls == [("to_physical", "band"), ("to_physical", "full"), ("to_spectral", "band")]
 
     @pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
     @pytest.mark.parametrize("projected", [False, True], ids=["unprojected", "projected"])
@@ -479,31 +484,40 @@ class TestExplicitRhs:
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("size", [16, 32])
     def test_real_viscous_gradient_factor_gives_the_complex_products(self, dim, size):
-        # `visc_grad` stores (mu + lambda) xi_j Lambda; the complex symbol it stands for,
+        # `visc_grad` forms (mu + lambda) xi_j Lambda per call; the complex symbol it stands for,
         # (mu + lambda) i xi_j Lambda, has real part +0 on every mode, so the product with c that
-        # `explicit_rhs` forms from it is the complex form's, bit for bit, signed zeros included
+        # `explicit_rhs` forms from it is the complex form's, bit for bit, signed zeros included;
+        # `visc_lap` is -mu |xi|^2 of the meshed lattice
         grid = Grid(dim, size)
         params = FluidParams(mu=1.0, lam=0.25, rho_bar=1.0, dim=dim)
         mult = model._rhs_multipliers(grid, params)
-        symbol = (params.mu + params.lam) * np.stack(np.broadcast_arrays(*grid.ixi)) * grid.lam
+        lattice = meshed_lattice(grid, params)
+        symbol = (params.mu + params.lam) * lattice["ixi"] * lattice["lam"]
         assert bits(symbol.real) == bits(np.zeros(symbol.shape))
-        assert bits(symbol.imag) == bits(mult.visc_grad)
+        factor = np.zeros((dim,) + grid.spectral_shape)
+        for k in range(dim):
+            mult.visc_grad(k, out=factor[k])
+        assert bits(symbol.imag) == bits(factor)
+        visc_lap = mult.visc_lap()
+        assert bits(visc_lap) == bits(-params.mu * lattice["lam_sq"])
         s = small_state(grid, seed=size + dim)
         for state in (s, projected_state(grid, s)):
             c, u = state.c.coef[0], state.velocity().coef
-            want = mult.visc_lap * u
+            want = visc_lap * u
             want += symbol * c
-            got = mult.visc_lap * u
+            got = visc_lap * u
             grad = np.zeros_like(u)
-            grad.imag = mult.visc_grad
+            for k in range(dim):
+                mult.visc_grad(k, out=grad[k].imag)
             grad *= c
             got += grad
             assert bits(got) == bits(want)
 
     @pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
     def test_no_aliasing_across_calls(self, grid_name, request):
-        # the multipliers and their transforms' buffers are shared by every caller of one
-        # (grid, params): a call on B leaves what a call on A returned as it was
+        # the multipliers, their one transform buffer and their physical rows are shared by every
+        # caller of one (grid, params): a call on B leaves what a call on A returned as it was, and
+        # neither returned stack lies in any array the multipliers hold
         grid = request.getfixturevalue(grid_name)
         params = FluidParams(mu=1.0, lam=0.25, rho_bar=1.0, dim=grid.dim)
         a, b = small_state(grid, seed=70, amp=0.3), small_state(grid, seed=71)
@@ -512,13 +526,49 @@ class TestExplicitRhs:
         tend_b, diag_b = explicit_rhs(b, params)
         assert (bits(tend_a), bits(np.array(dataclasses.astuple(diag_a)))) == kept
         assert bits(tend_b) != kept[0]
-        mult = model._rhs_multipliers(grid, params)
-        shared = [mult.full._spec, mult.band._spec, a.x.coef, b.x.coef, tend_b]
-        shared += [v for v in vars(mult).values() if isinstance(v, np.ndarray)]
-        for buffer in shared:
+        held = list(arrays_of(model._rhs_multipliers(grid, params)))
+        assert len(held) >= 8
+        for buffer in held + [a.x.coef, b.x.coef]:
             assert not np.shares_memory(tend_a, buffer)
+            assert not np.shares_memory(tend_b, buffer)
+        assert not np.shares_memory(tend_a, tend_b)
         again, _ = explicit_rhs(a, params)
         assert bits(again) == kept[0]
+
+    @pytest.mark.parametrize("grid_name", ["grid2", "grid3", "grid4"])
+    def test_three_transforms_take_turns_in_one_buffer(self, grid_name, request, monkeypatch):
+        # both inverses read their input from the multipliers' one buffer and the band forward
+        # returns a view of it, which the tendencies are read from before the next call rewrites it
+        grid = request.getfixturevalue(grid_name)
+        params = FluidParams(mu=1.0, lam=0.25, rho_bar=1.0, dim=grid.dim)
+        mult = model._rhs_multipliers(grid, params)
+        assert len(mult.buffer) == max(2 * grid.dim + 1, grid.dim + 1 + len_pairs(grid))
+        for transform in (mult.full, mult.band):
+            assert np.shares_memory(transform.inverse_input(1), mult.buffer)
+        forward = []
+        plain = spectral.BandTransform.to_spectral
+
+        def to_spectral(self, values):
+            forward.append(plain(self, values))
+            return forward[-1]
+
+        monkeypatch.setattr(spectral.BandTransform, "to_spectral", to_spectral)
+        tend, _ = explicit_rhs(small_state(grid, seed=72), params)
+        assert len(forward) == 1 and np.shares_memory(forward[0], mult.buffer)
+        assert not np.shares_memory(tend, mult.buffer)
+
+
+def arrays_of(obj) -> list[np.ndarray]:
+    """Every array an object holds in its attributes, in tuples of them and in its transforms and grid."""
+    found = []
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            found.append(value)
+        elif isinstance(value, tuple):
+            found += [v for v in value if isinstance(v, np.ndarray)]
+        elif isinstance(value, (spectral.BandTransform, Grid)):
+            found += arrays_of(value)
+    return found
 
 
 # |(dE/dt + D) / D| of `budget_residual`: 4.2e-7 in 2D and -2.0e-8 in 3D measured; the faults

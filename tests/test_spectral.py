@@ -103,8 +103,8 @@ class TestGrid:
             "nyquist_mask": grid.nyquist_mask,
             "ixi": np.stack(np.broadcast_arrays(*grid.ixi)),
             "riesz": grid.riesz,
-            "visc_grad": mult.visc_grad,
-            "band_ixi": mult.ixi,
+            "visc_grad": np.stack([mult.visc_grad(k, out=np.empty(grid.spectral_shape)) for k in range(dim)]),
+            "band_ixi": np.stack(np.broadcast_arrays(*mult.ixi_m)),
         }
         for name, table in want.items():
             assert got[name].shape == table.shape, name

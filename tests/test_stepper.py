@@ -35,6 +35,11 @@ def unmasked(grid) -> np.ndarray:
     return np.ones(grid.spectral_shape)
 
 
+def on_band(blocks: LinearBlock, table: np.ndarray) -> np.ndarray:
+    """A per-radius tendency table gathered onto the two-thirds-rule band, as a stage reads it."""
+    return np.take(table, blocks.band_index, axis=-1)
+
+
 def pair_state(grid, h_amp=0.01, c_amp=0.02, nvec=(1, 0, 0)) -> NspState:
     return state_of(
         h=wave(grid, nvec, amp=h_amp),
@@ -106,13 +111,18 @@ class TestLinearBlock:
         blocks = LinearBlock(grid, params, dt, mask)
         full = LinearBlock(grid, params, dt, unmasked(grid))
         assert np.array_equal(blocks.heat_e, full.heat_e)
-        # the tendency factors live on the two-thirds-rule band, the layout of the tendencies
+        # the tendency factors are per-radius tables that a stage gathers onto the two-thirds-rule
+        # band, the layout of the tendencies
+        assert np.array_equal(blocks.band_index, grid.to_band(grid.radial_index))
         band_inside = grid.to_band(inside)
         assert band_inside.any() and not band_inside.all()
         for heat, heat_full in ((blocks.heat_p1, full.heat_p1), (blocks.heat_p2, full.heat_p2)):
+            heat, heat_full = on_band(blocks, heat), on_band(full, heat_full)
             assert np.all(heat[~band_inside] == 0.0)
             assert np.array_equal(heat[band_inside], heat_full[band_inside])
         eye = np.eye(2)
+        tables = (blocks.phi1, blocks.phi2, blocks.heat_p1, blocks.heat_p2)
+        phi1, phi2, heat_p1, heat_p2 = (on_band(blocks, table) for table in tables)
         for q in np.unique(grid.lam_sq):
             where = grid.lam_sq == q
             band_where = grid.to_band(where)
@@ -132,13 +142,13 @@ class TestLinearBlock:
                 big = expm(dt * heat)
                 he, hp1, hp2 = big[0, 0], big[0, 1], big[0, 2] / dt
             assert np.all(blocks.heat_e[where] == he)
-            for stack, value in ((blocks.heat_p1, hp1), (blocks.heat_p2, hp2)):
+            for stack, value in ((heat_p1, hp1), (heat_p2, hp2)):
                 assert np.all(stack[band_where & band_inside] == value)
                 assert np.all(stack[band_where & ~band_inside] == 0.0)
             for i in range(2):
                 for j in range(2):
                     assert np.all(blocks.exp[i, j][where] == E[i, j])
-                    for stack, M in ((blocks.phi1, P1), (blocks.phi2, P2)):
+                    for stack, M in ((phi1, P1), (phi2, P2)):
                         assert np.all(stack[i, j][band_where & band_inside] == M[i, j])
                         assert np.all(stack[i, j][band_where & ~band_inside] == 0.0)
 
@@ -161,13 +171,22 @@ class TestLinearBlock:
             assert np.max(err) <= tol, (dt, np.max(err))
 
     def test_stacks_are_contiguous_per_entry(self, grid3):
+        # the state's factors per mode on the half lattice, the tendencies' per radius
         blocks = LinearBlock(grid3, PARAMS, 0.1, unmasked(grid3))
-        shapes = (grid3.spectral_shape, grid3.band_shape, grid3.band_shape)
+        shapes = (grid3.spectral_shape, grid3.radii.shape, grid3.radii.shape)
         for stack, shape in zip((blocks.exp, blocks.phi1, blocks.phi2), shapes):
             assert stack.shape == (2, 2) + shape
             assert all(stack[i, j].flags.c_contiguous for i in range(2) for j in range(2))
         assert blocks.heat_e.shape == grid3.spectral_shape
-        assert blocks.heat_p1.shape == blocks.heat_p2.shape == grid3.band_shape
+        assert blocks.heat_p1.shape == blocks.heat_p2.shape == grid3.radii.shape
+        assert blocks.band_index.shape == grid3.band_shape
+
+    def test_mask_must_be_radial(self, grid3):
+        # the mask is folded into the tables per radius, so one that is not a function of |xi| is refused
+        mask = unmasked(grid3)
+        mask[1, 0, 0] = 0.0  # (-1, 0, 0) at the same radius keeps its 1
+        with pytest.raises(ValueError, match=r"depend on \|xi\| alone"):
+            LinearBlock(grid3, PARAMS, 0.1, mask)
 
     def test_dissipative(self, grid3):
         # the pair generator has trace -nu_c |xi|^2 <= 0 and determinant rho_bar (|xi|^2 + 1) > 0,
@@ -205,7 +224,7 @@ class TestLinearBlock:
         blocks = LinearBlock(grid3, PARAMS, 1e-3, unmasked(grid3))
         z = -PARAMS.nu_i * grid3.lam_sq * 1e-3
         phi1_ref = np.where(z == 0, 1.0, np.expm1(np.where(z == 0, 1.0, z)) / np.where(z == 0, 1.0, z))
-        assert np.allclose(blocks.heat_p1, grid3.to_band(1e-3 * phi1_ref), rtol=1e-10)
+        assert np.allclose(on_band(blocks, blocks.heat_p1), grid3.to_band(1e-3 * phi1_ref), rtol=1e-10)
 
 
 class TestStep:
@@ -426,29 +445,57 @@ class TestMemory:
         "init.kind = random-band\ninit.amplitude = 1e-3\ninit.band_lo = 0\ninit.band_hi = 2\n"
     )
 
-    def test_warm_step_minor_faults(self):
-        # a warmed step reuses the pages its predecessor freed: 0-0.5 minor faults a step measured
-        # here, where a fresh tendency stack per step (np.concatenate) faulted 843.  The count also
-        # hangs on the process's heap history: glibc trims the heap top once twice the largest freed
-        # mmapped block (the 1.8 MB product stack of `explicit_rhs`) lies free there, and a step's
-        # growth of the heap sits near that edge, so other histories read about 900
-        import resource
+    # one process's warm steps: three to warm up, then the minor faults a step over twenty more,
+    # with a block of argv[2] MiB held from before the first step, one heap history of many
+    WARM_STEP_FAULTS = """
+import resource
+import sys
 
-        cfg = parse_config(self.CONFIG)
-        stepper = FriedrichsStepper(cfg.grid, cfg.params, cfg.stepper)
-        s = stepper.prepare(make_initial_data(cfg))
-        for _ in range(3):
-            s = stepper.step(s)
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        for _ in range(20):
-            s = stepper.step(s)
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-        assert faults / 20 <= 50
+import numpy as np
+
+from nspbox.config import parse_config
+from nspbox.initial_data import make_initial_data
+from nspbox.stepper import FriedrichsStepper
+
+cfg = parse_config(sys.argv[1])
+stepper = FriedrichsStepper(cfg.grid, cfg.params, cfg.stepper)
+s = stepper.prepare(make_initial_data(cfg))
+held = np.ones(int(float(sys.argv[2]) * 2**20) // 8)
+for _ in range(3):
+    s = stepper.step(s)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    s = stepper.step(s)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+    @pytest.mark.parametrize("held_mib", [0.0, 0.1, 1.0])
+    def test_warm_step_minor_faults(self, held_mib):
+        # a warmed step reuses its pages: `explicit_rhs` transforms in its multipliers' own buffer and
+        # physical rows, so its fresh arrays are band-sized or smaller; 0 faults a step measured in
+        # each history.  Each measurement runs in a fresh interpreter, since a fault count also hangs
+        # on the heap history of the process: with fresh physical arrays, glibc trimmed and regrew
+        # the heap top each step in some histories (about 900 faults a step with 0.1 or 1 MiB held,
+        # 0.6 with none) and not in others, such as the suite's own order
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import nspbox
+
+        src = str(Path(nspbox.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", self.WARM_STEP_FAULTS, self.CONFIG, str(held_mib)],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert float(done.stdout) <= 50
 
     def test_warm_nonlinear_step_peak(self):
-        # the peak of one warmed step's fresh allocations: 16.97 measured, with the new state (5),
-        # the first tendencies (1.4), and at most the full inverse's output (3.8) and the band
-        # forward's input stack (6.6) of `explicit_rhs`, which forms everything else in place
+        # the peak of one warmed step's fresh allocations: 9.81 measured, with the new state (5), the
+        # first tendencies (1.4) and the band-sized and per-axis temporaries and the quotient of
+        # `explicit_rhs`, which transforms in its multipliers' own buffer and physical rows
         import tracemalloc
 
         cfg = parse_config(self.CONFIG)
@@ -463,13 +510,14 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         component = 16 * np.prod(cfg.grid.spectral_shape)
-        assert peak / component <= 17.0
+        assert peak / component <= 10.5
 
     def test_live_set_after_prepare(self):
-        # what set-up leaves alive once the caller has dropped the initial data: 13.78 measured,
-        # the prepared state (5), the propagators and projector mask (4.4) and the grid's
-        # cached tables (4.2: the complex Riesz symbols 3, |xi| and the radial index 0.5 each);
-        # the wavenumbers are open axes and |xi|^2 is not kept
+        # what set-up leaves alive once the caller has dropped the initial data: 12.16 measured, the
+        # prepared state (5), the propagators (2.6: `exp` and `heat_e` per mode, the tendencies'
+        # factors per radius and the band's radial index) and the grid's cached tables (4.2: the
+        # complex Riesz symbols 3, |xi| and the radial index 0.5 each); the projector's mask is
+        # formed on access, the wavenumbers are open axes and |xi|^2 is not kept
         import tracemalloc
 
         tracemalloc.start()
@@ -485,7 +533,54 @@ class TestMemory:
             tracemalloc.stop()
         component = 16 * np.prod(cfg.grid.spectral_shape)
         assert s.x.ncomp == 5
-        assert live / component <= 14.0
+        assert live / component <= 13.0
+
+    def test_monitored_run_high_water(self, tmp_path):
+        # the whole driver, cold, cut to 6 steps sampled every 2nd: 40.68 measured, where a sample
+        # held through the next stride beside the step's input and output, the transforms' two
+        # buffers and fresh physical arrays, and the tendency factors on the band read 50.94
+        import tracemalloc
+
+        from nspbox import lp
+        from nspbox.experiments import experiment_nonlinear
+
+        cfg = parse_config(self.CONFIG + "stepper.t_end = 0.12\nmonitor.stride = 2\n")
+        lp.shell_filters.cache_clear()
+        model._rhs_multipliers.cache_clear()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = experiment_nonlinear(cfg, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        component = 16 * np.prod(cfg.grid.spectral_shape)
+        assert result.exit_code == 0
+        assert peak / component <= 44.0
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_run_drops_each_sample_once_read(self, grid3, stride):
+        # while `run` steps towards the next sample, no earlier sampled state is alive but the step's
+        # own input; the final state is the last sample
+        import weakref
+
+        samples = []
+        stepper = FriedrichsStepper(grid3, PARAMS, StepperConfig(dt=1e-3, n=8.0, t_end=7e-3))
+        plain_step = stepper.step
+
+        def step(s):
+            assert all(ref() is None or ref() is s for ref in samples)
+            return plain_step(s)
+
+        def monitor(s, flags):
+            samples.append(weakref.ref(s))
+
+        stepper.step = step
+        traj = stepper.run(small_state(grid3, seed=65, amp=1e-2), monitor, stride)
+        assert len(samples) == len(traj.records) == 1 + -(-7 // stride)
+        assert samples[-1]() is traj.final_state
+        assert [ref() for ref in samples[:-1]] == [None] * (len(samples) - 1)
+        assert traj.final_state.t == pytest.approx(7e-3)
 
     def test_initial_data_high_water(self):
         # the peak of a cold `make_initial_data`: 14.24 measured, set by the velocity draw of
